@@ -13,12 +13,29 @@ import math
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .model import PriorSpec, TwoLevelData, level2_means
+from .model import PriorSpec, RankDeficientX, TwoLevelData, level2_means
 
 
 class NonconcaveAtMax(Exception):
     """The adjusted log-density has nonpositive curvature at the reported
     maximizer, so no Beta approximation can be formed."""
+
+
+def _normal_cholesky(X: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D^-1 X and the lower Cholesky factor of X'D^-1 X.
+
+    Raises RankDeficientX when X'D^-1 X is not numerically positive definite:
+    nearly collinear columns can pass validate's rank test and still fail
+    here.
+    """
+    Xw = X / D[:, None]
+    try:
+        return Xw, np.linalg.cholesky(X.T @ Xw)
+    except np.linalg.LinAlgError as err:
+        raise RankDeficientX(
+            "X'D^-1 X is not numerically positive definite: "
+            "the columns of X are nearly collinear"
+        ) from err
 
 
 def _gls_parts(data: TwoLevelData, A: float):
@@ -32,9 +49,7 @@ def _gls_parts(data: TwoLevelData, A: float):
     logdet_D = float(np.log(D).sum())
     if data.r == 0:
         return logdet_D, np.empty(0), data.y, 0.0, 0.0
-    Xw = data.X / D[:, None]
-    M = data.X.T @ Xw
-    L = np.linalg.cholesky(M)
+    Xw, L = _normal_cholesky(data.X, D)
     logdet_M = 2.0 * float(np.log(np.diag(L)).sum())
     beta = cho_solve((L, True), Xw.T @ data.y)
     resid = data.y - data.X @ beta
@@ -62,28 +77,13 @@ def beta_hat_A(A: float, data: TwoLevelData) -> np.ndarray:
     return beta
 
 
-def projection_PA(A: float, data: TwoLevelData) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-r projection matrix D^-1/2 X (X'D^-1 X)^-1 X'D^-1/2 and its
-    diagonal."""
-    if data.r < 1:
-        raise ValueError("projection_PA requires r >= 1")
-    D = data.V + A
-    W = data.X / np.sqrt(D)[:, None]
-    M = data.X.T @ (data.X / D[:, None])
-    L = np.linalg.cholesky(M)
-    Z = cho_solve((L, True), W.T)
-    P = W @ Z
-    return P, np.einsum("ij,ji->i", W, Z)
-
-
 def projection_diag(A: float, data: TwoLevelData) -> np.ndarray:
     """Diagonal p_ii of the projection matrix, without forming the k-by-k
     matrix."""
     if data.r < 1:
         raise ValueError("projection_diag requires r >= 1")
     D = data.V + A
-    M = data.X.T @ (data.X / D[:, None])
-    L = np.linalg.cholesky(M)
+    _, L = _normal_cholesky(data.X, D)
     Z = cho_solve((L, True), data.X.T)
     return np.einsum("ij,ji->i", data.X, Z) / D
 
@@ -105,48 +105,21 @@ class AdjustedLogDensity:
     A^(c-1):
 
         l(alpha) = c*alpha - (1/2) sum log(V_i + A)
-                   - (1/2) log|X'D^-1 X| - (1/2) (y - X beta_A)' D^-1 (y - X beta_A)
+                   - (1/2) log|X'D^-1 X| - (1/2) (y - X beta_A)' D^-1 (y - X beta_A),
 
-    with the regression terms absent for r = 0 (residuals are then taken to
-    the known means).  The same object serves every r, so one optimizer
-    drives all fitters.  A one-slot cache holds the weighted-regression
-    quantities for the last queried A; the cache is thread-confined, so share
-    separate instances across threads.
+    that is c*alpha plus the REML objective, with the regression terms absent
+    for r = 0 (residuals are then taken to the known means).  The same object
+    serves every r, so one optimizer drives all fitters.
     """
 
     def __init__(self, data: TwoLevelData, prior: PriorSpec):
         self.data = data
         self.prior = prior
-        self._mu = level2_means(data, prior.known_mu) if data.r == 0 else None
-        self._last_A: float | None = None
-        self._last_parts = None
-
-    def _parts(self, A: float):
-        if A != self._last_A:
-            self._last_parts = _gls_parts(self.data, A)
-            self._last_A = A
-        return self._last_parts
-
-    def beta_hat(self, A: float) -> np.ndarray:
-        _, beta, _, _, _ = self._parts(A)
-        return beta
 
     def __call__(self, alpha: float) -> float:
-        A = math.exp(alpha)
-        if self.data.r == 0:
-            resid = self.data.y - self._mu
-            D = self.data.V + A
-            return self.prior.c * alpha - 0.5 * float(
-                np.sum(np.log(D) + resid * resid / D)
-            )
-        logdet_D, _, _, quad, logdet_M = self._parts(A)
-        return self.prior.c * alpha - 0.5 * (logdet_D + logdet_M + quad)
-
-
-def adjusted_logdensity(alpha: float, data: TwoLevelData, prior: PriorSpec) -> float:
-    """Value of the adjusted log-density at alpha = log A (additive constant
-    fixed by the data, stable across calls)."""
-    return AdjustedLogDensity(data, prior)(alpha)
+        return self.prior.c * alpha + restricted_loglik(
+            math.exp(alpha), self.data, self.prior.known_mu
+        )
 
 
 def _fd_second_derivative(f, x: float, h: float) -> float:

@@ -20,20 +20,19 @@ from functools import partial
 from itertools import chain
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
+from scipy.special import ndtr
 
-from . import specfun
 from .fitters import (
     FitMethod,
     adm_moments_equal,
     exact_moments_equal,
     fit,
     mle_shrinkage_equal,
+    quadrature_moments,
 )
 from .inference import random_effects
 from .model import PriorSpec, TwoLevelData
-
-_phi = np.frompyfunc(specfun.normal_cdf, 1, 1)
 
 TWO_GROUP_V = (0.55,) * 5 + (5.5,) * 5  # harmonic mean 1.0, 10x spread
 
@@ -312,7 +311,7 @@ def _simulate_gridpoint(cfg: SimConfig, g: int) -> list[SimRow]:
             th, s2 = post.theta_hat, post.s2
             s = np.sqrt(s2)
             centered = th - cond_mean
-            cov = _phi((centered + z * s) / sigma_cond) - _phi(
+            cov = ndtr((centered + z * s) / sigma_cond) - ndtr(
                 (centered - z * s) / sigma_cond
             )
             ok = s2 > 0.0
@@ -322,7 +321,7 @@ def _simulate_gridpoint(cfg: SimConfig, g: int) -> list[SimRow]:
                 np.nan,
             )
             rec = stats[method]
-            rec["cov_rb"][rep] = cov.astype(float)
+            rec["cov_rb"][rep] = cov
             rec["risk"][rep] = risk
             rec["ok"][rep] = ok
             rec["raw"][rep] = np.abs(theta - th) <= z * s
@@ -501,18 +500,8 @@ def exact_moments_equal_anyc(T: float, m: float, c: float) -> tuple[float, float
         A = math.exp(alpha)
         return c * alpha - (m + 1.0) * math.log1p(A) - T / (1.0 + A)
 
-    shift = log_post(a_center)
-
-    def integrand(alpha: float) -> np.ndarray:
-        w = math.exp(log_post(alpha) - shift)
-        B = 1.0 / (1.0 + math.exp(alpha))
-        return np.array([w, w * B, w * B * B])
-
-    res, _ = integrate.quad_vec(
-        integrand, a_center - 40.0, a_center + 40.0, epsrel=1e-10, epsabs=0.0
-    )
-    EB = res[1] / res[0]
-    return EB, max(res[2] / res[0] - EB * EB, 0.0)
+    EB, v = quadrature_moments(log_post, a_center, np.ones(1))
+    return float(EB[0]), float(v[0])
 
 
 def curve_rows(k_values, t_grid, r: int = 0, c: float = 1.0) -> tuple[CurveRow, ...]:

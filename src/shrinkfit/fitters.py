@@ -39,6 +39,7 @@ __all__ = [
     "adm_moments_equal",
     "exact_moments_equal",
     "mle_shrinkage_equal",
+    "quadrature_moments",
 ]
 
 _GROW = 1.7
@@ -391,13 +392,36 @@ def fit_exact_equal(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
     )
 
 
+def quadrature_moments(
+    logpost, center: float, V: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and variance of each B_i = V_i / (V_i + exp(alpha))
+    under the unnormalized log-posterior `logpost` of alpha, by adaptive
+    quadrature over center +- 40.
+
+    The exponent is shifted by its value at `center` (the mode or close to
+    it) before exponentiating, a numerically safe normalization.
+    """
+    shift = logpost(center)
+
+    def integrand(alpha: float) -> np.ndarray:
+        w = math.exp(logpost(alpha) - shift)
+        B = V / (V + math.exp(alpha))
+        return np.concatenate(([w], w * B, w * B * B))
+
+    res, _ = integrate.quad_vec(
+        integrand, center - 40.0, center + 40.0, epsrel=1e-10, epsabs=0.0
+    )
+    n = V.size
+    Z = res[0]
+    EB = res[1 : n + 1] / Z
+    return EB, np.maximum(res[n + 1 :] / Z - EB * EB, 0.0)
+
+
 def fit_exact_quadrature(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
     """Exact posterior mean and variance of each B_i by adaptive quadrature
     of the posterior of alpha = log A (which, including the Jacobian, is the
-    adjusted density).
-
-    The exponent is shifted by its maximum before exponentiating and the
-    integral taken over alpha_hat +- 40, a numerically safe normalization.
+    adjusted density), centred at its maximizer.
     """
     try:
         validate(data, prior, FitMethod.EXACT)
@@ -410,24 +434,10 @@ def fit_exact_quadrature(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePoste
     alpha_hat = _maximize_alpha(ell, alpha0, lo, hi)
     if alpha_hat is None:
         raise OptimizerNoBracket("posterior density keeps rising toward A = 0")
-    l_max = ell(alpha_hat)
-    V = data.V
-    k = data.k
-
-    def integrand(alpha: float) -> np.ndarray:
-        w = math.exp(ell(alpha) - l_max)
-        B = V / (V + math.exp(alpha))
-        return np.concatenate(([w], w * B, w * B * B))
-
-    res, _ = integrate.quad_vec(
-        integrand, alpha_hat - 40.0, alpha_hat + 40.0, epsrel=1e-10, epsabs=0.0
-    )
-    Z = res[0]
-    EB = res[1 : k + 1] / Z
-    v = np.maximum(res[k + 1 :] / Z - EB * EB, 0.0)
+    EB, v = quadrature_moments(ell, alpha_hat, data.V)
     if data.equal_variances:
         # single shrinkage factor: report the A consistent with it
-        A_hat = float(V[0]) * (1.0 - EB[0]) / EB[0]
+        A_hat = float(data.V[0]) * (1.0 - EB[0]) / EB[0]
     else:
         A_hat = math.exp(alpha_hat)
     return ShrinkagePosterior(

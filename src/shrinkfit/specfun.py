@@ -1,89 +1,19 @@
-"""Scalar special functions for the exact-Bayes formulas and the simulation
-harness: the regularized incomplete gamma function (chi-square CDF), the
-standard Normal CDF, and the Beta(1, m) moment generating function M_m(T).
-
-All functions are pure and safe to call from any number of threads.
-"""
+"""The log of the regularized lower incomplete gamma function, the building
+block of the exact-Bayes shrinkage formula for equal variances."""
 
 from __future__ import annotations
 
 import math
 
-_EPS = 1.0e-16
-_MAX_ITER = 10_000
-_TINY = 1.0e-300
-_LOG_MAX = 709.0  # exp() overflows above this
-
-
-def _lower_gamma_series(a: float, x: float) -> tuple[float, float]:
-    """Power series for P(a, x), reliable for x < a + 1.
-
-    Returns (log_prefactor, series_sum) with
-    P(a, x) = exp(log_prefactor) * series_sum, so callers that only need the
-    ratio of two nearby P values can work in log space without underflow.
-    """
-    if x == 0.0:
-        return -math.inf, 1.0 / a
-    ap = a
-    term = 1.0 / a
-    total = term
-    for _ in range(_MAX_ITER):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return a * math.log(x) - x - math.lgamma(a), total
-
-
-def _upper_gamma_cf(a: float, x: float) -> float:
-    """Modified Lentz continued fraction for Q(a, x) = 1 - P(a, x), x >= a + 1."""
-    log_pre = a * math.log(x) - x - math.lgamma(a)
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    if log_pre < -_LOG_MAX:
-        return 0.0
-    return math.exp(log_pre) * h
-
-
-def lower_regularized_gamma(a: float, x: float) -> float:
-    """P(a, x) = gamma(a, x) / Gamma(a).
-
-    Series expansion for x < a + 1, continued fraction for the complement
-    otherwise (the standard stable split).
-    """
-    if a <= 0.0:
-        raise ValueError(f"shape parameter must be positive, got {a}")
-    if x < 0.0:
-        raise ValueError(f"argument must be nonnegative, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        log_pre, total = _lower_gamma_series(a, x)
-        if log_pre < -_LOG_MAX:
-            return 0.0
-        return min(1.0, math.exp(log_pre) * total)
-    return max(0.0, 1.0 - _upper_gamma_cf(a, x))
+from scipy import special
 
 
 def log_lower_regularized_gamma(a: float, x: float) -> float:
-    """log P(a, x), stable even where P itself underflows (x much below a)."""
+    """log P(a, x), finite even where P itself underflows (x much below a).
+
+    Below x = a + 1 it is a log x - x - log Gamma(a + 1) + log 1F1(1; a + 1; x),
+    the series of P with its prefactor in log space; above, log gammainc(a, x).
+    """
     if a <= 0.0:
         raise ValueError(f"shape parameter must be positive, got {a}")
     if x < 0.0:
@@ -91,75 +21,6 @@ def log_lower_regularized_gamma(a: float, x: float) -> float:
     if x == 0.0:
         return -math.inf
     if x < a + 1.0:
-        log_pre, total = _lower_gamma_series(a, x)
-        return log_pre + math.log(total)
-    return math.log(lower_regularized_gamma(a, x))
-
-
-def chi2_cdf(x: float, dof: float) -> float:
-    """P(chi-square with `dof` degrees of freedom <= x)."""
-    if dof <= 0.0:
-        raise ValueError(f"degrees of freedom must be positive, got {dof}")
-    if x < 0.0:
-        raise ValueError(f"chi-square argument must be nonnegative, got {x}")
-    return lower_regularized_gamma(0.5 * dof, 0.5 * x)
-
-
-def chi2_sf(x: float, dof: float) -> float:
-    """Upper tail P(chi-square > x); complements chi2_cdf."""
-    if dof <= 0.0:
-        raise ValueError(f"degrees of freedom must be positive, got {dof}")
-    if x < 0.0:
-        raise ValueError(f"chi-square argument must be nonnegative, got {x}")
-    a = 0.5 * dof
-    xx = 0.5 * x
-    if xx == 0.0:
-        return 1.0
-    if xx >= a + 1.0:
-        return min(1.0, _upper_gamma_cf(a, xx))
-    return max(0.0, 1.0 - lower_regularized_gamma(a, xx))
-
-
-def normal_cdf(z: float) -> float:
-    """Standard Normal CDF via the complementary error function."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
-def log_confluent_M(m: float, T: float) -> float:
-    """log M_m(T) for M_m(T) = Gamma(m+1) T^{-m} exp(T) P(chi2_{2m} <= 2T).
-
-    In the series region T < m + 1 the gamma prefactor cancels analytically
-    against the CDF prefactor, leaving sum_n T^n Gamma(m+1)/Gamma(m+1+n),
-    which starts at exactly 1: small T never underflows and M >= 1 holds to
-    the last ulp.
-    """
-    if m <= 0.0:
-        raise ValueError(f"m must be positive, got {m}")
-    if T < 0.0:
-        raise ValueError(f"T must be nonnegative, got {T}")
-    if T < m + 1.0:
-        term = 1.0
-        total = 1.0
-        ap = m
-        for _ in range(_MAX_ITER):
-            ap += 1.0
-            term *= T / ap
-            total += term
-            if term < total * _EPS:
-                break
-        return math.log(total)
-    log_p = math.log(lower_regularized_gamma(m, T))
-    return math.lgamma(m + 1.0) - m * math.log(T) + T + log_p
-
-
-def confluent_M(m: float, T: float) -> float:
-    """Moment generating function of Beta(1, m) at T; equals 1 at T = 0.
-
-    This is the confluent hypergeometric function appearing in the exact
-    posterior mean of a shrinkage factor.  Values above exp(709) are reported
-    as inf (callers that need large T should use log_confluent_M).
-    """
-    log_m = log_confluent_M(m, T)
-    if log_m > _LOG_MAX:
-        return math.inf
-    return math.exp(log_m)
+        log_series = math.log(special.hyp1f1(1.0, a + 1.0, x))
+        return a * math.log(x) - x - math.lgamma(a + 1.0) + log_series
+    return math.log(special.gammainc(a, x))

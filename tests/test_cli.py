@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 
@@ -53,6 +54,15 @@ class TestFit:
         small.write_text("y,V,x1\n1.0,1.0,1.0\n2.0,1.0,1.0\n3.0,1.0,1.0\n")
         assert main(["fit", str(small), "--method", "adm"]) == 2
         assert "TooFewUnits" in capsys.readouterr().err
+
+    def test_nearly_collinear_X_exits_2(self, tmp_path, capsys):
+        from test_fitters import nearly_collinear_data
+
+        path = tmp_path / "collinear.csv"
+        write_dataset_csv(path, nearly_collinear_data())
+        for method in ("adm", "mle", "reml", "exact"):
+            assert main(["fit", str(path), "--method", method]) == 2
+            assert "RankDeficientX" in capsys.readouterr().err
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert main(["fit", str(tmp_path / "nope.csv")]) == 1
@@ -240,6 +250,15 @@ class TestCurves:
         assert main(["curves", "--k", "6", "--t-grid", "1,2"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("k,r,c,m,T,method,B_hat,v")
+
+    def test_quadrature_rows_are_plain_numbers(self, capsys):
+        # c != 1 takes the quadrature path; its cells must parse as floats
+        assert main(["curves", "--k", "10", "--c", "0.5", "--t-grid", "1,2"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        exact = [r for r in rows if r["method"] == "exact"]
+        assert len(exact) == 2
+        for r in exact:
+            assert 0.0 < float(r["B_hat"]) < 1.0 and float(r["v"]) > 0.0
 
     def test_negative_T_exits_2(self, capsys):
         assert main(["curves", "--t-grid=-1,2"]) == 2

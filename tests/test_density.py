@@ -6,12 +6,11 @@ import pytest
 from shrinkfit import AdjustedLogDensity, NonconcaveAtMax, PriorSpec, TwoLevelData
 from shrinkfit import density
 from shrinkfit.density import (
-    adjusted_logdensity,
     adjusted_logdensity_d2,
     beta_hat_A,
     invariant_info_equal_variance,
     loglik_L0,
-    projection_PA,
+    projection_diag,
     residual_ss,
     restricted_loglik,
 )
@@ -82,15 +81,19 @@ class TestBetaHat:
 
 
 class TestProjection:
-    def test_idempotent_with_trace_r(self, two_group_data):
-        P, diag = projection_PA(0.55, two_group_data)
-        np.testing.assert_allclose(P @ P, P, atol=1e-10)
-        assert np.trace(P) == pytest.approx(two_group_data.r, abs=1e-10)
-        np.testing.assert_allclose(np.diag(P), diag, atol=1e-14)
+    def test_diagonal_sums_to_r(self, two_group_data):
+        # P is a rank-r orthogonal projection: trace r, each p_ii in [0, 1]
+        diag = projection_diag(0.55, two_group_data)
+        assert diag.sum() == pytest.approx(two_group_data.r, abs=1e-12)
+        assert np.all((diag >= 0.0) & (diag <= 1.0))
+        rng = np.random.default_rng(3)
+        X = np.column_stack([np.ones(12), rng.normal(size=12), rng.normal(size=12)])
+        data = TwoLevelData(rng.normal(size=12), rng.uniform(0.2, 5.0, 12), X)
+        assert projection_diag(1.3, data).sum() == pytest.approx(3.0, abs=1e-12)
 
     def test_equal_variance_intercept_diagonal(self):
         data = TwoLevelData(np.arange(8.0), np.ones(8), np.ones((8, 1)))
-        _, diag = projection_PA(2.0, data)
+        diag = projection_diag(2.0, data)
         np.testing.assert_allclose(diag, np.full(8, 1.0 / 8.0), atol=1e-13)
 
     def test_two_group_against_dense_oracle(self, two_group_data):
@@ -99,19 +102,17 @@ class TestProjection:
         X = two_group_data.X
         Dm = np.diag(1.0 / np.sqrt(D))
         oracle = Dm @ X @ np.linalg.inv(X.T @ np.diag(1.0 / D) @ X) @ X.T @ Dm
-        P, diag = projection_PA(A, two_group_data)
-        np.testing.assert_allclose(P, oracle, atol=1e-12)
+        diag = projection_diag(A, two_group_data)
         np.testing.assert_allclose(diag, np.diag(oracle), atol=1e-12)
 
     def test_constant_in_A_for_equal_variances(self):
         rng = np.random.default_rng(11)
         X = np.column_stack([np.ones(10), rng.normal(size=10)])
         data = TwoLevelData(rng.normal(size=10), np.full(10, 1.7), X)
-        P0, _ = projection_PA(0.0, data)
+        p0 = projection_diag(0.0, data)
         b0 = beta_hat_A(0.0, data)
         for A in (0.5, 3.0, 42.0):
-            P, _ = projection_PA(A, data)
-            assert np.max(np.abs(P - P0)) <= 1e-12
+            assert np.max(np.abs(projection_diag(A, data) - p0)) <= 1e-12
             assert np.max(np.abs(beta_hat_A(A, data) - b0)) <= 1e-12
 
 
@@ -127,7 +128,8 @@ class TestAdjustedLogDensity:
             return prior.c * alpha - (m + 1) * math.log(V + A) - T * V / (V + A)
 
         alphas = np.linspace(-3, 3, 13)
-        values = [adjusted_logdensity(a, fig1_data, prior) for a in alphas]
+        ell = AdjustedLogDensity(fig1_data, prior)
+        values = [ell(a) for a in alphas]
         refs = [ell2(a) for a in alphas]
         diffs = np.array(values) - np.array(refs)
         np.testing.assert_allclose(diffs, diffs[0], atol=1e-10)
@@ -146,7 +148,8 @@ class TestAdjustedLogDensity:
             return c * alpha - (m + 1) * math.log(V + A) - T * V / (V + A)
 
         alphas = np.linspace(-2, 4, 9)
-        diffs = [adjusted_logdensity(a, data, prior) - ell2(a) for a in alphas]
+        ell = AdjustedLogDensity(data, prior)
+        diffs = [ell(a) - ell2(a) for a in alphas]
         np.testing.assert_allclose(diffs, diffs[0], atol=1e-10)
 
     def test_tails_fall_to_minus_infinity(self, two_group_data):

@@ -11,6 +11,7 @@ from shrinkfit import (
     NonintegrablePosterior,
     OptimizerNoBracket,
     PriorSpec,
+    RankDeficientX,
     TwoLevelData,
     fit,
     fit_adm_equal,
@@ -21,6 +22,7 @@ from shrinkfit import (
     fit_reml,
 )
 from shrinkfit.density import AdjustedLogDensity, residual_ss
+from shrinkfit.evaluate import exact_moments_equal_anyc
 from shrinkfit.fitters import (
     adm_beta_moments,
     adm_moments_equal,
@@ -276,6 +278,12 @@ class TestExactEqual:
         assert shr.B_hat[0] == m / (m + 1.0)
         assert shr.v[0] == pytest.approx(m / ((m + 1) ** 2 * (m + 2)), rel=1e-14)
 
+    def test_small_T_large_m_against_posterior_integral(self):
+        # P(m, T) underflows here, so the chi-square ratio must be formed in
+        # log space (the 1F1 branch of log_lower_regularized_gamma)
+        B, _ = exact_moments_equal(1e-3, 499.0)
+        assert B == pytest.approx(exact_mean_by_posterior_integral(1e-3, 499.0), rel=1e-12)
+
     def test_large_T_approaches_james_stein(self):
         m = 4.0
         B, _ = exact_moments_equal(1e6, m)
@@ -366,6 +374,17 @@ class TestExactQuadrature:
             assert np.all(mle.B_hat >= exact.B_hat - 1e-9)
             assert np.all(mle.B_hat >= adm.B_hat - 1e-9)
 
+    def test_equal_variance_c_half_matches_curve_quadrature(self):
+        # the curve tables integrate the closed-form alpha-posterior of
+        # (T, m); the fitter integrates the adjusted density of a dataset with
+        # the same T and m (V = 1, r = 0, k = 10, so m = 4)
+        T, k = 3.0, 10
+        data = TwoLevelData(np.full(k, math.sqrt(2.0 * T / k)), np.ones(k))
+        shr = fit_exact_quadrature(data, PriorSpec(c=0.5))
+        B, v = exact_moments_equal_anyc(T, 0.5 * (k - 2.0), 0.5)
+        assert shr.B_hat[0] == pytest.approx(B, abs=1e-9)
+        assert shr.v[0] == pytest.approx(v, abs=1e-9)
+
     def test_improper_posterior_raises(self):
         data = TwoLevelData(np.arange(4.0), np.ones(4), np.column_stack(
             [np.ones(4), [0.0, 1.0, 2.0, 3.0]]
@@ -409,3 +428,19 @@ class TestDispatcherAndInvariants:
         y = rng.normal(0, 2.0, 8)
         shr = fit_adm_general(TwoLevelData(y, V), PriorSpec())
         assert np.all(np.diff(shr.B_hat) > 0.0)
+
+
+def nearly_collinear_data(k: int = 30) -> TwoLevelData:
+    """X = [1, x, x + 1e-8 e] (condition number ~1e8): full rank to the
+    pivoted-QR test, but X'D^-1 X is not numerically positive definite."""
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=k)
+    X = np.column_stack([np.ones(k), x, x + 1e-8 * rng.normal(size=k)])
+    V = 10.0 ** rng.uniform(-0.5, 0.5, k)
+    return TwoLevelData(rng.normal(size=k), V, X)
+
+
+@pytest.mark.parametrize("method", list(FitMethod))
+def test_nearly_collinear_X_raises_rank_deficient(method):
+    with pytest.raises(RankDeficientX):
+        fit(nearly_collinear_data(), PriorSpec(), method)
