@@ -12,12 +12,13 @@ import csv
 import json
 import os
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 
 from . import evaluate
-from .evaluate import SimConfig, SimResult, curve_rows, run_coverage
+from .evaluate import SimConfig, SimResult, curve_rows, run_coverage, write_csv
 from .fitters import (
     FitMethod,
     NonintegrablePosterior,
@@ -78,25 +79,11 @@ def read_dataset_csv(path) -> tuple[TwoLevelData, np.ndarray | None]:
 def write_dataset_csv(path, data: TwoLevelData, known_mu: np.ndarray | None = None) -> None:
     """Emit a dataset in the same schema read_dataset_csv accepts."""
     header = ["y", "V"] + [f"x{j + 1}" for j in range(data.r)]
+    columns = [data.y, data.V] + ([data.X] if data.r else [])
     if known_mu is not None:
         header.append("mu")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(data.k):
-            row = [repr(float(data.y[i])), repr(float(data.V[i]))]
-            row += [repr(float(data.X[i, j])) for j in range(data.r)]
-            if known_mu is not None:
-                row.append(repr(float(known_mu[i])))
-            writer.writerow(row)
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(x) if isinstance(x, float) else str(x) for x in row])
+        columns.append(known_mu)
+    write_csv(path, header, np.column_stack(columns).astype(float).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +261,8 @@ def _simulate_configs(args) -> list[SimConfig]:
 
 
 def _write_simulation_outputs(results: list[SimResult], outdir: Path) -> None:
-    rows = [row for res in results for row in res.rows]
-    _write_csv(
-        outdir / "simulation.csv",
-        evaluate._CSV_COLUMNS,
-        [[getattr(r, c) for c in evaluate._CSV_COLUMNS] for r in rows],
-    )
+    rows = [astuple(row) for res in results for row in res.rows]
+    write_csv(outdir / "simulation.csv", evaluate._CSV_COLUMNS, rows)
     blobs = [json.loads(res.to_json_bytes()) for res in results]
     payload = {"schema": 1, "results": blobs}
     (outdir / "simulation.json").write_bytes(
@@ -296,7 +279,7 @@ def _emit_plotdata(results: list[SimResult], outdir: Path) -> None:
             for res in results
             for r in res.rows
         ]
-        _write_csv(
+        write_csv(
             outdir / "fig7_twogroup.csv",
             ["b0", "A", "group", "coverage", "coverage_se", "risk", "boundary_rate"],
             rows,
@@ -305,23 +288,23 @@ def _emit_plotdata(results: list[SimResult], outdir: Path) -> None:
     ks = [res.config.k for res in results]
     t_grid = [0.25 * j for j in range(81)]  # T in [0, 20]
     curves = curve_rows(ks, t_grid, r=first.r, c=first.c)
-    _write_csv(
+    write_csv(
         outdir / "fig2_shrinkage_curves.csv",
         ["k", "m", "T", "method", "B_hat"],
         [[c.k, c.m, c.T, c.method, c.B_hat] for c in curves],
     )
-    _write_csv(
+    write_csv(
         outdir / "fig3_variance_curves.csv",
         ["k", "m", "method", "B_hat", "v"],
         [[c.k, c.m, c.method, c.B_hat, c.v] for c in curves],
     )
     sim_rows = [r for res in results for r in res.rows]
-    _write_csv(
+    write_csv(
         outdir / "fig4_coverage.csv",
         ["k", "b0", "method", "coverage", "coverage_se"],
         [[r.k, r.b0, r.method, r.coverage, r.coverage_se] for r in sim_rows],
     )
-    _write_csv(
+    write_csv(
         outdir / "fig5_coverage_risk.csv",
         ["k", "b0", "method", "coverage", "coverage_se", "risk"],
         [
@@ -359,13 +342,7 @@ def cmd_curves(args) -> int:
         raise CliInputError(str(err)) from err
     header = ["k", "r", "c", "m", "T", "method", "B_hat", "v"]
     body = [[r.k, r.r, r.c, r.m, r.T, r.method, r.B_hat, r.v] for r in rows]
-    if args.out is None:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        for row in body:
-            writer.writerow([repr(x) if isinstance(x, float) else str(x) for x in row])
-    else:
-        _write_csv(args.out, header, body)
+    write_csv(args.out, header, body)
     return 0
 
 

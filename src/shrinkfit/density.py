@@ -49,12 +49,18 @@ def _gls_parts(data: TwoLevelData, A: float):
     logdet_D = float(np.log(D).sum())
     if data.r == 0:
         return logdet_D, np.empty(0), data.y, 0.0, 0.0
-    Xw, L = _normal_cholesky(data.X, D)
+    _, L, beta, resid = _gls_fit(data, D)
     logdet_M = 2.0 * float(np.log(np.diag(L)).sum())
-    beta = cho_solve((L, True), Xw.T @ data.y)
-    resid = data.y - data.X @ beta
     quad = float(np.sum(resid * resid / D))
     return logdet_D, beta, resid, quad, logdet_M
+
+
+def _gls_fit(data: TwoLevelData, D: np.ndarray):
+    """D^-1 X, the Cholesky factor L of X'D^-1 X, beta_hat and the residuals
+    y - X beta_hat of the weighted regression with D = diag(V_i + A)."""
+    Xw, L = _normal_cholesky(data.X, D)
+    beta = cho_solve((L, True), Xw.T @ data.y)
+    return Xw, L, beta, data.y - data.X @ beta
 
 
 def loglik_L0(A: float, data: TwoLevelData, known_mu: np.ndarray | None = None) -> float:
@@ -121,55 +127,39 @@ class AdjustedLogDensity:
             math.exp(alpha), self.data, self.prior.known_mu
         )
 
+    def derivatives(self, alpha: float) -> tuple[float, float]:
+        """(l'(alpha), l''(alpha)) in closed form.
 
-def _fd_second_derivative(f, x: float, h: float) -> float:
-    """Central 5-point finite-difference second derivative."""
-    return (
-        -f(x + 2.0 * h) + 16.0 * f(x + h) - 30.0 * f(x) + 16.0 * f(x - h) - f(x - 2.0 * h)
-    ) / (12.0 * h * h)
+        With D = diag(V_i + A), e the weighted-regression residual (y - mu
+        when r = 0), u = D^-1 e and P = D^-1 - D^-1 X M^-1 X'D^-1 for
+        M = X'D^-1 X (P = D^-1 when r = 0):
 
+            l'  = c + A (u'u - tr P) / 2
+            l'' = A (u'u - tr P) / 2 + A^2 (tr P^2 / 2 - u'P u).
 
-def invariant_info_equal_variance(
-    alpha: float, data: TwoLevelData, prior: PriorSpec
-) -> float:
-    """-d^2 l / d alpha^2 in closed form for equal variances (any r, any c):
-
-        (m+1) B(1-B) + T B(1-B)(1-2B),   B = V/(V+A),
-
-    with m = (k-r-2)/2 and T the residual sum of squares over 2V.  At a
-    stationary point this reduces to m(1-B)^2 + B^2 + (1-c)(1-2B)."""
-    if not data.equal_variances:
-        raise ValueError("equal variances required")
-    V = float(data.V[0])
-    A = math.exp(alpha)
-    B = V / (V + A)
-    m = 0.5 * (data.k - data.r - 2.0)
-    T = residual_ss(data, prior.known_mu) / (2.0 * V)
-    return (m + 1.0) * B * (1.0 - B) + T * B * (1.0 - B) * (1.0 - 2.0 * B)
-
-
-def adjusted_logdensity_d2(
-    alpha_hat: float, data: TwoLevelData, prior: PriorSpec
-) -> float:
-    """Invariant information -l''(alpha_hat) at a stationary point of the
-    adjusted log-density.
-
-    Closed form for equal variances; central finite differences otherwise.
-    The log-density is O(k), not O(1), so the stencil uses h = 1e-3 (scaled
-    by |alpha_hat|): roundoff then sits near 1e-8 while truncation stays
-    below 1e-10.  Raises NonconcaveAtMax when the result is not positive.
-    """
-    if data.equal_variances:
-        info = invariant_info_equal_variance(alpha_hat, data, prior)
-    else:
-        ell = AdjustedLogDensity(data, prior)
-        h = 1e-3 * max(1.0, abs(alpha_hat))
-        info = -_fd_second_derivative(ell, alpha_hat, h)
-    if not info > 0.0:
-        raise NonconcaveAtMax(
-            f"adjusted log-density is not concave at alpha={alpha_hat} (info={info})"
-        )
-    return info
+        P is never formed: its traces and u'P u come from r-by-r solves on
+        the Cholesky factor of M.
+        """
+        data = self.data
+        A = math.exp(alpha)
+        D = data.V + A
+        Dinv = 1.0 / D
+        tr_P = float(Dinv.sum())
+        tr_P2 = float(Dinv @ Dinv)
+        if data.r == 0:
+            u = (data.y - level2_means(data, self.prior.known_mu)) * Dinv
+            uPu = float(u @ (u * Dinv))
+        else:
+            Xw, L, _, resid = _gls_fit(data, D)
+            u = resid * Dinv
+            S2 = cho_solve((L, True), Xw.T @ Xw)  # M^-1 X'D^-2 X
+            S3 = cho_solve((L, True), Xw.T @ (Xw * Dinv[:, None]))  # M^-1 X'D^-3 X
+            Xu = Xw.T @ u
+            tr_P -= float(np.trace(S2))
+            tr_P2 += float(np.sum(S2 * S2.T)) - 2.0 * float(np.trace(S3))
+            uPu = float(u @ (u * Dinv)) - float(Xu @ cho_solve((L, True), Xu))
+        g = 0.5 * (float(u @ u) - tr_P)
+        return self.prior.c + A * g, A * g + A * A * (0.5 * tr_P2 - uPu)
 
 
 def profile_loglik(A: float, data: TwoLevelData) -> float:

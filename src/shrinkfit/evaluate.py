@@ -14,8 +14,9 @@ import csv
 import io
 import json
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from functools import partial
 from itertools import chain
 
@@ -168,29 +169,6 @@ def _check_config(cfg: SimConfig) -> None:
 # Results
 
 
-_CSV_COLUMNS = [
-    "k",
-    "r",
-    "b0",
-    "A",
-    "method",
-    "group",
-    "n_units",
-    "reps",
-    "coverage",
-    "coverage_se",
-    "coverage_raw",
-    "coverage_raw_se",
-    "risk",
-    "risk_se",
-    "boundary_rate",
-    "mean_B_hat",
-    "mean_v",
-    "rmse",
-    "mean_halfwidth",
-]
-
-
 @dataclass(frozen=True)
 class SimRow:
     """Aggregates for one (gridpoint, method, unit-group) cell."""
@@ -216,23 +194,19 @@ class SimRow:
     mean_halfwidth: float
 
 
+_CSV_COLUMNS = [f.name for f in fields(SimRow)]
+
+
 @dataclass(frozen=True)
 class SimResult:
     config: SimConfig
     rows: tuple[SimRow, ...]
 
     def to_csv_bytes(self) -> bytes:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for row in self.rows:
-            d = asdict(row)
-            writer.writerow([_fmt(d[c]) for c in _CSV_COLUMNS])
-        return buf.getvalue().encode()
+        return csv_text(_CSV_COLUMNS, map(astuple, self.rows)).encode()
 
     def to_csv(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_csv_bytes())
+        write_csv(path, _CSV_COLUMNS, map(astuple, self.rows))
 
     def to_json_bytes(self) -> bytes:
         cfg = asdict(self.config)
@@ -244,15 +218,25 @@ class SimResult:
         }
         return (json.dumps(payload, indent=1, sort_keys=True) + "\n").encode()
 
-    def to_json(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_json_bytes())
+
+def csv_text(header, rows) -> str:
+    """A header line and one line per row; floats are written with repr, so
+    they read back bit for bit."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([repr(x) if isinstance(x, float) else str(x) for x in row] for row in rows)
+    return buf.getvalue()
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+def write_csv(path, header, rows) -> None:
+    """Write csv_text(header, rows) to `path`, or to stdout when it is None."""
+    text = csv_text(header, rows)
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -493,20 +477,21 @@ def exact_moments_equal_anyc(T: float, m: float, c: float) -> tuple[float, float
         raise ValueError("posterior is improper: need m + 1 > c")
     if c == 1.0:
         return exact_moments_equal(T, m)
-    B_center, _, _ = adm_moments_equal(T, m, c)
+    B_center, _, inv_info = adm_moments_equal(T, m, c)
     a_center = math.log((1.0 - B_center) / B_center)
 
     def log_post(alpha: float) -> float:
         A = math.exp(alpha)
         return c * alpha - (m + 1.0) * math.log1p(A) - T / (1.0 + A)
 
-    EB, v = quadrature_moments(log_post, a_center, np.ones(1))
+    EB, v = quadrature_moments(log_post, a_center, np.ones(1), inv_info)
     return float(EB[0]), float(v[0])
 
 
 def curve_rows(k_values, t_grid, r: int = 0, c: float = 1.0) -> tuple[CurveRow, ...]:
     """Shrinkage B(T) and variance v tables for the exact, ADM, and MLE rules
-    (equal variances); these reproduce the deterministic comparison figures."""
+    (equal variances, T the residual sum of squares over 2V); these
+    reproduce the deterministic comparison figures."""
     rows = []
     for k in k_values:
         m = 0.5 * (k - r - 2.0)
@@ -518,7 +503,7 @@ def curve_rows(k_values, t_grid, r: int = 0, c: float = 1.0) -> tuple[CurveRow, 
                 raise ValueError("T must be nonnegative")
             B_e, v_e = exact_moments_equal_anyc(T, m, c)
             B_a, v_a, _ = adm_moments_equal(T, m, c)
-            B_m = mle_shrinkage_equal(T, m)
+            B_m = mle_shrinkage_equal(T, k)
             rows.append(CurveRow(k, r, c, m, T, "exact", B_e, v_e))
             rows.append(CurveRow(k, r, c, m, T, "adm", B_a, v_a))
             rows.append(CurveRow(k, r, c, m, T, "mle", B_m, 0.0))

@@ -172,31 +172,28 @@ def adm_beta_moments(
     logdensity,
     alpha0: float = 0.0,
     *,
-    V: float = 1.0,
+    V: float | np.ndarray = 1.0,
     lo: float | None = None,
     hi: float | None = None,
     d1: Callable[[float], float] | None = None,
-    d2: Callable[[float], float] | None = None,
+    d2: Callable[[float], float],
 ) -> tuple[float, float, float, float]:
-    """ADM Beta approximation for a shrinkage factor B = V / (V + exp(alpha))
-    whose adjusted log-density in alpha is `logdensity`.
+    """ADM Beta approximation for shrinkage factors B = V / (V + exp(alpha))
+    (V a scalar or an array of unit variances) whose adjusted log-density
+    in alpha is `logdensity`.
 
-    Maximizes the density (Newton on `d1` when analytic derivatives are
-    supplied, bracketing plus Brent otherwise), takes the invariant
-    information -l''(alpha_hat) from `d2` or a central five-point stencil,
-    and returns (B_hat, v, alpha_hat, inv_info).  With exact Beta input and
-    analytic derivatives the recovered mean and variance are exact.
+    Maximizes the density (bracketing plus Brent, polished by Newton on `d1`
+    when given, on central differences otherwise), takes the invariant
+    information -l''(alpha_hat) from `d2`, and returns
+    (B_hat, v, alpha_hat, inv_info).  With exact Beta input and analytic
+    derivatives the recovered mean and variance are exact.
     """
     lo = alpha0 - 100.0 if lo is None else lo
     hi = alpha0 + 100.0 if hi is None else hi
     alpha_hat = _maximize_alpha(logdensity, alpha0, lo, hi, d1=d1)
     if alpha_hat is None:
         raise OptimizerNoBracket("no interior maximizer in the search range")
-    if d2 is not None:
-        inv_info = -d2(alpha_hat)
-    else:
-        h = 1e-3 * max(1.0, abs(alpha_hat))
-        inv_info = -density._fd_second_derivative(logdensity, alpha_hat, h)
+    inv_info = -d2(alpha_hat)
     if not inv_info > 0.0:
         raise NonconcaveAtMax(
             f"nonpositive curvature {inv_info} at alpha={alpha_hat}"
@@ -248,11 +245,12 @@ def exact_moments_equal(T: float, m: float) -> tuple[float, float]:
     return B, v
 
 
-def mle_shrinkage_equal(T: float, m: float) -> float:
-    """Equal-variance MLE shrinkage min(1, (m+1)/T)."""
+def mle_shrinkage_equal(T: float, k: int) -> float:
+    """Equal-variance MLE shrinkage min(1, k/2T), for any r: the profile
+    likelihood, unlike REML's (k - r)/2T, does not count the r fitted means."""
     if T <= 0.0:
         return 1.0
-    return min(1.0, (m + 1.0) / T)
+    return min(1.0, k / (2.0 * T))
 
 
 # ---------------------------------------------------------------------------
@@ -298,16 +296,11 @@ def fit_adm_general(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
     validate(data, prior, FitMethod.ADM)
     ell = AdjustedLogDensity(data, prior)
     alpha0, lo, hi = _search_range(data, prior.known_mu)
-    alpha_hat = _maximize_alpha(ell, alpha0, lo, hi)
-    if alpha_hat is None:
-        raise OptimizerNoBracket("adjusted density keeps rising toward A = 0")
-    inv_info = density.adjusted_logdensity_d2(alpha_hat, data, prior)
-    A_hat = math.exp(alpha_hat)
-    B = data.V / (data.V + A_hat)
-    w = B * (1.0 - B)
-    v = w * w / (inv_info + w)
+    B, v, alpha_hat, inv_info = adm_beta_moments(
+        ell, alpha0, V=data.V, lo=lo, hi=hi, d2=lambda a: ell.derivatives(a)[1]
+    )
     return ShrinkagePosterior(
-        A_hat=A_hat,
+        A_hat=math.exp(alpha_hat),
         B_hat=B,
         v=v,
         inv_info=inv_info,
@@ -393,16 +386,23 @@ def fit_exact_equal(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
 
 
 def quadrature_moments(
-    logpost, center: float, V: np.ndarray
+    logpost, center: float, V: np.ndarray, inv_info: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance of each B_i = V_i / (V_i + exp(alpha))
     under the unnormalized log-posterior `logpost` of alpha, by adaptive
     quadrature over center +- 40.
 
-    The exponent is shifted by its value at `center` (the mode or close to
-    it) before exponentiating, a numerically safe normalization.
+    `center` is the mode, where the curvature of `logpost` is -inv_info.
+    The exponent is shifted by its value there before exponentiating, a
+    numerically safe normalization, and the interval is split at the mode
+    and 10 posterior standard deviations either side of it, so that a peak
+    much narrower than the interval is sampled (at k = 1e5 it is ~0.01
+    wide).  Raises NonintegrablePosterior when the normalizer is not finite
+    and positive.
     """
     shift = logpost(center)
+    # quad_vec ignores breakpoints outside the interval
+    half = 10.0 / math.sqrt(inv_info) if inv_info > 0.0 else math.inf
 
     def integrand(alpha: float) -> np.ndarray:
         w = math.exp(logpost(alpha) - shift)
@@ -410,10 +410,17 @@ def quadrature_moments(
         return np.concatenate(([w], w * B, w * B * B))
 
     res, _ = integrate.quad_vec(
-        integrand, center - 40.0, center + 40.0, epsrel=1e-10, epsabs=0.0
+        integrand,
+        center - 40.0,
+        center + 40.0,
+        epsrel=1e-10,
+        epsabs=0.0,
+        points=(center - half, center, center + half),
     )
     n = V.size
     Z = res[0]
+    if not (math.isfinite(Z) and Z > 0.0):
+        raise NonintegrablePosterior(f"posterior normalizer is {Z} around alpha={center}")
     EB = res[1 : n + 1] / Z
     return EB, np.maximum(res[n + 1 :] / Z - EB * EB, 0.0)
 
@@ -434,7 +441,7 @@ def fit_exact_quadrature(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePoste
     alpha_hat = _maximize_alpha(ell, alpha0, lo, hi)
     if alpha_hat is None:
         raise OptimizerNoBracket("posterior density keeps rising toward A = 0")
-    EB, v = quadrature_moments(ell, alpha_hat, data.V)
+    EB, v = quadrature_moments(ell, alpha_hat, data.V, -ell.derivatives(alpha_hat)[1])
     if data.equal_variances:
         # single shrinkage factor: report the A consistent with it
         A_hat = float(data.V[0]) * (1.0 - EB[0]) / EB[0]

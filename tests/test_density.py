@@ -6,9 +6,7 @@ import pytest
 from shrinkfit import AdjustedLogDensity, NonconcaveAtMax, PriorSpec, TwoLevelData
 from shrinkfit import density
 from shrinkfit.density import (
-    adjusted_logdensity_d2,
     beta_hat_A,
-    invariant_info_equal_variance,
     loglik_L0,
     projection_diag,
     residual_ss,
@@ -180,7 +178,7 @@ class TestAdjustedLogDensity:
 
 class TestInvariantInformation:
     def test_equal_variance_c1_formula(self, fig1_data):
-        # at the maximizer with c=1: inv.info = m (1-B)^2 + B^2
+        # at the closed-form maximizer with c=1: -l'' = m (1-B)^2 + B^2
         from shrinkfit.fitters import fit_adm_equal
 
         prior = PriorSpec(c=1.0)
@@ -188,19 +186,31 @@ class TestInvariantInformation:
         B = float(shr.B_hat[0])
         m = (fig1_data.k - 2) / 2
         expected = m * (1 - B) ** 2 + B**2
-        got = adjusted_logdensity_d2(math.log(shr.A_hat), fig1_data, prior)
-        assert got == pytest.approx(expected, rel=1e-12)
+        d1, d2 = AdjustedLogDensity(fig1_data, prior).derivatives(math.log(shr.A_hat))
+        assert -d2 == pytest.approx(expected, rel=1e-12)
+        assert d1 == pytest.approx(0.0, abs=1e-12)
 
-    def test_finite_difference_matches_analytic(self, equal_dataset_factory):
+    def test_finite_difference_matches_analytic(self):
+        # unequal variances, r = 0-3, several c, known means when r = 0
         rng = np.random.default_rng(17)
-        for _ in range(10):
-            data = equal_dataset_factory(rng)
-            prior = PriorSpec(c=float(rng.choice([0.5, 1.0])))
-            ell = AdjustedLogDensity(data, prior)
-            alpha = float(rng.uniform(-1.0, 2.0))
-            analytic = invariant_info_equal_variance(alpha, data, prior)
-            fd = -fd5_second(ell, alpha)
-            assert fd == pytest.approx(analytic, abs=1e-6)
+        h = 1e-5
+        for _ in range(40):
+            r = int(rng.integers(0, 4))
+            k = int(rng.integers(6 + r, 30))
+            V = rng.uniform(0.2, 5.0, k)
+            X = None
+            known_mu = None
+            if r >= 1:
+                X = np.column_stack([np.ones(k)] + [rng.normal(size=k) for _ in range(r - 1)])
+            elif rng.random() < 0.5:
+                known_mu = rng.normal(size=k)
+            y = rng.normal(0.0, np.sqrt(V + rng.uniform(0.0, 5.0)))
+            prior = PriorSpec(c=float(rng.choice([0.5, 1.0, 1.5])), known_mu=known_mu)
+            ell = AdjustedLogDensity(TwoLevelData(y, V, X), prior)
+            alpha = float(rng.uniform(-2.0, 3.0))
+            d1, d2 = ell.derivatives(alpha)
+            assert d1 == pytest.approx((ell(alpha + h) - ell(alpha - h)) / (2 * h), abs=1e-6)
+            assert d2 == pytest.approx(fd5_second(ell, alpha), abs=1e-6)
 
     def test_logit_coordinate_identity(self, unequal_dataset_factory):
         # curvature in logit(B_i) of the B_i-density equals curvature in
@@ -234,11 +244,17 @@ class TestInvariantInformation:
             assert d2_logit == pytest.approx(d2_alpha, abs=1e-6)
 
     def test_nonconcave_raises(self):
-        # far left of the maximizer with large T the adjusted density is convex
+        # far left of the maximizer with large T the adjusted density is
+        # convex, so a curvature read there is refused
+        from shrinkfit.fitters import adm_beta_moments
+
         y = np.full(6, 10.0)
-        data = TwoLevelData(y, np.ones(6))
+        ell = AdjustedLogDensity(TwoLevelData(y, np.ones(6)), PriorSpec())
+        assert ell.derivatives(-8.0)[1] > 0.0
         with pytest.raises(NonconcaveAtMax):
-            adjusted_logdensity_d2(-8.0, data, PriorSpec())
+            adm_beta_moments(
+                lambda a: -((a + 8.0) ** 2), 0.0, d2=lambda a: ell.derivatives(a)[1]
+            )
 
 
 class TestRestrictedLoglik:

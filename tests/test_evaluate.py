@@ -220,6 +220,22 @@ class TestCurves:
                 assert B >= by[(k, T, "adm")] - 1e-12
                 assert B >= by[(k, T, "exact")] - 1e-12
 
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_mle_row_matches_fit_mle(self, r):
+        # T is the residual sum of squares over 2V; the profile likelihood
+        # gives B = k/2T for every r (REML's (k - r)/2T is a different rule)
+        from shrinkfit import TwoLevelData, fit_mle
+        from shrinkfit.density import residual_ss
+
+        k = 10
+        rng = np.random.default_rng(43)
+        X = np.ones((k, 1)) if r else None
+        data = TwoLevelData(rng.normal(0.0, 2.0, k), np.ones(k), X)
+        T = residual_ss(data) / 2.0
+        (row,) = [row for row in curve_rows((k,), (T,), r=r) if row.method == "mle"]
+        assert row.B_hat < 1.0
+        assert row.B_hat == pytest.approx(float(fit_mle(data).B_hat[0]), abs=1e-8)
+
     def test_general_c_curve_matches_closed_form_at_c1(self):
         for m, T in [(1.0, 0.5), (4.0, 3.0), (9.0, 12.0)]:
             B_q, v_q = exact_moments_equal_anyc(T, m, 0.999999999)

@@ -27,6 +27,7 @@ from shrinkfit.fitters import (
     adm_beta_moments,
     adm_moments_equal,
     exact_moments_equal,
+    quadrature_moments,
 )
 
 
@@ -141,6 +142,20 @@ class TestAdmGeneral:
         assert a.A_hat == pytest.approx(b.A_hat, rel=1e-10)
 
 
+    def test_gradient_vanishes_at_maximizer(self, two_group_data, unequal_dataset_factory):
+        rng = np.random.default_rng(37)
+        cases = [(two_group_data, 1.0)] + [
+            (unequal_dataset_factory(rng, r=int(rng.integers(0, 3))), float(c))
+            for c in rng.choice([0.5, 1.0, 1.5], 10)
+        ]
+        for data, c in cases:
+            shr = fit_adm_general(data, PriorSpec(c=c))
+            ell = AdjustedLogDensity(data, PriorSpec(c=c))
+            d1, d2 = ell.derivatives(math.log(shr.A_hat))
+            assert abs(d1) <= 1e-6
+            assert shr.inv_info == -d2
+
+
 class TestBetaRecovery:
     """Feeding an exact Beta(a1, a0) adjusted log-density through the ADM
     pipeline must return that Beta's own mean and variance."""
@@ -173,16 +188,9 @@ class TestBetaRecovery:
         assert v == pytest.approx(B * (1 - B) / (a1 + a0 + 1.0), rel=1e-13)
         assert info == pytest.approx((a1 + a0) * B * (1 - B), rel=1e-13)
 
-    @pytest.mark.parametrize("a1,a0", CASES)
-    def test_recovery_through_derivative_free_path(self, a1, a0):
-        f, _, _ = self.beta_logdensity(a1, a0)
-        B, v, _, _ = adm_beta_moments(f, 0.0)
-        assert B == pytest.approx(a1 / (a1 + a0), abs=1e-9)
-        assert v == pytest.approx(B * (1 - B) / (a1 + a0 + 1.0), rel=1e-6)
-
     def test_rising_density_has_no_bracket(self):
         with pytest.raises(OptimizerNoBracket):
-            adm_beta_moments(lambda a: 0.3 * a, 0.0)
+            adm_beta_moments(lambda a: 0.3 * a, 0.0, d2=lambda a: 0.0)
 
 
 class TestMle:
@@ -384,6 +392,31 @@ class TestExactQuadrature:
         B, v = exact_moments_equal_anyc(T, 0.5 * (k - 2.0), 0.5)
         assert shr.B_hat[0] == pytest.approx(B, abs=1e-9)
         assert shr.v[0] == pytest.approx(v, abs=1e-9)
+
+    def test_large_k_unequal_variances_is_finite(self):
+        # at k = 1e5 the posterior of alpha is ~0.01 wide inside the +-40
+        # quadrature interval; the fit must still sample its peak
+        rng = np.random.default_rng(41)
+        k = 100_000
+        V = rng.uniform(0.2, 5.0, k)
+        X = np.column_stack([np.ones(k), rng.normal(size=k)])
+        y = X @ np.array([1.0, -0.5]) + rng.normal(0.0, np.sqrt(V + 2.0))
+        data = TwoLevelData(y, V, X)
+        exact = fit_exact_quadrature(data, PriorSpec(c=1.0))
+        adm = fit_adm_general(data, PriorSpec(c=1.0))
+        assert np.all(np.isfinite(exact.B_hat))
+        assert np.all((exact.B_hat > 0.0) & (exact.B_hat < 1.0))
+        assert np.max(np.abs(exact.B_hat - adm.B_hat)) <= 1e-4
+
+    def test_narrow_peak_needs_its_breakpoints(self):
+        # a peak of width ~1e-5 at 0: with no curvature to place breakpoints
+        # the rule misses it and the normalizer vanishes, which must raise
+        # rather than return 0/0
+        logpost = lambda a: -1e10 * a * a
+        EB, _ = quadrature_moments(logpost, 0.0, np.ones(1), 2e10)
+        assert EB[0] == pytest.approx(0.5, abs=1e-6)
+        with pytest.raises(NonintegrablePosterior):
+            quadrature_moments(logpost, 0.0, np.ones(1), 0.0)
 
     def test_improper_posterior_raises(self):
         data = TwoLevelData(np.arange(4.0), np.ones(4), np.column_stack(
