@@ -32,7 +32,7 @@ from .fitters import (
     fit_mle,
     fit_reml,
 )
-from .inference import conditional_theta_law, random_effects
+from .inference import random_effects
 from .evaluate import (
     SimConfig,
     SimResult,
@@ -62,7 +62,6 @@ __all__ = [
     "SimResult",
     "TooFewUnits",
     "TwoLevelData",
-    "conditional_theta_law",
     "equal_variance_config",
     "fit",
     "fit_adm_equal",

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate, optimize
 
-from . import density, specfun
+from . import specfun
 from .density import AdjustedLogDensity, NonconcaveAtMax, residual_ss
 from .model import (
     FitMethod,
@@ -311,12 +311,17 @@ def fit_adm_general(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
     )
 
 
-def _fit_plugin(data: TwoLevelData, objective, method: FitMethod, known_mu) -> ShrinkagePosterior:
-    """Shared MLE/REML driver: maximize `objective` over alpha with A = 0
-    boundary detection, then plug in (v = 0 convention)."""
+def _fit_plugin(data: TwoLevelData, known_mu, method: FitMethod) -> ShrinkagePosterior:
+    """Shared MLE/REML driver: maximize the c = 0 member of the log-density
+    family over alpha, with beta maximized out (MLE) or integrated out
+    (REML), detect the A = 0 boundary, then plug in (v = 0 convention)."""
+    validate(data, PriorSpec(1.0, known_mu), method)  # c only matters to ADM/exact
+    ell = AdjustedLogDensity(
+        data, PriorSpec(0.0, known_mu), restricted=method is FitMethod.REML
+    )
     v_bar = float(data.V.mean())
     alpha0, lo, hi = _search_range(data, known_mu)
-    alpha_hat = _maximize_alpha(objective, alpha0, lo, hi)
+    alpha_hat = _maximize_alpha(ell, alpha0, lo, hi)
     boundary = alpha_hat is None or math.exp(alpha_hat) < v_bar * _BOUNDARY_REL
     A_hat = 0.0 if boundary else math.exp(alpha_hat)
     B = data.V / (data.V + A_hat) if A_hat > 0.0 else np.ones(data.k)
@@ -337,33 +342,14 @@ def fit_mle(data: TwoLevelData, known_mu: np.ndarray | None = None) -> Shrinkage
     The boundary estimate A_hat = 0 is reported exactly, with B_hat = 1 and
     the plug-in convention v = 0.
     """
-    prior = PriorSpec(1.0, known_mu) if data.r == 0 else PriorSpec(1.0)
-    validate(data, prior, FitMethod.MLE)
-    if data.r == 0:
-        mu = known_mu
-
-        def objective(alpha: float) -> float:
-            return density.loglik_L0(math.exp(alpha), data, mu)
-
-    else:
-
-        def objective(alpha: float) -> float:
-            return density.profile_loglik(math.exp(alpha), data)
-
-    return _fit_plugin(data, objective, FitMethod.MLE, known_mu)
+    return _fit_plugin(data, known_mu, FitMethod.MLE)
 
 
 def fit_reml(data: TwoLevelData, known_mu: np.ndarray | None = None) -> ShrinkagePosterior:
     """REML: maximize the marginal density of A after integrating beta
     against a flat prior (no A-adjustment).  Coincides with fit_mle when
     r = 0."""
-    prior = PriorSpec(1.0, known_mu) if data.r == 0 else PriorSpec(1.0)
-    validate(data, prior, FitMethod.REML)
-
-    def objective(alpha: float) -> float:
-        return density.restricted_loglik(math.exp(alpha), data, known_mu)
-
-    return _fit_plugin(data, objective, FitMethod.REML, known_mu)
+    return _fit_plugin(data, known_mu, FitMethod.REML)
 
 
 def fit_exact_equal(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:

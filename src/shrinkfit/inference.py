@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .density import beta_hat_A, projection_diag
+from .density import beta_and_projection_diag
 from .model import (
     RandomEffectPosterior,
     ShrinkagePosterior,
@@ -41,9 +41,8 @@ def random_effects(
         raise ValueError("z_star must be positive")
     B = shr.B_hat
     if data.r >= 1:
-        beta = beta_hat_A(shr.A_hat, data)
+        beta, p_diag = beta_and_projection_diag(shr.A_hat, data)
         y_fit = data.X @ beta
-        p_diag = projection_diag(shr.A_hat, data)
         theta = (1.0 - B) * data.y + B * y_fit
         s2 = (1.0 - (1.0 - p_diag) * B) * data.V + shr.v * (data.y - y_fit) ** 2
     else:
@@ -62,32 +61,3 @@ def random_effects(
         z_star=z_star,
     )
 
-
-def conditional_theta_moments(
-    data: TwoLevelData,
-    beta: np.ndarray | None,
-    A: float,
-    known_mu: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vector of conditional means and variances of theta_i given (y, beta, A):
-    mean (1 - B_i) y_i + B_i x_i'beta, variance V_i (1 - B_i)."""
-    if A < 0.0:
-        raise ValueError("A must be nonnegative")
-    B = data.V / (data.V + A) if A > 0.0 else np.ones(data.k)
-    if data.r >= 1:
-        mu = data.X @ np.asarray(beta, dtype=float)
-    else:
-        mu = level2_means(data, known_mu)
-    return (1.0 - B) * data.y + B * mu, data.V * (1.0 - B)
-
-
-def conditional_theta_law(
-    data: TwoLevelData,
-    i: int,
-    beta: np.ndarray | None,
-    A: float,
-    known_mu: np.ndarray | None = None,
-) -> tuple[float, float]:
-    """Conditional Normal law of a single theta_i given (y_i, beta, A)."""
-    mean, var = conditional_theta_moments(data, beta, A, known_mu)
-    return float(mean[i]), float(var[i])

@@ -20,7 +20,7 @@ from shrinkfit import (
     fit_exact_equal,
     fit_exact_quadrature,
 )
-from shrinkfit.density import AdjustedLogDensity, residual_ss, restricted_loglik
+from shrinkfit.density import AdjustedLogDensity, residual_ss
 from shrinkfit.evaluate import (
     equal_variance_config,
     equal_variance_grid,
@@ -320,7 +320,7 @@ def test_criterion_9_identity_checks():
             B = 1.0 / (1.0 + math.exp(-t))
             A = V_i * (1.0 - B) / B
             log_f = (
-                restricted_loglik(A, data)
+                AdjustedLogDensity(data, PriorSpec(c=0.0))(math.log(A))
                 + (prior.c - 1.0) * math.log(A)
                 + math.log(V_i)
                 - 2.0 * math.log(B)

@@ -4,20 +4,21 @@ import numpy as np
 import pytest
 
 from shrinkfit import AdjustedLogDensity, NonconcaveAtMax, PriorSpec, TwoLevelData
-from shrinkfit import density
-from shrinkfit.density import (
-    beta_hat_A,
-    loglik_L0,
-    projection_diag,
-    residual_ss,
-    restricted_loglik,
-)
+from shrinkfit.density import beta_and_projection_diag, residual_ss
 
 
 def fd5_second(f, x, h=1e-3):
     return (-f(x + 2 * h) + 16 * f(x + h) - 30 * f(x) + 16 * f(x - h) - f(x - 2 * h)) / (
         12 * h * h
     )
+
+
+def loglik_of_A(data, restricted=True):
+    """The c = 0 member of the log-density family as a function of A: the
+    REML objective, or the (profile) likelihood when not restricted.  A = 0
+    is alpha = -800, where exp underflows to 0."""
+    ell = AdjustedLogDensity(data, PriorSpec(c=0.0), restricted)
+    return lambda A: ell(math.log(A) if A > 0.0 else -800.0)
 
 
 class TestLoglikL0:
@@ -30,7 +31,8 @@ class TestLoglikL0:
         a_star = s_plus / k - V
         assert a_star > 0
         h = 1e-6
-        deriv = (loglik_L0(a_star + h, data) - loglik_L0(a_star - h, data)) / (2 * h)
+        loglik = loglik_of_A(data, restricted=False)
+        deriv = (loglik(a_star + h) - loglik(a_star - h)) / (2 * h)
         assert deriv == pytest.approx(0.0, abs=1e-6)
 
     def test_decreasing_at_zero_for_small_residuals(self):
@@ -38,17 +40,15 @@ class TestLoglikL0:
         y = np.full(k, 0.05)
         data = TwoLevelData(y, np.ones(k))
         h = 1e-7
-        deriv = (loglik_L0(h, data) - loglik_L0(0.0, data)) / h
+        loglik = loglik_of_A(data, restricted=False)
+        deriv = (loglik(h) - loglik(0.0)) / h
         assert deriv < 0.0
 
     def test_fig1_argmax_on_boundary(self, fig1_data):
-        base = loglik_L0(0.0, fig1_data)
+        loglik = loglik_of_A(fig1_data, restricted=False)
+        base = loglik(0.0)
         for A in np.linspace(1e-6, 50.0, 400):
-            assert loglik_L0(float(A), fig1_data) < base
-
-    def test_requires_r0(self, two_group_data):
-        with pytest.raises(ValueError):
-            loglik_L0(1.0, two_group_data)
+            assert loglik(float(A)) < base
 
 
 class TestBetaHat:
@@ -59,7 +59,8 @@ class TestBetaHat:
         data = TwoLevelData(y, np.full(15, 2.0), X)
         ols = np.linalg.lstsq(X, y, rcond=None)[0]
         for A in (0.0, 0.3, 5.0, 80.0):
-            np.testing.assert_allclose(beta_hat_A(A, data), ols, atol=1e-12)
+            beta, _ = beta_and_projection_diag(A, data)
+            np.testing.assert_allclose(beta, ols, atol=1e-12)
 
     def test_intercept_gives_weighted_mean(self):
         rng = np.random.default_rng(8)
@@ -68,30 +69,32 @@ class TestBetaHat:
         data = TwoLevelData(y, V, np.ones((9, 1)))
         A = 0.7
         w = 1.0 / (V + A)
-        assert beta_hat_A(A, data)[0] == pytest.approx(np.sum(w * y) / np.sum(w), rel=1e-13)
+        beta, _ = beta_and_projection_diag(A, data)
+        assert beta[0] == pytest.approx(np.sum(w * y) / np.sum(w), rel=1e-13)
 
     def test_two_group_weights(self, two_group_data):
         # weights 1/1.55 and 1/6.5 at A = 1
         y = two_group_data.y
         w = np.array([1 / 1.55] * 5 + [1 / 6.5] * 5)
         expected = np.sum(w * y) / np.sum(w)
-        assert beta_hat_A(1.0, two_group_data)[0] == pytest.approx(expected, rel=1e-13)
+        beta, _ = beta_and_projection_diag(1.0, two_group_data)
+        assert beta[0] == pytest.approx(expected, rel=1e-13)
 
 
 class TestProjection:
     def test_diagonal_sums_to_r(self, two_group_data):
         # P is a rank-r orthogonal projection: trace r, each p_ii in [0, 1]
-        diag = projection_diag(0.55, two_group_data)
+        _, diag = beta_and_projection_diag(0.55, two_group_data)
         assert diag.sum() == pytest.approx(two_group_data.r, abs=1e-12)
         assert np.all((diag >= 0.0) & (diag <= 1.0))
         rng = np.random.default_rng(3)
         X = np.column_stack([np.ones(12), rng.normal(size=12), rng.normal(size=12)])
         data = TwoLevelData(rng.normal(size=12), rng.uniform(0.2, 5.0, 12), X)
-        assert projection_diag(1.3, data).sum() == pytest.approx(3.0, abs=1e-12)
+        assert beta_and_projection_diag(1.3, data)[1].sum() == pytest.approx(3.0, abs=1e-12)
 
     def test_equal_variance_intercept_diagonal(self):
         data = TwoLevelData(np.arange(8.0), np.ones(8), np.ones((8, 1)))
-        diag = projection_diag(2.0, data)
+        _, diag = beta_and_projection_diag(2.0, data)
         np.testing.assert_allclose(diag, np.full(8, 1.0 / 8.0), atol=1e-13)
 
     def test_two_group_against_dense_oracle(self, two_group_data):
@@ -100,18 +103,18 @@ class TestProjection:
         X = two_group_data.X
         Dm = np.diag(1.0 / np.sqrt(D))
         oracle = Dm @ X @ np.linalg.inv(X.T @ np.diag(1.0 / D) @ X) @ X.T @ Dm
-        diag = projection_diag(A, two_group_data)
+        _, diag = beta_and_projection_diag(A, two_group_data)
         np.testing.assert_allclose(diag, np.diag(oracle), atol=1e-12)
 
     def test_constant_in_A_for_equal_variances(self):
         rng = np.random.default_rng(11)
         X = np.column_stack([np.ones(10), rng.normal(size=10)])
         data = TwoLevelData(rng.normal(size=10), np.full(10, 1.7), X)
-        p0 = projection_diag(0.0, data)
-        b0 = beta_hat_A(0.0, data)
+        b0, p0 = beta_and_projection_diag(0.0, data)
         for A in (0.5, 3.0, 42.0):
-            assert np.max(np.abs(projection_diag(A, data) - p0)) <= 1e-12
-            assert np.max(np.abs(beta_hat_A(A, data) - b0)) <= 1e-12
+            beta, p = beta_and_projection_diag(A, data)
+            assert np.max(np.abs(p - p0)) <= 1e-12
+            assert np.max(np.abs(beta - b0)) <= 1e-12
 
 
 class TestAdjustedLogDensity:
@@ -191,7 +194,8 @@ class TestInvariantInformation:
         assert d1 == pytest.approx(0.0, abs=1e-12)
 
     def test_finite_difference_matches_analytic(self):
-        # unequal variances, r = 0-3, several c, known means when r = 0
+        # unequal variances, r = 0-3, several c, known means when r = 0; and
+        # the c = 0 members on the same datasets: REML (restricted) and MLE
         rng = np.random.default_rng(17)
         h = 1e-5
         for _ in range(40):
@@ -205,12 +209,18 @@ class TestInvariantInformation:
             elif rng.random() < 0.5:
                 known_mu = rng.normal(size=k)
             y = rng.normal(0.0, np.sqrt(V + rng.uniform(0.0, 5.0)))
-            prior = PriorSpec(c=float(rng.choice([0.5, 1.0, 1.5])), known_mu=known_mu)
-            ell = AdjustedLogDensity(TwoLevelData(y, V, X), prior)
+            data = TwoLevelData(y, V, X)
+            c = float(rng.choice([0.5, 1.0, 1.5]))
             alpha = float(rng.uniform(-2.0, 3.0))
-            d1, d2 = ell.derivatives(alpha)
-            assert d1 == pytest.approx((ell(alpha + h) - ell(alpha - h)) / (2 * h), abs=1e-6)
-            assert d2 == pytest.approx(fd5_second(ell, alpha), abs=1e-6)
+            for ell in (
+                AdjustedLogDensity(data, PriorSpec(c=c, known_mu=known_mu)),
+                AdjustedLogDensity(data, PriorSpec(c=0.0, known_mu=known_mu)),
+                AdjustedLogDensity(data, PriorSpec(c=0.0, known_mu=known_mu), restricted=False),
+            ):
+                d1, d2 = ell.derivatives(alpha)
+                fd1 = (ell(alpha + h) - ell(alpha - h)) / (2 * h)
+                assert d1 == pytest.approx(fd1, abs=1e-6)
+                assert d2 == pytest.approx(fd5_second(ell, alpha), abs=1e-6)
 
     def test_logit_coordinate_identity(self, unequal_dataset_factory):
         # curvature in logit(B_i) of the B_i-density equals curvature in
@@ -232,7 +242,7 @@ class TestInvariantInformation:
                 B = 1.0 / (1.0 + math.exp(-t))
                 A = V_i * (1.0 - B) / B
                 log_f = (
-                    restricted_loglik(A, data)
+                    AdjustedLogDensity(data, PriorSpec(c=0.0))(math.log(A))
                     + (prior.c - 1.0) * math.log(A)
                     + math.log(V_i)
                     - 2.0 * math.log(B)
@@ -259,8 +269,10 @@ class TestInvariantInformation:
 
 class TestRestrictedLoglik:
     def test_r0_equals_L0(self, fig1_data):
+        restricted = loglik_of_A(fig1_data)
+        unrestricted = loglik_of_A(fig1_data, restricted=False)
         for A in (0.0, 0.5, 2.0):
-            assert restricted_loglik(A, fig1_data) == loglik_L0(A, fig1_data)
+            assert restricted(A) == unrestricted(A)
 
     def test_equal_variance_stationarity(self):
         rng = np.random.default_rng(23)
@@ -272,7 +284,6 @@ class TestRestrictedLoglik:
         a_star = s_plus / (k - 2) - V
         assert a_star > 0
         h = 1e-6
-        d = (restricted_loglik(a_star + h, data) - restricted_loglik(a_star - h, data)) / (
-            2 * h
-        )
+        loglik = loglik_of_A(data)
+        d = (loglik(a_star + h) - loglik(a_star - h)) / (2 * h)
         assert d == pytest.approx(0.0, abs=1e-6)

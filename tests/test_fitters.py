@@ -477,3 +477,13 @@ def nearly_collinear_data(k: int = 30) -> TwoLevelData:
 def test_nearly_collinear_X_raises_rank_deficient(method):
     with pytest.raises(RankDeficientX):
         fit(nearly_collinear_data(), PriorSpec(), method)
+
+
+@pytest.mark.parametrize("method", list(FitMethod))
+def test_known_mu_with_regression_rejected(method):
+    # known means and an estimated regression contradict each other, for
+    # every method alike
+    rng = np.random.default_rng(43)
+    data = TwoLevelData(rng.normal(0.0, 2.0, 8), rng.uniform(0.5, 2.0, 8), np.ones((8, 1)))
+    with pytest.raises(ValueError, match="known_mu is only meaningful when r = 0"):
+        fit(data, PriorSpec(1.0, np.zeros(8)), method)

@@ -10,15 +10,13 @@ from shrinkfit import (
     PriorSpec,
     ShrinkagePosterior,
     TwoLevelData,
-    conditional_theta_law,
     fit,
     fit_adm_general,
     fit_exact_equal,
     fit_mle,
     random_effects,
 )
-from shrinkfit.density import projection_diag
-from shrinkfit.inference import conditional_theta_moments
+from shrinkfit.density import beta_and_projection_diag
 
 
 class TestRandomEffects:
@@ -58,7 +56,7 @@ class TestRandomEffects:
         B = two_group_data.V / (two_group_data.V + A)
         shr = ShrinkagePosterior(A_hat=A, B_hat=B, v=np.zeros(10))
         post = random_effects(two_group_data, shr)
-        p = projection_diag(A, two_group_data)
+        _, p = beta_and_projection_diag(A, two_group_data)
         expected = (1 - (1 - p) * B) * two_group_data.V
         np.testing.assert_allclose(post.s2, expected, atol=1e-12)
 
@@ -91,7 +89,7 @@ class TestRandomEffects:
     def test_variance_dominates_plugin(self, two_group_data):
         shr = fit_adm_general(two_group_data, PriorSpec())
         post = random_effects(two_group_data, shr)
-        p = projection_diag(shr.A_hat, two_group_data)
+        _, p = beta_and_projection_diag(shr.A_hat, two_group_data)
         floor = two_group_data.V * (1 - shr.B_hat) * (1 - p)
         assert np.all(post.s2 >= floor - 1e-12)
 
@@ -113,32 +111,3 @@ class TestRandomEffects:
         with pytest.raises(ValueError):
             random_effects(fig1_data, fit_mle(fig1_data), z_star=0.0)
 
-
-class TestConditionalLaw:
-    def test_full_shrinkage_at_A0(self, two_group_data):
-        beta = np.array([0.7])
-        mean, var = conditional_theta_law(two_group_data, 3, beta, 0.0)
-        assert mean == pytest.approx(0.7)
-        assert var == 0.0
-
-    def test_no_shrinkage_at_large_A(self, two_group_data):
-        mean, var = conditional_theta_law(two_group_data, 2, np.array([5.0]), 1e14)
-        assert mean == pytest.approx(float(two_group_data.y[2]), rel=1e-10)
-        assert var == pytest.approx(float(two_group_data.V[2]), rel=1e-10)
-
-    def test_half_shrinkage_at_A_equal_V(self):
-        data = TwoLevelData([3.0, 1.0], [2.0, 2.0])
-        mean, var = conditional_theta_law(data, 0, None, 2.0)
-        assert mean == pytest.approx(1.5)  # (1 - 1/2) * 3 + 0
-        assert var == pytest.approx(1.0)  # V/2
-
-    def test_vector_version_matches(self, two_group_data):
-        beta = np.array([0.4])
-        means, variances = conditional_theta_moments(two_group_data, beta, 0.8)
-        for i in (0, 5, 9):
-            m, v = conditional_theta_law(two_group_data, i, beta, 0.8)
-            assert m == means[i] and v == variances[i]
-
-    def test_negative_A_rejected(self, two_group_data):
-        with pytest.raises(ValueError):
-            conditional_theta_law(two_group_data, 0, np.array([0.0]), -0.5)
