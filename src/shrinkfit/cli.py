@@ -9,16 +9,17 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
+import re
 import sys
+import warnings
 from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 
 from . import evaluate
-from .evaluate import SimConfig, SimResult, curve_rows, run_coverage, write_csv
+from .evaluate import SimConfig, SimResult, curve_rows, json_text, run_coverage, write_csv
 from .fitters import (
     FitMethod,
     NonintegrablePosterior,
@@ -43,37 +44,47 @@ class CliInputError(Exception):
 
 def read_dataset_csv(path) -> tuple[TwoLevelData, np.ndarray | None]:
     """Read a unit-level dataset: required columns y and V, optional
-    covariates x1..xr, optional known means mu."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    covariates x1..xr (numbered without gaps), optional known means mu."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        line = fh.readline()
+        if not line:
+            raise CliInputError("parse error: empty file")
+        header = next(csv.reader([line]))
+        dups = sorted({name for name in header if header.count(name) > 1})
+        if dups:
+            raise CliInputError(f"parse error: duplicate column names {dups}")
+        for required in ("y", "V"):
+            if required not in header:
+                raise CliInputError(f"parse error: missing required column {required!r}")
+        covariates = [name for name in header if re.fullmatch(r"x\d+", name)]
+        x_names = [f"x{j}" for j in range(1, len(covariates) + 1)]
+        if set(covariates) != set(x_names):
+            raise CliInputError(f"parse error: covariates {covariates} are not x1..xr")
+        names = ["y", "V", *x_names] + (["mu"] if "mu" in header else [])
+        start = fh.tell()
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CliInputError("parse error: empty file") from None
-        rows = [row for row in reader if row]
-    for required in ("y", "V"):
-        if required not in header:
-            raise CliInputError(f"parse error: missing required column {required!r}")
-    x_names = []
-    j = 1
-    while f"x{j}" in header:
-        x_names.append(f"x{j}")
-        j += 1
-    idx = {name: header.index(name) for name in header}
-    if not rows:
+            table = _load_columns(fh, [header.index(name) for name in names])
+        except ValueError:
+            for name in names:  # report the first column that fails on its own
+                fh.seek(start)
+                try:
+                    _load_columns(fh, [header.index(name)])
+                except ValueError as err:
+                    raise CliInputError(f"parse error in column {name!r}: {err}") from err
+            raise
+    if table.size == 0:
         raise CliInputError("parse error: no data rows")
+    columns = dict(zip(names, table.T.copy()))
+    X = np.column_stack([columns[name] for name in x_names]) if x_names else None
+    return TwoLevelData(columns["y"], columns["V"], X), columns.get("mu")
 
-    def column(name: str) -> np.ndarray:
-        try:
-            return np.array([float(row[idx[name]]) for row in rows])
-        except (ValueError, IndexError) as err:
-            raise CliInputError(f"parse error in column {name!r}: {err}") from err
 
-    y = column("y")
-    V = column("V")
-    X = np.column_stack([column(name) for name in x_names]) if x_names else None
-    mu = column("mu") if "mu" in idx else None
-    return TwoLevelData(y, V, X), mu
+def _load_columns(fh, usecols: list[int]) -> np.ndarray:
+    """The rest of ``fh`` as a (rows, len(usecols)) table of floats."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        return np.loadtxt(fh, delimiter=",", usecols=usecols, quotechar='"', comments=None,
+                          ndmin=2)
 
 
 def write_dataset_csv(path, data: TwoLevelData, known_mu: np.ndarray | None = None) -> None:
@@ -91,20 +102,15 @@ def write_dataset_csv(path, data: TwoLevelData, known_mu: np.ndarray | None = No
 
 
 def _posterior_payload(shr, post) -> dict:
-    return {
-        "A_hat": shr.A_hat,
-        "boundary": shr.boundary,
-        "inv_info": shr.inv_info,
-        "B_hat": list(map(float, shr.B_hat)),
-        "v": list(map(float, shr.v)),
-        "a1": None if shr.a1 is None else list(map(float, shr.a1)),
-        "a0": None if shr.a0 is None else list(map(float, shr.a0)),
-        "theta_hat": list(map(float, post.theta_hat)),
-        "s2": list(map(float, post.s2)),
-        "beta_hat": list(map(float, post.beta_hat)),
-        "lo": list(map(float, post.lo)),
-        "hi": list(map(float, post.hi)),
+    arrays = {
+        "B_hat": shr.B_hat, "v": shr.v, "a1": shr.a1, "a0": shr.a0,
+        "theta_hat": post.theta_hat, "s2": post.s2, "beta_hat": post.beta_hat,
+        "lo": post.lo, "hi": post.hi,
     }
+    payload = {"A_hat": shr.A_hat, "boundary": shr.boundary, "inv_info": shr.inv_info}
+    for name, a in arrays.items():
+        payload[name] = None if a is None else np.asarray(a, dtype=float).tolist()
+    return payload
 
 
 def cmd_fit(args) -> int:
@@ -127,7 +133,7 @@ def cmd_fit(args) -> int:
         "z_star": args.z,
         "results": results,
     }
-    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    text = json_text(payload) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -263,11 +269,8 @@ def _simulate_configs(args) -> list[SimConfig]:
 def _write_simulation_outputs(results: list[SimResult], outdir: Path) -> None:
     rows = [astuple(row) for res in results for row in res.rows]
     write_csv(outdir / "simulation.csv", evaluate._CSV_COLUMNS, rows)
-    blobs = [json.loads(res.to_json_bytes()) for res in results]
-    payload = {"schema": 1, "results": blobs}
-    (outdir / "simulation.json").write_bytes(
-        (json.dumps(payload, indent=1, sort_keys=True) + "\n").encode()
-    )
+    payload = {"schema": 1, "results": [res.json_payload() for res in results]}
+    (outdir / "simulation.json").write_bytes((json_text(payload) + "\n").encode())
 
 
 def _emit_plotdata(results: list[SimResult], outdir: Path) -> None:

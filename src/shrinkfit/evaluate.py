@@ -208,15 +208,13 @@ class SimResult:
     def to_csv(self, path) -> None:
         write_csv(path, _CSV_COLUMNS, map(astuple, self.rows))
 
-    def to_json_bytes(self) -> bytes:
+    def json_payload(self) -> dict:
         cfg = asdict(self.config)
         cfg["methods"] = [m.value for m in self.config.methods]
-        payload = {
-            "schema": 1,
-            "config": cfg,
-            "rows": [asdict(row) for row in self.rows],
-        }
-        return (json.dumps(payload, indent=1, sort_keys=True) + "\n").encode()
+        return {"schema": 1, "config": cfg, "rows": [asdict(row) for row in self.rows]}
+
+    def to_json_bytes(self) -> bytes:
+        return (json_text(self.json_payload()) + "\n").encode()
 
 
 def csv_text(header, rows) -> str:
@@ -227,6 +225,29 @@ def csv_text(header, rows) -> str:
     writer.writerow(header)
     writer.writerows([repr(x) if isinstance(x, float) else str(x) for x in row] for row in rows)
     return buf.getvalue()
+
+
+_C_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
+def json_text(obj, nl: str = "\n") -> str:
+    """The text ``json.dumps`` writes for ``obj`` with an indent of 1 and
+    sorted keys, with every scalar and every all-float list encoded by json's
+    C encoder: a float list is encoded in one call and re-split on its commas,
+    which float text never contains. Dict keys must be strings."""
+    inner = nl + " "
+    if isinstance(obj, dict) and obj:
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError("json_text takes string keys only")
+        items = (_C_JSON.encode(k) + ": " + json_text(obj[k], inner) for k in sorted(obj))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        if all(isinstance(x, float) for x in obj):
+            body = _C_JSON.encode(obj)[1:-1].replace(",", "," + inner)
+        else:
+            body = ("," + inner).join(json_text(x, inner) for x in obj)
+        return "[" + inner + body + nl + "]"
+    return _C_JSON.encode(obj)
 
 
 def write_csv(path, header, rows) -> None:

@@ -2,12 +2,13 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from shrinkfit import TwoLevelData
-from shrinkfit.cli import main, read_dataset_csv, write_dataset_csv
+from shrinkfit.cli import CliInputError, main, read_dataset_csv, write_dataset_csv
 
 
 @pytest.fixture
@@ -95,6 +96,66 @@ class TestDatasetRoundTrip:
         data, mu = read_dataset_csv(p1)
         write_dataset_csv(p2, data, mu)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# (file text, y, V, X rows or None, mu or None): accepted, same arrays as the
+# csv-module reader this one replaced
+_ACCEPTED = {
+    "blank_lines": ("y,V\n\n1.5,1.0\n\n2.5,2.0\n\n", [1.5, 2.5], [1.0, 2.0], None, None),
+    "crlf": ("y,V,x1\r\n1.5,1.0,3\r\n2.5,2.0,4\r\n", [1.5, 2.5], [1.0, 2.0], [[3], [4]], None),
+    "no_final_newline": ("y,V\n1.5,1.0\n2.5,2.0", [1.5, 2.5], [1.0, 2.0], None, None),
+    "quoted": ('"y","V"\n"1.5","1.0"\n2.5,"2e0"\n', [1.5, 2.5], [1.0, 2.0], None, None),
+    "unused_text_and_extra_fields": (
+        'id,y,V\nalpha,1.5,1.0\n"b,c",2.5,2.0,extra\n', [1.5, 2.5], [1.0, 2.0], None, None
+    ),
+    "spaces": ("y,V\n 1.5 ,1.0\n2.5, 2.0 \n", [1.5, 2.5], [1.0, 2.0], None, None),
+    "mu": ("y,V,mu\n1.5,1.0,0.25\n2.5,2.0,-0.5\n", [1.5, 2.5], [1.0, 2.0], None, [0.25, -0.5]),
+    "covariates_any_order": (
+        "x2,V,y,x1\n7,1.0,1.5,3\n8,2.0,2.5,4\n", [1.5, 2.5], [1.0, 2.0], [[3, 7], [4, 8]], None
+    ),
+    "number_spellings": ("y,V\n-1e-3,+2\n.5,inf\n", [-1e-3, 0.5], [2.0, math.inf], None, None),
+    "utf8_bom": ("\ufeffy,V\n1.5,1.0\n2.5,2.0\n", [1.5, 2.5], [1.0, 2.0], None, None),
+}
+
+# (file text, CliInputError message pattern)
+_REJECTED = {
+    "short_row": ("y,V\n1.0,1.0\n2.0\n", "parse error in column 'V'"),
+    "foo_in_y": ("y,V\n1.0,1.0\nfoo,1.0\n", "parse error in column 'y'.*foo"),
+    "header_only": ("y,V\n", "parse error: no data rows"),
+    "header_and_blank_lines": ("y,V\n\n\n", "parse error: no data rows"),
+    "empty_file": ("", "parse error: empty file"),
+    "python_only_spelling": ("y,V\n1_000,1.0\n", "parse error in column 'y'"),
+    "x2_without_x1": ("y,V,x2\n1.0,1.0,3.0\n2.0,1.0,4.0\n", "covariates \\['x2'\\]"),
+    "x1_x3": ("y,V,x1,x3\n1.0,1.0,3.0,1.0\n", "covariates"),
+    "duplicate_y": ("y,V,y\n1.0,1.0,2.0\n", "duplicate column names \\['y'\\]"),
+    "duplicate_unused": ("y,V,note,note\n1.0,1.0,a,b\n", "duplicate column names"),
+}
+
+
+class TestReadDataset:
+    @pytest.mark.parametrize("case", sorted(_ACCEPTED))
+    def test_accepted(self, tmp_path, case):
+        text, y, V, X, mu = _ACCEPTED[case]
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode("utf-8"))
+        data, got_mu = read_dataset_csv(path)
+        np.testing.assert_array_equal(data.y, y)
+        np.testing.assert_array_equal(data.V, V)
+        np.testing.assert_array_equal(data.X, np.empty((2, 0)) if X is None else X)
+        if mu is None:
+            assert got_mu is None
+        else:
+            np.testing.assert_array_equal(got_mu, mu)
+
+    @pytest.mark.parametrize("case", sorted(_REJECTED))
+    def test_rejected(self, tmp_path, case):
+        text, message = _REJECTED[case]
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CliInputError, match=message):
+                read_dataset_csv(path)
 
 
 class TestSimulate:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shrinkfit import FitMethod
 from shrinkfit.evaluate import (
@@ -17,6 +19,7 @@ from shrinkfit.evaluate import (
     equal_variance_grid,
     exact_moments_equal,
     exact_moments_equal_anyc,
+    json_text,
     run_accuracy,
     run_coverage,
     run_two_group,
@@ -171,6 +174,38 @@ class TestSerialization:
         assert payload["config"]["seed"] == 99
         assert payload["config"]["methods"] == ["exact", "adm", "mle"]
         assert len(payload["rows"]) == len(res.rows)
+
+
+_SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16])
+_FLOATS = st.floats() | _SPECIAL_FLOATS
+_FLOAT_LISTS = st.lists(_FLOATS, max_size=6)
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | _FLOATS | st.text(max_size=8)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS | _FLOAT_LISTS | _FLOAT_LISTS.map(tuple),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonText:
+    @settings(max_examples=400)
+    @given(obj=_JSON_VALUES)
+    def test_matches_json_dumps(self, obj):
+        assert json_text(obj) == json.dumps(obj, indent=1, sort_keys=True)
+
+    def test_worked_example(self):
+        obj = {"b": (1.0, math.nan, -math.inf), "a": [], "é": [{}, None, True, 2]}
+        want = json.dumps(obj, indent=1, sort_keys=True)
+        assert json_text(obj) == want
+        assert '\n  NaN,\n  -Infinity\n' in want and '"\\u00e9"' in want
+
+    def test_non_string_key_raises(self):
+        with pytest.raises(TypeError):
+            json_text({1: 2.0})
 
 
 class TestAccuracy:
