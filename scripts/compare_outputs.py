@@ -13,12 +13,19 @@ Each checkout runs, through its own ``src/`` in a fresh interpreter:
 
 Prints how many outputs are byte-identical per command, names every file
 that differs or exists in only one checkout, and exits 1 on any difference.
+Under each differing JSON or CSV file it prints the largest relative
+difference |a - b| / max(|a|, |b|) of every numeric field that moved (a JSON
+field is its key path with list positions dropped, a CSV field its column),
+so numerical drift can be told from a changed layout.
 Exit codes are compared as well. Everything is written to a temporary
 directory; each checkout takes about 15 s on a 2-core machine.
 """
 
 from __future__ import annotations
 
+import csv
+import json
+import math
 import os
 import subprocess
 import sys
@@ -63,6 +70,64 @@ def run_tree(tree: Path, data: Path, out: Path) -> None:
     subprocess.run([sys.executable, "-c", DRIVER, str(data), str(out)], env=env, check=True)
 
 
+def _rel_diff(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _walk_json(a, b, path: str, out: dict[str, float]) -> None:
+    """Largest relative difference per numeric field of two parsed JSON
+    values; a field whose layout or non-numeric value differs reads inf."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        for key in a:
+            _walk_json(a[key], b[key], f"{path}.{key}" if path else key, out)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for x, y in zip(a, b):
+            _walk_json(x, y, path, out)
+    elif _is_number(a) and _is_number(b):
+        out[path] = max(out.get(path, 0.0), _rel_diff(float(a), float(b)))
+    elif a != b:
+        out[path or "<top>"] = math.inf
+
+
+def _csv_columns(path: Path) -> dict[str, list[str]]:
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    header, body = (rows[0], rows[1:]) if rows else ([], [])
+    return {name: [row[i] if i < len(row) else "" for row in body] for i, name in enumerate(header)}
+
+
+def _field_diffs(a: Path, b: Path) -> dict[str, float] | None:
+    """Per-field largest relative difference of two JSON or CSV files, or
+    None for any other kind of file."""
+    out: dict[str, float] = {}
+    if a.suffix == ".json":
+        _walk_json(json.loads(a.read_text()), json.loads(b.read_text()), "", out)
+    elif a.suffix == ".csv":
+        ca, cb = _csv_columns(a), _csv_columns(b)
+        for name in ca.keys() | cb.keys():
+            va, vb = ca.get(name), cb.get(name)
+            if va is None or vb is None or len(va) != len(vb):
+                out[name] = math.inf
+                continue
+            for x, y in zip(va, vb):
+                try:
+                    d = _rel_diff(float(x), float(y))
+                except ValueError:
+                    d = 0.0 if x == y else math.inf
+                out[name] = max(out.get(name, 0.0), d)
+    else:
+        return None
+    return {name: d for name, d in out.items() if d > 0.0}
+
+
 def _group(rel: str) -> str:
     return rel.split("-", 1)[0] if rel.startswith("fit-") else rel
 
@@ -88,20 +153,22 @@ def main(argv=None) -> int:
             for name in trees
         ]
         counts: dict[str, list[int]] = {}  # group -> [identical, total]
-        bad = []
+        bad = []  # (file, per-field differences or None)
         for rel in sorted(files[0] | files[1]):
-            same = all(rel in f for f in files) and (
-                (tmp / "this" / rel).read_bytes() == (tmp / "other" / rel).read_bytes()
-            )
+            both = all(rel in f for f in files)
+            this, that = tmp / "this" / rel, tmp / "other" / rel
+            same = both and this.read_bytes() == that.read_bytes()
             c = counts.setdefault(_group(rel), [0, 0])
             c[0] += same
             c[1] += 1
             if not same:
-                bad.append(rel)
+                bad.append((rel, _field_diffs(this, that) if both else None))
     for group, (same, total) in counts.items():
         print(f"{group}: {same}/{total} byte-identical")
-    for rel in bad:
+    for rel, fields in bad:
         print(f"  DIFFERS {rel}")
+        for name, d in sorted((fields or {}).items()):
+            print(f"    {name}: max rel diff {d:.3g}")
     print(f"{ROOT} vs {other}: {'identical' if not bad else f'{len(bad)} differing'}")
     return 1 if bad else 0
 

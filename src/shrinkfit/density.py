@@ -23,6 +23,11 @@ from scipy.linalg import cho_solve
 from .model import PriorSpec, RankDeficientX, TwoLevelData, level2_means
 
 
+# Elements of one (nodes, k) array in a block pass over quadrature nodes:
+# 1 MB of floats, so a pass's few arrays stay in a 2 MB L2 cache
+BLOCK_ELEMENTS = 1 << 17
+
+
 class NonconcaveAtMax(Exception):
     """The adjusted log-density has nonpositive curvature at the reported
     maximizer, so no Beta approximation can be formed."""
@@ -106,6 +111,52 @@ class AdjustedLogDensity:
             logdet_M = 2.0 * float(np.log(np.diag(L)).sum()) if self.restricted else 0.0
             total = float(np.log(D).sum()) + logdet_M + float(np.sum(resid * resid / D))
         return self.prior.c * alpha - 0.5 * total
+
+    def on_nodes(self, alphas: np.ndarray) -> np.ndarray:
+        """l at every alpha of a 1-d array, evaluated in blocks of nodes.
+
+        A block of n nodes forms W = 1/(V + A) as an (n, k) array; for r >= 1
+        X'D^-1 X and X'D^-1 y come from one product W @ [X (x) X, X y], the
+        n r-by-r matrices are factored by one stacked Cholesky, and the
+        residuals are taken as e = y - X beta (not y'D^-1 y - b'beta, which
+        cancels when |y| is large).  Blocks hold about BLOCK_ELEMENTS
+        elements.  Raises RankDeficientX when any X'D^-1 X is not
+        numerically positive definite.
+        """
+        data = self.data
+        k, r = data.k, data.r
+        alphas = np.asarray(alphas, dtype=float).ravel()
+        out = np.empty(alphas.size)
+        if r >= 1:
+            XX = (data.X[:, :, None] * data.X[:, None, :]).reshape(k, r * r)
+            cross = np.column_stack([XX, data.X * data.y[:, None]])
+            XT = np.ascontiguousarray(data.X.T)
+        step = max(1, BLOCK_ELEMENTS // k)
+        for start in range(0, alphas.size, step):
+            a = alphas[start : start + step]
+            D = np.add.outer(np.exp(a), data.V)
+            W = 1.0 / D
+            total = np.log(D, out=D).sum(axis=1)
+            if r == 0:
+                resid = self._resid0
+                total += W @ (resid * resid)
+            else:
+                G = W @ cross
+                M = G[:, : r * r].reshape(-1, r, r)
+                try:
+                    L = np.linalg.cholesky(M)
+                except np.linalg.LinAlgError as err:
+                    raise RankDeficientX(
+                        "X'D^-1 X is not numerically positive definite: "
+                        "the columns of X are nearly collinear"
+                    ) from err
+                beta = np.linalg.solve(M, G[:, r * r :, None])[:, :, 0]
+                resid = np.subtract(data.y, beta @ XT, out=D)
+                total += np.einsum("nk,nk,nk->n", resid, resid, W)
+                if self.restricted:
+                    total += 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+            out[start : start + step] = self.prior.c * a - 0.5 * total
+        return out
 
     def derivatives(self, alpha: float) -> tuple[float, float]:
         """(l'(alpha), l''(alpha)) in closed form.

@@ -501,9 +501,9 @@ def exact_moments_equal_anyc(T: float, m: float, c: float) -> tuple[float, float
     B_center, _, inv_info = adm_moments_equal(T, m, c)
     a_center = math.log((1.0 - B_center) / B_center)
 
-    def log_post(alpha: float) -> float:
-        A = math.exp(alpha)
-        return c * alpha - (m + 1.0) * math.log1p(A) - T / (1.0 + A)
+    def log_post(alpha: np.ndarray) -> np.ndarray:
+        A = np.exp(alpha)
+        return c * alpha - (m + 1.0) * np.log1p(A) - T / (1.0 + A)
 
     EB, v = quadrature_moments(log_post, a_center, np.ones(1), inv_info)
     return float(EB[0]), float(v[0])

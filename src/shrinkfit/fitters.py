@@ -11,10 +11,10 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 
 from . import specfun
-from .density import AdjustedLogDensity, NonconcaveAtMax, residual_ss
+from .density import BLOCK_ELEMENTS, AdjustedLogDensity, NonconcaveAtMax, residual_ss
 from .model import (
     FitMethod,
     PriorSpec,
@@ -47,6 +47,13 @@ _BRENT_XTOL = 1e-10
 _BOUNDARY_REL = 1e-10
 _FLOOR_REL = 1e-12
 _T_LIMIT = 1e-8  # below this, use the T -> 0 limits of the exact moments
+
+# The fixed quadrature rule of quadrature_moments
+_GL_NODES = 12  # Gauss-Legendre nodes per panel
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
+_HALF_RANGE = 40.0  # the rule covers the mode +- this, in alpha
+_MAX_WIDTH = 1.0  # widest panel, in alpha
+_SKIP_DROP = 50.0  # skip panels whose edges both lie this far below the mode
 
 
 class OptimizerNoBracket(Exception):
@@ -375,46 +382,64 @@ def quadrature_moments(
     logpost, center: float, V: np.ndarray, inv_info: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance of each B_i = V_i / (V_i + exp(alpha))
-    under the unnormalized log-posterior `logpost` of alpha, by adaptive
-    quadrature over center +- 40.
+    under the unnormalized log-posterior `logpost` of alpha, by one fixed
+    composite Gauss-Legendre rule over center +- 40.
 
-    `center` is the mode, where the curvature of `logpost` is -inv_info.
-    The exponent is shifted by its value there before exponentiating, a
-    numerically safe normalization, and the interval is split at the mode
-    and 10 posterior standard deviations either side of it, so that a peak
-    much narrower than the interval is sampled (at k = 1e5 it is ~0.01
-    wide).  Raises NonintegrablePosterior when the normalizer is not finite
-    and positive.
+    `logpost` maps a 1-d array of alphas to their log-densities.  `center`
+    is the mode, where the curvature of `logpost` is -inv_info.  The panels
+    (_GL_NODES nodes each) start at the posterior sd either side of the mode
+    and double outward, capped at width _MAX_WIDTH: the B_i sigmoids and the
+    slowly decaying A -> 0 tail need panels no wider than that, and a peak
+    much narrower than the interval is still sampled (at k = 1e5 it is ~0.01
+    wide).  A panel whose two edges both lie more than _SKIP_DROP below the
+    mode is skipped; this assumes no second mode hides inside a skipped
+    panel.  The exponent is shifted by its value at the mode before
+    exponentiating.  With W = 1/(V + exp(alpha)) and W0 its value at the
+    mode, the moments are taken in centred form, E[B_i] = V_i (W0_i +
+    E[W_i - W0_i]) and Var(B_i) = V_i^2 Var(W_i - W0_i), not as E[B^2] -
+    E[B]^2, which cancels when the posterior is narrow.  Every block pass
+    holds about BLOCK_ELEMENTS elements.  Raises NonintegrablePosterior when
+    the normalizer is not finite and positive.
     """
-    shift = logpost(center)
-    # quad_vec ignores breakpoints outside the interval
-    half = 10.0 / math.sqrt(inv_info) if inv_info > 0.0 else math.inf
-
-    def integrand(alpha: float) -> np.ndarray:
-        w = math.exp(logpost(alpha) - shift)
-        B = V / (V + math.exp(alpha))
-        return np.concatenate(([w], w * B, w * B * B))
-
-    res, _ = integrate.quad_vec(
-        integrand,
-        center - 40.0,
-        center + 40.0,
-        epsrel=1e-10,
-        epsabs=0.0,
-        points=(center - half, center, center + half),
-    )
-    n = V.size
-    Z = res[0]
+    h = 1.0 / math.sqrt(inv_info) if 0.0 < inv_info < math.inf else _MAX_WIDTH
+    offsets = [0.0]
+    while offsets[-1] < _HALF_RANGE:
+        h = min(h, _MAX_WIDTH)
+        offsets.append(min(offsets[-1] + h, _HALF_RANGE))
+        h *= 2.0
+    edges = center + np.concatenate([-np.array(offsets[:0:-1]), offsets])
+    at_edges = logpost(edges)
+    shift = float(at_edges[edges.size // 2])  # the mode is the middle edge
+    low = at_edges < shift - _SKIP_DROP
+    keep = ~(low[:-1] & low[1:])
+    a, b = edges[:-1][keep], edges[1:][keep]
+    half = 0.5 * (b - a)
+    nodes = (0.5 * (a + b))[:, None] + half[:, None] * _GL_X
+    w = (half[:, None] * _GL_W).ravel() * np.exp(logpost(nodes.ravel()) - shift)
+    Z = float(w.sum())
     if not (math.isfinite(Z) and Z > 0.0):
         raise NonintegrablePosterior(f"posterior normalizer is {Z} around alpha={center}")
-    EB = res[1 : n + 1] / Z
-    return EB, np.maximum(res[n + 1 :] / Z - EB * EB, 0.0)
+    A, w = np.exp(nodes.ravel()), w / Z
+    W0 = 1.0 / (V + math.exp(center))
+    m1 = np.zeros(V.size)
+    m2 = np.zeros(V.size)
+    step = max(1, BLOCK_ELEMENTS // V.size)
+    for start in range(0, A.size, step):
+        dW = np.add.outer(A[start : start + step], V)
+        np.divide(1.0, dW, out=dW)
+        dW -= W0
+        wc = w[start : start + step]
+        m1 += np.einsum("n,nk->k", wc, dW)
+        m2 += np.einsum("n,nk,nk->k", wc, dW, dW)
+    return V * (W0 + m1), V * V * np.maximum(m2 - m1 * m1, 0.0)
 
 
 def fit_exact_quadrature(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
-    """Exact posterior mean and variance of each B_i by adaptive quadrature
-    of the posterior of alpha = log A (which, including the Jacobian, is the
-    adjusted density), centred at its maximizer.
+    """Exact posterior mean and variance of each B_i by quadrature of the
+    posterior of alpha = log A (which, including the Jacobian, is the
+    adjusted density): the scalar log-density is maximized, then
+    quadrature_moments integrates around the maximizer with the block
+    evaluation AdjustedLogDensity.on_nodes.
     """
     try:
         validate(data, prior, FitMethod.EXACT)
@@ -427,7 +452,7 @@ def fit_exact_quadrature(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePoste
     alpha_hat = _maximize_alpha(ell, alpha0, lo, hi)
     if alpha_hat is None:
         raise OptimizerNoBracket("posterior density keeps rising toward A = 0")
-    EB, v = quadrature_moments(ell, alpha_hat, data.V, -ell.derivatives(alpha_hat)[1])
+    EB, v = quadrature_moments(ell.on_nodes, alpha_hat, data.V, -ell.derivatives(alpha_hat)[1])
     if data.equal_variances:
         # single shrinkage factor: report the A consistent with it
         A_hat = float(data.V[0]) * (1.0 - EB[0]) / EB[0]

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from shrinkfit import AdjustedLogDensity, NonconcaveAtMax, PriorSpec, TwoLevelData
+from shrinkfit import (
+    AdjustedLogDensity,
+    NonconcaveAtMax,
+    PriorSpec,
+    RankDeficientX,
+    TwoLevelData,
+    density,
+)
 from shrinkfit.density import beta_and_projection_diag, residual_ss
 
 
@@ -177,6 +184,67 @@ class TestAdjustedLogDensity:
             x = a_hat + d
             second = ell(x + 1e-3) - 2 * ell(x) + ell(x - 1e-3)
             assert second < 0.0
+
+
+class TestBlockEvaluation:
+    """on_nodes, the block evaluation the exact quadrature integrates, against
+    the scalar __call__ the optimizers use."""
+
+    @staticmethod
+    def _designs():
+        # r = 0 with and without known means, r = 1-3, c in {0.5, 1, 1.5}
+        rng = np.random.default_rng(37)
+        for i in range(40):
+            r = i % 4
+            k = int(rng.integers(6 + r, 30))
+            V = 10.0 ** rng.uniform(-1.0, 1.0, k)
+            X = None
+            known_mu = None
+            if r >= 1:
+                X = np.column_stack([np.ones(k)] + [rng.normal(size=k) for _ in range(r - 1)])
+            elif i % 8 == 4:
+                known_mu = rng.normal(size=k)
+            y = rng.normal(0.0, np.sqrt(V + rng.uniform(0.0, 5.0)))
+            c = (0.5, 1.0, 1.5)[i % 3]
+            yield TwoLevelData(y, V, X), PriorSpec(c=c, known_mu=known_mu)
+
+    def _check(self, ell, alphas):
+        block = ell.on_nodes(alphas)
+        scalar = np.array([ell(float(a)) for a in alphas])
+        np.testing.assert_allclose(block, scalar, rtol=1e-12, atol=0.0)
+
+    def test_block_equals_scalar(self):
+        alphas = np.linspace(-6.0, 6.0, 25)
+        for data, prior in self._designs():
+            self._check(AdjustedLogDensity(data, prior), alphas)
+
+    def test_block_equals_scalar_for_plugin_members(self):
+        # the c = 0 members: REML (restricted) and MLE
+        alphas = np.linspace(-6.0, 6.0, 25)
+        for data, prior in self._designs():
+            zero = PriorSpec(c=0.0, known_mu=prior.known_mu)
+            for restricted in (True, False):
+                self._check(AdjustedLogDensity(data, zero, restricted), alphas)
+
+    def test_chunks_join_seamlessly(self, monkeypatch):
+        # blocks of two or three nodes: every chunk boundary is crossed (BLAS
+        # may round a row differently when the block's shape changes)
+        alphas = np.linspace(-4.0, 4.0, 17)
+        designs = list(self._designs())[:8]
+        whole = [AdjustedLogDensity(d, p).on_nodes(alphas) for d, p in designs]
+        for elements in (40, 75):
+            monkeypatch.setattr(density, "BLOCK_ELEMENTS", elements)
+            for (d, p), ref in zip(designs, whole):
+                np.testing.assert_allclose(
+                    AdjustedLogDensity(d, p).on_nodes(alphas), ref, rtol=1e-14, atol=0.0
+                )
+
+    def test_nearly_collinear_X_raises_rank_deficient(self):
+        from test_fitters import nearly_collinear_data
+
+        ell = AdjustedLogDensity(nearly_collinear_data(), PriorSpec())
+        with pytest.raises(RankDeficientX):
+            ell.on_nodes(np.linspace(-2.0, 2.0, 9))
 
 
 class TestInvariantInformation:
