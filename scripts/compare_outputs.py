@@ -5,8 +5,10 @@
 Each checkout runs, through its own ``src/`` in a fresh interpreter:
 
 - ``shrinkfit fit`` on every fit-cli pool dataset of the benchmark (the 37
-  CSVs of ``bench/workloads.write_cli_csv``, k = 10 to 1e5) under each of
-  the four methods, 148 calls;
+  CSVs of ``bench/workloads.write_cli_csv``, k = 10 to 1e5) and on three
+  r = 0 files with known means (``y,V,mu`` from pool dataset 0 at k = 10,
+  100 and 1e4, mu its Level-2 mean 0.5 + x2) under each of the four
+  methods, 160 calls;
 - a small seeded ``simulate --preset equal`` and ``simulate --preset
   two-group``;
 - ``curves`` with its defaults.
@@ -35,7 +37,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
+
+MU_SIZES = (10, 100, 10_000)
 
 # Runs inside each checkout: argv = datasets directory, output directory.
 DRIVER = """
@@ -61,6 +66,14 @@ for name, argv in calls:
     codes.append(f"{name} {main(argv + ['--out', str(out / name)])}")
 (out / "exit-codes.txt").write_text("\\n".join(codes) + "\\n")
 """
+
+
+def write_mu_csv(path: Path, k: int) -> None:
+    """Pool dataset 0 of size k as an r = 0 file whose known means mu are
+    its Level-2 mean 0.5 + x2."""
+    y, V, _, x2 = workloads.cli_dataset(k, 0).T
+    np.savetxt(path, np.column_stack([y, V, 0.5 + x2]), fmt="%.17g", delimiter=",",
+               header="y,V,mu", comments="")
 
 
 def run_tree(tree: Path, data: Path, out: Path) -> None:
@@ -145,6 +158,8 @@ def main(argv=None) -> int:
         for k, _, pool in workloads.CLI_SIZES:
             for j in range(pool):
                 workloads.write_cli_csv(data / f"k{k}-{j}.csv", k, j)
+        for k in MU_SIZES:
+            write_mu_csv(data / f"mu-k{k}.csv", k)
         trees = {"this": ROOT, "other": other}
         for name, tree in trees.items():
             run_tree(tree, data, tmp / name)

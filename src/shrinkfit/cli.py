@@ -42,9 +42,11 @@ class CliInputError(Exception):
 # Dataset CSV I/O
 
 
-def read_dataset_csv(path) -> tuple[TwoLevelData, np.ndarray | None]:
+def read_dataset_csv(path) -> TwoLevelData:
     """Read a unit-level dataset: required columns y and V, optional
-    covariates x1..xr (numbered without gaps), optional known means mu."""
+    covariates x1..xr (numbered without gaps), optional known means mu
+    (used only when there are no covariates).  Data errors (non-finite
+    values, V <= 0, rank-deficient X) are raised by TwoLevelData."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         line = fh.readline()
         if not line:
@@ -60,7 +62,7 @@ def read_dataset_csv(path) -> tuple[TwoLevelData, np.ndarray | None]:
         x_names = [f"x{j}" for j in range(1, len(covariates) + 1)]
         if set(covariates) != set(x_names):
             raise CliInputError(f"parse error: covariates {covariates} are not x1..xr")
-        names = ["y", "V", *x_names] + (["mu"] if "mu" in header else [])
+        names = ["y", "V", *x_names] + (["mu"] if "mu" in header and not x_names else [])
         start = fh.tell()
         try:
             table = _load_columns(fh, [header.index(name) for name in names])
@@ -76,7 +78,7 @@ def read_dataset_csv(path) -> tuple[TwoLevelData, np.ndarray | None]:
         raise CliInputError("parse error: no data rows")
     columns = dict(zip(names, table.T.copy()))
     X = np.column_stack([columns[name] for name in x_names]) if x_names else None
-    return TwoLevelData(columns["y"], columns["V"], X), columns.get("mu")
+    return TwoLevelData(columns["y"], columns["V"], X, columns.get("mu"))
 
 
 def _load_columns(fh, usecols: list[int]) -> np.ndarray:
@@ -87,13 +89,11 @@ def _load_columns(fh, usecols: list[int]) -> np.ndarray:
                           ndmin=2)
 
 
-def write_dataset_csv(path, data: TwoLevelData, known_mu: np.ndarray | None = None) -> None:
-    """Emit a dataset in the same schema read_dataset_csv accepts."""
-    header = ["y", "V"] + [f"x{j + 1}" for j in range(data.r)]
-    columns = [data.y, data.V] + ([data.X] if data.r else [])
-    if known_mu is not None:
-        header.append("mu")
-        columns.append(known_mu)
+def write_dataset_csv(path, data: TwoLevelData) -> None:
+    """Emit a dataset in the same schema read_dataset_csv accepts: the
+    covariates x1..xr when r >= 1, the known means mu when r = 0."""
+    header = ["y", "V"] + ([f"x{j + 1}" for j in range(data.r)] if data.r else ["mu"])
+    columns = [data.y, data.V, data.X if data.r else data.mu]
     write_csv(path, header, np.column_stack(columns).astype(float).tolist())
 
 
@@ -114,16 +114,14 @@ def _posterior_payload(shr, post) -> dict:
 
 
 def cmd_fit(args) -> int:
-    data, mu = read_dataset_csv(args.input)
-    prior = PriorSpec(c=args.c, known_mu=mu if data.r == 0 else None)
+    data = read_dataset_csv(args.input)
+    prior = PriorSpec(c=args.c)
     methods = args.method or ["adm"]
     results = {}
     for name in methods:
         method = FitMethod(name)
         shr = fit(data, prior, method)
-        post = random_effects(
-            data, shr, z_star=args.z, known_mu=prior.known_mu
-        )
+        post = random_effects(data, shr, z_star=args.z)
         results[name] = _posterior_payload(shr, post)
     payload = {
         "schema": 1,

@@ -20,7 +20,7 @@ import math
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .model import PriorSpec, RankDeficientX, TwoLevelData, level2_means
+from .model import PriorSpec, RankDeficientX, TwoLevelData
 
 
 # Elements of one (nodes, k) array in a block pass over quadrature nodes:
@@ -66,12 +66,13 @@ def beta_and_projection_diag(A: float, data: TwoLevelData) -> tuple[np.ndarray, 
     return beta, np.einsum("ij,ji->i", data.X, Z) / D
 
 
-def residual_ss(data: TwoLevelData, known_mu: np.ndarray | None = None) -> float:
+def residual_ss(data: TwoLevelData) -> float:
     """Sum of squared residuals after removing the Level-2 mean structure:
     ordinary least squares on X when r >= 1, centering at the known means
-    otherwise.  For equal variances this is the sufficient statistic."""
+    data.mu otherwise.  For equal variances this is the sufficient
+    statistic."""
     if data.r == 0:
-        resid = data.y - level2_means(data, known_mu)
+        resid = data.y - data.mu
     else:
         beta, *_ = np.linalg.lstsq(data.X, data.y, rcond=None)
         resid = data.y - data.X @ beta
@@ -98,7 +99,7 @@ class AdjustedLogDensity:
         self.prior = prior
         self.restricted = restricted
         # r = 0: the residuals to the known means do not depend on A
-        self._resid0 = data.y - level2_means(data, prior.known_mu) if data.r == 0 else None
+        self._resid0 = data.y - data.mu if data.r == 0 else None
 
     def __call__(self, alpha: float) -> float:
         data = self.data

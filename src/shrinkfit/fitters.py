@@ -157,16 +157,17 @@ def _maximize_alpha(f, x0: float, lo: float, hi: float, d1=None):
     return _newton_polish(f, x, lo, hi, d1=d1)
 
 
-def _search_range(data: TwoLevelData, known_mu) -> tuple[float, float, float]:
+def _search_range(data: TwoLevelData) -> tuple[float, float, float]:
     """Starting point and search bounds for alpha: expand from
     log(max(A_unb, Vbar/10)) with A_unb the moment estimate of A, and floor
-    the search at Vbar * 1e-12."""
+    the search at min(V) * 1e-12, so that the floor stays below the mode
+    however widely V is spread."""
     v_bar = float(data.V.mean())
     dof = data.k - data.r if data.r >= 1 else data.k
-    a_unb = residual_ss(data, known_mu) / dof - v_bar
+    a_unb = residual_ss(data) / dof - v_bar
     a0 = max(a_unb, v_bar / 10.0)
     alpha0 = math.log(a0)
-    lo = math.log(v_bar * _FLOOR_REL)
+    lo = math.log(float(data.V.min()) * _FLOOR_REL)
     hi = math.log(max(a0, v_bar)) + 45.0
     return alpha0, lo, hi
 
@@ -270,9 +271,9 @@ def _require_equal_variances(data: TwoLevelData) -> float:
     return float(data.V[0])
 
 
-def _equal_var_stats(data: TwoLevelData, known_mu) -> tuple[float, float, float]:
+def _equal_var_stats(data: TwoLevelData) -> tuple[float, float, float]:
     V = _require_equal_variances(data)
-    ss = residual_ss(data, known_mu)
+    ss = residual_ss(data)
     T = ss / (2.0 * V)
     m = 0.5 * (data.k - data.r - 2.0)
     return V, T, m
@@ -281,7 +282,7 @@ def _equal_var_stats(data: TwoLevelData, known_mu) -> tuple[float, float, float]
 def fit_adm_equal(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
     """Equal-variance ADM fit by the closed-form quadratic root."""
     validate(data, prior, FitMethod.ADM)
-    V, T, m = _equal_var_stats(data, prior.known_mu)
+    V, T, m = _equal_var_stats(data)
     B, v, inv_info = adm_moments_equal(T, m, prior.c)
     A_hat = V * (1.0 - B) / B
     k = data.k
@@ -302,7 +303,7 @@ def fit_adm_general(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
     alpha = log A; handles any r >= 0 and unequal variances."""
     validate(data, prior, FitMethod.ADM)
     ell = AdjustedLogDensity(data, prior)
-    alpha0, lo, hi = _search_range(data, prior.known_mu)
+    alpha0, lo, hi = _search_range(data)
     B, v, alpha_hat, inv_info = adm_beta_moments(
         ell, alpha0, V=data.V, lo=lo, hi=hi, d2=lambda a: ell.derivatives(a)[1]
     )
@@ -318,18 +319,16 @@ def fit_adm_general(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
     )
 
 
-def _fit_plugin(data: TwoLevelData, known_mu, method: FitMethod) -> ShrinkagePosterior:
+def _fit_plugin(data: TwoLevelData, method: FitMethod) -> ShrinkagePosterior:
     """Shared MLE/REML driver: maximize the c = 0 member of the log-density
     family over alpha, with beta maximized out (MLE) or integrated out
-    (REML), detect the A = 0 boundary, then plug in (v = 0 convention)."""
-    validate(data, PriorSpec(1.0, known_mu), method)  # c only matters to ADM/exact
-    ell = AdjustedLogDensity(
-        data, PriorSpec(0.0, known_mu), restricted=method is FitMethod.REML
-    )
-    v_bar = float(data.V.mean())
-    alpha0, lo, hi = _search_range(data, known_mu)
+    (REML), detect the A = 0 boundary (A below min(V) * 1e-10), then plug in
+    (v = 0 convention)."""
+    validate(data, PriorSpec(), method)  # c only matters to ADM/exact
+    ell = AdjustedLogDensity(data, PriorSpec(0.0), restricted=method is FitMethod.REML)
+    alpha0, lo, hi = _search_range(data)
     alpha_hat = _maximize_alpha(ell, alpha0, lo, hi)
-    boundary = alpha_hat is None or math.exp(alpha_hat) < v_bar * _BOUNDARY_REL
+    boundary = alpha_hat is None or math.exp(alpha_hat) < float(data.V.min()) * _BOUNDARY_REL
     A_hat = 0.0 if boundary else math.exp(alpha_hat)
     B = data.V / (data.V + A_hat) if A_hat > 0.0 else np.ones(data.k)
     return ShrinkagePosterior(
@@ -342,21 +341,21 @@ def _fit_plugin(data: TwoLevelData, known_mu, method: FitMethod) -> ShrinkagePos
     )
 
 
-def fit_mle(data: TwoLevelData, known_mu: np.ndarray | None = None) -> ShrinkagePosterior:
+def fit_mle(data: TwoLevelData) -> ShrinkagePosterior:
     """Maximum likelihood for A: the likelihood of the known-means model when
     r = 0, the profile likelihood (beta maximized out) when r >= 1.
 
     The boundary estimate A_hat = 0 is reported exactly, with B_hat = 1 and
     the plug-in convention v = 0.
     """
-    return _fit_plugin(data, known_mu, FitMethod.MLE)
+    return _fit_plugin(data, FitMethod.MLE)
 
 
-def fit_reml(data: TwoLevelData, known_mu: np.ndarray | None = None) -> ShrinkagePosterior:
+def fit_reml(data: TwoLevelData) -> ShrinkagePosterior:
     """REML: maximize the marginal density of A after integrating beta
     against a flat prior (no A-adjustment).  Coincides with fit_mle when
     r = 0."""
-    return _fit_plugin(data, known_mu, FitMethod.REML)
+    return _fit_plugin(data, FitMethod.REML)
 
 
 def fit_exact_equal(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
@@ -365,7 +364,7 @@ def fit_exact_equal(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
     validate(data, prior, FitMethod.EXACT)
     if prior.c != 1.0:
         raise ValueError("closed-form exact moments exist only for c = 1")
-    V, T, m = _equal_var_stats(data, prior.known_mu)
+    V, T, m = _equal_var_stats(data)
     B, v = exact_moments_equal(T, m)
     k = data.k
     return ShrinkagePosterior(
@@ -448,7 +447,7 @@ def fit_exact_quadrature(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePoste
             f"posterior of A is improper: k - r <= 2c (k={data.k}, r={data.r}, c={prior.c})"
         ) from err
     ell = AdjustedLogDensity(data, prior)
-    alpha0, lo, hi = _search_range(data, prior.known_mu)
+    alpha0, lo, hi = _search_range(data)
     alpha_hat = _maximize_alpha(ell, alpha0, lo, hi)
     if alpha_hat is None:
         raise OptimizerNoBracket("posterior density keeps rising toward A = 0")
@@ -476,9 +475,9 @@ def fit(data: TwoLevelData, prior: PriorSpec, method: FitMethod) -> ShrinkagePos
             return fit_adm_equal(data, prior)
         return fit_adm_general(data, prior)
     if method is FitMethod.MLE:
-        return fit_mle(data, known_mu=prior.known_mu)
+        return fit_mle(data)
     if method is FitMethod.REML:
-        return fit_reml(data, known_mu=prior.known_mu)
+        return fit_reml(data)
     if method is FitMethod.EXACT:
         if data.equal_variances and prior.c == 1.0:
             return fit_exact_equal(data, prior)

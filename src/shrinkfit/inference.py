@@ -6,12 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .density import beta_and_projection_diag
-from .model import (
-    RandomEffectPosterior,
-    ShrinkagePosterior,
-    TwoLevelData,
-    level2_means,
-)
+from .model import RandomEffectPosterior, ShrinkagePosterior, TwoLevelData
 
 DEFAULT_Z = 1.96  # nominal 95% two-sided
 
@@ -20,9 +15,10 @@ def random_effects(
     data: TwoLevelData,
     shr: ShrinkagePosterior,
     z_star: float = DEFAULT_Z,
-    known_mu: np.ndarray | None = None,
 ) -> RandomEffectPosterior:
-    """Random-effect moments from the fitted shrinkages.
+    """Random-effect moments from the fitted shrinkages, shrinking toward
+    the data's own Level-2 means: X beta_hat when r >= 1, the known means
+    data.mu when r = 0, the same means `shr` was fitted with.
 
     theta_hat_i = (1 - B_i) y_i + B_i * fitted mean, and
 
@@ -47,7 +43,7 @@ def random_effects(
         s2 = (1.0 - (1.0 - p_diag) * B) * data.V + shr.v * (data.y - y_fit) ** 2
     else:
         beta = np.empty(0)
-        mu = level2_means(data, known_mu)
+        mu = data.mu
         theta = (1.0 - B) * data.y + B * mu
         s2 = data.V * (1.0 - B) + shr.v * (data.y - mu) ** 2
     s2 = np.maximum(s2, 0.0)

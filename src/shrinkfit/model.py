@@ -51,14 +51,22 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TwoLevelData:
-    """Unit-level estimates y with known sampling variances V and optional
-    Level-2 covariates X (a k-by-r matrix; r = 0 means the Level-2 means are
-    known, conventionally zero unless a `known_mu` is supplied at fit time).
+    """Unit-level estimates y with known sampling variances V, and the
+    Level-2 mean structure: either covariates X (a k-by-r matrix, the means
+    X beta to be fitted) or, when r = 0, known means mu (zeros when not
+    given).
+
+    Every check that depends on the data alone runs here, so an instance
+    is valid: at least one unit (TooFewUnits); y finite; V finite and
+    positive (NonpositiveVariance); X finite and of full column rank by
+    pivoted QR (RankDeficientX); mu finite, one entry per unit, and only
+    when r = 0.  Other shape and value errors raise ValueError.
     """
 
     y: np.ndarray
     V: np.ndarray
     X: np.ndarray = field(default=None)  # type: ignore[assignment]
+    mu: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         y = _readonly(np.atleast_1d(self.y))
@@ -67,6 +75,14 @@ class TwoLevelData:
             raise ValueError("y and V must be one-dimensional")
         if y.shape != V.shape:
             raise ValueError(f"y has length {y.size} but V has length {V.size}")
+        if y.size < 1:
+            raise TooFewUnits("at least one unit is required")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("y contains non-finite values")
+        if not np.all(np.isfinite(V)):
+            raise NonpositiveVariance("V contains non-finite values")
+        if np.any(V <= 0.0):
+            raise NonpositiveVariance("all Level-1 variances must be positive")
         if self.X is None:
             X = np.empty((y.size, 0))
         else:
@@ -75,10 +91,23 @@ class TwoLevelData:
                 X = X[:, None]
             if X.shape[0] != y.size:
                 raise ValueError(f"X has {X.shape[0]} rows for {y.size} units")
-        X = _readonly(X)
+            if not np.all(np.isfinite(X)):
+                raise ValueError("X contains non-finite values")
+            if matrix_rank_pivoted(X) < X.shape[1]:
+                raise RankDeficientX(f"X must have full column rank {X.shape[1]}")
+        mu = None
+        if X.shape[1] == 0:
+            mu = _readonly(np.zeros(y.size) if self.mu is None else np.atleast_1d(self.mu))
+            if mu.shape != y.shape:
+                raise ValueError(f"mu has shape {mu.shape} for {y.size} units")
+            if not np.all(np.isfinite(mu)):
+                raise ValueError("mu contains non-finite values")
+        elif self.mu is not None:
+            raise ValueError("known means mu are only meaningful when r = 0")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "V", V)
-        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "X", _readonly(X))
+        object.__setattr__(self, "mu", mu)
 
     @property
     def k(self) -> int:
@@ -98,19 +127,14 @@ class PriorSpec:
     """Scale-invariant prior on the Level-2 variance, density ~ A^(c-1).
 
     c = 1 is the flat prior on A (the harmonic prior on the random effects).
-    `known_mu` supplies nonzero known Level-2 means for r = 0.  The
-    density-adjustment machinery itself works for any smooth prior on the
-    variance, but only this power family is exposed here; generalizing means
-    swapping the c*log(A) term of the adjusted log-density for
-    log(A * pi(A)).
+    The Level-2 means are part of the data (TwoLevelData.mu or X), not of
+    the prior.  The density-adjustment machinery itself works for any
+    smooth prior on the variance, but only this power family is exposed
+    here; generalizing means swapping the c*log(A) term of the adjusted
+    log-density for log(A * pi(A)).
     """
 
     c: float = 1.0
-    known_mu: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.known_mu is not None:
-            object.__setattr__(self, "known_mu", _readonly(np.atleast_1d(self.known_mu)))
 
 
 @dataclass(frozen=True)
@@ -175,7 +199,8 @@ def matrix_rank_pivoted(X: np.ndarray) -> int:
 
 
 def validate(data: TwoLevelData, prior: PriorSpec, method: FitMethod) -> None:
-    """Check that (data, prior) admit the requested fit; raise otherwise.
+    """Check that the prior and the unit count admit the requested fit;
+    raise otherwise.  The data itself was checked when it was constructed.
 
     The improper prior A^(c-1) yields a proper posterior only when
     k - r > 2c (for c = 1 this is the usual k >= r + 3), so the ADM and
@@ -184,29 +209,11 @@ def validate(data: TwoLevelData, prior: PriorSpec, method: FitMethod) -> None:
     """
     if not isinstance(method, FitMethod):
         raise TypeError(f"method must be a FitMethod, got {method!r}")
-    if data.k < 1:
-        raise TooFewUnits("at least one unit is required")
-    if not np.all(np.isfinite(data.y)):
-        raise ValueError("y contains non-finite values")
-    if not np.all(np.isfinite(data.V)):
-        raise NonpositiveVariance("V contains non-finite values")
-    if np.any(data.V <= 0.0):
-        raise NonpositiveVariance("all Level-1 variances must be positive")
     if not np.isfinite(prior.c) or prior.c <= 0.0:
         raise NonpositiveC(
             f"prior exponent c must be positive, got {prior.c} "
             "(c = 0 forces 100% shrinkage regardless of the data)"
         )
-    if prior.known_mu is not None:
-        if data.r != 0:
-            raise ValueError("known_mu is only meaningful when r = 0")
-        if prior.known_mu.size != data.k:
-            raise ValueError("known_mu must have one entry per unit")
-    if data.r >= 1:
-        if not np.all(np.isfinite(data.X)):
-            raise ValueError("X contains non-finite values")
-        if matrix_rank_pivoted(data.X) < data.r:
-            raise RankDeficientX(f"X must have full column rank {data.r}")
     if method in (FitMethod.ADM, FitMethod.EXACT):
         if data.k - data.r <= 2.0 * prior.c:
             raise TooFewUnits(
@@ -216,13 +223,3 @@ def validate(data: TwoLevelData, prior: PriorSpec, method: FitMethod) -> None:
     else:
         if data.k < data.r + 1:
             raise TooFewUnits(f"k >= r + 1 required; got k={data.k}, r={data.r}")
-
-
-def level2_means(data: TwoLevelData, known_mu: np.ndarray | None) -> np.ndarray:
-    """Known Level-2 means for the r = 0 case (zeros unless supplied)."""
-    if known_mu is None:
-        return np.zeros(data.k)
-    mu = np.atleast_1d(np.asarray(known_mu, dtype=float))
-    if mu.size != data.k:
-        raise ValueError("known_mu must have one entry per unit")
-    return mu

@@ -2,19 +2,24 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shrinkfit import TwoLevelData
+import shrinkfit
+from shrinkfit import ModelError, TwoLevelData
 from shrinkfit.cli import CliInputError, main, read_dataset_csv, write_dataset_csv
 
 
 @pytest.fixture
 def fig1_csv(tmp_path, fig1_data):
     path = tmp_path / "fig1.csv"
-    write_dataset_csv(path, fig1_data, known_mu=np.zeros(10))
+    write_dataset_csv(path, fig1_data)
     return path
 
 
@@ -79,23 +84,26 @@ class TestDatasetRoundTrip:
     def test_parse_emit_parse_identity(self, tmp_path, two_group_data):
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
-        mu = None
-        write_dataset_csv(p1, two_group_data, mu)
-        data1, mu1 = read_dataset_csv(p1)
-        write_dataset_csv(p2, data1, mu1)
+        write_dataset_csv(p1, two_group_data)
+        data1 = read_dataset_csv(p1)
+        write_dataset_csv(p2, data1)
         assert p1.read_bytes() == p2.read_bytes()
-        data2, _ = read_dataset_csv(p2)
+        assert p1.read_text().splitlines()[0] == "y,V,x1"
+        data2 = read_dataset_csv(p2)
         np.testing.assert_array_equal(data1.y, data2.y)
         np.testing.assert_array_equal(data1.V, data2.V)
         np.testing.assert_array_equal(data1.X, data2.X)
+        assert data2.mu is None
 
     def test_round_trip_with_mu(self, tmp_path, fig1_data):
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
-        write_dataset_csv(p1, fig1_data, np.full(10, 0.25))
-        data, mu = read_dataset_csv(p1)
-        write_dataset_csv(p2, data, mu)
+        write_dataset_csv(p1, TwoLevelData(fig1_data.y, fig1_data.V, mu=np.full(10, 0.25)))
+        data = read_dataset_csv(p1)
+        write_dataset_csv(p2, data)
         assert p1.read_bytes() == p2.read_bytes()
+        assert p1.read_text().splitlines()[0] == "y,V,mu"
+        np.testing.assert_array_equal(data.mu, np.full(10, 0.25))
 
 
 # (file text, y, V, X rows or None, mu or None): accepted, same arrays as the
@@ -113,7 +121,10 @@ _ACCEPTED = {
     "covariates_any_order": (
         "x2,V,y,x1\n7,1.0,1.5,3\n8,2.0,2.5,4\n", [1.5, 2.5], [1.0, 2.0], [[3, 7], [4, 8]], None
     ),
-    "number_spellings": ("y,V\n-1e-3,+2\n.5,inf\n", [-1e-3, 0.5], [2.0, math.inf], None, None),
+    "number_spellings": ("y,V\n-1e-3,+2\n.5,2E+1\n", [-1e-3, 0.5], [2.0, 20.0], None, None),
+    "mu_ignored_with_covariates": (
+        "y,V,x1,mu\n1.5,1.0,3,nan\n2.5,2.0,4,n/a\n", [1.5, 2.5], [1.0, 2.0], [[3], [4]], None
+    ),
     "utf8_bom": ("\ufeffy,V\n1.5,1.0\n2.5,2.0\n", [1.5, 2.5], [1.0, 2.0], None, None),
 }
 
@@ -138,14 +149,14 @@ class TestReadDataset:
         text, y, V, X, mu = _ACCEPTED[case]
         path = tmp_path / "in.csv"
         path.write_bytes(text.encode("utf-8"))
-        data, got_mu = read_dataset_csv(path)
+        data = read_dataset_csv(path)
         np.testing.assert_array_equal(data.y, y)
         np.testing.assert_array_equal(data.V, V)
         np.testing.assert_array_equal(data.X, np.empty((2, 0)) if X is None else X)
-        if mu is None:
-            assert got_mu is None
+        if X is not None:
+            assert data.mu is None
         else:
-            np.testing.assert_array_equal(got_mu, mu)
+            np.testing.assert_array_equal(data.mu, np.zeros(2) if mu is None else mu)
 
     @pytest.mark.parametrize("case", sorted(_REJECTED))
     def test_rejected(self, tmp_path, case):
@@ -156,6 +167,48 @@ class TestReadDataset:
             warnings.simplefilter("error")
             with pytest.raises(CliInputError, match=message):
                 read_dataset_csv(path)
+
+
+# (column overrides of a valid 5-unit r = 0 file, error name, message)
+_DATA_ERRORS = {
+    "nan_mu": ({"mu": "nan"}, "ValueError", "mu contains non-finite values"),
+    "inf_mu": ({"mu": "-inf"}, "ValueError", "mu contains non-finite values"),
+    "nan_y": ({"y": "nan"}, "ValueError", "y contains non-finite values"),
+    "inf_V": ({"V": "inf"}, "NonpositiveVariance", "V contains non-finite values"),
+    "zero_V": ({"V": "0"}, "NonpositiveVariance", "must be positive"),
+}
+
+
+def _r0_csv(path, **third_row):
+    rows = [{"y": str(0.5 * i - 1.0), "V": "1.0", "mu": str(0.25 * i)} for i in range(5)]
+    rows[2].update(third_row)
+    path.write_text("y,V,mu\n" + "".join(f"{r['y']},{r['V']},{r['mu']}\n" for r in rows))
+    return path
+
+
+class TestDataErrors:
+    @pytest.mark.parametrize("case", sorted(_DATA_ERRORS))
+    def test_fit_exits_2_with_error_name(self, tmp_path, capsys, case):
+        # checked while the file is read, before any method runs
+        overrides, name, message = _DATA_ERRORS[case]
+        path = _r0_csv(tmp_path / "in.csv", **overrides)
+        assert main(["fit", str(path), "--method", "mle", "--method", "adm"]) == 2
+        assert f"{name}: " in capsys.readouterr().err
+        with pytest.raises((ValueError, ModelError), match=message):
+            read_dataset_csv(path)
+
+    def test_nan_mu_exits_2_without_hanging(self, tmp_path):
+        # a NaN known mean once sent the MLE/REML bracket search into an
+        # endless loop (and the closed forms to all-NaN output with exit 0);
+        # a child process with a timeout turns a hang into a failure
+        path = _r0_csv(tmp_path / "in.csv", mu="nan")
+        env = dict(os.environ, PYTHONPATH=str(Path(shrinkfit.__file__).parents[1]))
+        argv = [sys.executable, "-m", "shrinkfit.cli", "fit", str(path)]
+        for method in ("adm", "mle", "reml", "exact"):
+            argv += ["--method", method]
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 2
+        assert "ValueError: mu contains non-finite values" in proc.stderr
 
 
 class TestSimulate:

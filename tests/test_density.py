@@ -199,14 +199,14 @@ class TestBlockEvaluation:
             k = int(rng.integers(6 + r, 30))
             V = 10.0 ** rng.uniform(-1.0, 1.0, k)
             X = None
-            known_mu = None
+            mu = None
             if r >= 1:
                 X = np.column_stack([np.ones(k)] + [rng.normal(size=k) for _ in range(r - 1)])
             elif i % 8 == 4:
-                known_mu = rng.normal(size=k)
+                mu = rng.normal(size=k)
             y = rng.normal(0.0, np.sqrt(V + rng.uniform(0.0, 5.0)))
             c = (0.5, 1.0, 1.5)[i % 3]
-            yield TwoLevelData(y, V, X), PriorSpec(c=c, known_mu=known_mu)
+            yield TwoLevelData(y, V, X, mu), PriorSpec(c=c)
 
     def _check(self, ell, alphas):
         block = ell.on_nodes(alphas)
@@ -222,7 +222,7 @@ class TestBlockEvaluation:
         # the c = 0 members: REML (restricted) and MLE
         alphas = np.linspace(-6.0, 6.0, 25)
         for data, prior in self._designs():
-            zero = PriorSpec(c=0.0, known_mu=prior.known_mu)
+            zero = PriorSpec(c=0.0)
             for restricted in (True, False):
                 self._check(AdjustedLogDensity(data, zero, restricted), alphas)
 
@@ -271,19 +271,19 @@ class TestInvariantInformation:
             k = int(rng.integers(6 + r, 30))
             V = rng.uniform(0.2, 5.0, k)
             X = None
-            known_mu = None
+            mu = None
             if r >= 1:
                 X = np.column_stack([np.ones(k)] + [rng.normal(size=k) for _ in range(r - 1)])
             elif rng.random() < 0.5:
-                known_mu = rng.normal(size=k)
+                mu = rng.normal(size=k)
             y = rng.normal(0.0, np.sqrt(V + rng.uniform(0.0, 5.0)))
-            data = TwoLevelData(y, V, X)
+            data = TwoLevelData(y, V, X, mu)
             c = float(rng.choice([0.5, 1.0, 1.5]))
             alpha = float(rng.uniform(-2.0, 3.0))
             for ell in (
-                AdjustedLogDensity(data, PriorSpec(c=c, known_mu=known_mu)),
-                AdjustedLogDensity(data, PriorSpec(c=0.0, known_mu=known_mu)),
-                AdjustedLogDensity(data, PriorSpec(c=0.0, known_mu=known_mu), restricted=False),
+                AdjustedLogDensity(data, PriorSpec(c=c)),
+                AdjustedLogDensity(data, PriorSpec(c=0.0)),
+                AdjustedLogDensity(data, PriorSpec(c=0.0), restricted=False),
             ):
                 d1, d2 = ell.derivatives(alpha)
                 fd1 = (ell(alpha + h) - ell(alpha - h)) / (2 * h)

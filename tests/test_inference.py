@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -75,16 +76,31 @@ class TestRandomEffects:
             )
 
     def test_known_mu_recenters(self):
+        # for every method, equal and unequal V, the fit and the intervals
+        # both centre on data.mu: the same answer as fitting y - mu with
+        # zero means, shifted back by mu
         rng = np.random.default_rng(47)
         k = 8
         mu = rng.normal(0, 2, k)
         y = mu + rng.normal(0, 1.2, k)
-        data = TwoLevelData(y, np.ones(k))
-        prior = PriorSpec(known_mu=mu)
-        shr = fit(data, prior, FitMethod.ADM)
-        post = random_effects(data, shr, known_mu=mu)
-        B = shr.B_hat
-        np.testing.assert_allclose(post.theta_hat, (1 - B) * y + B * mu, atol=1e-12)
+        for V, method in itertools.product((np.ones(k), np.linspace(0.5, 2.0, k)), FitMethod):
+            data = TwoLevelData(y, V, mu=mu)
+            shr = fit(data, PriorSpec(), method)
+            post = random_effects(data, shr)
+            B, v = shr.B_hat, shr.v
+            theta = (1 - B) * y + B * mu
+            half = post.z_star * np.sqrt(V * (1 - B) + v * (y - mu) ** 2)
+            np.testing.assert_allclose(post.theta_hat, theta, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(post.lo, theta - half, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(post.hi, theta + half, rtol=0, atol=1e-12)
+            centred = TwoLevelData(y - mu, V)
+            shifted = fit(centred, PriorSpec(), method)
+            np.testing.assert_array_equal(shr.B_hat, shifted.B_hat)
+            np.testing.assert_array_equal(shr.v, shifted.v)
+            back = random_effects(centred, shifted)
+            np.testing.assert_allclose(post.theta_hat, back.theta_hat + mu, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(post.lo, back.lo + mu, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(post.hi, back.hi + mu, rtol=0, atol=1e-12)
 
     def test_variance_dominates_plugin(self, two_group_data):
         shr = fit_adm_general(two_group_data, PriorSpec())

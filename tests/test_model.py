@@ -46,16 +46,24 @@ def test_c_zero_rejected():
 
 
 def test_nonpositive_variance_rejected():
-    data = TwoLevelData([1.0, 2.0], [1.0, 0.0])
-    with pytest.raises(NonpositiveVariance):
-        validate(data, PriorSpec(), FitMethod.MLE)
+    # a data error: raised when the data is built, before any fit
+    for V in ([1.0, 0.0], [1.0, -2.0], [1.0, np.nan], [1.0, np.inf]):
+        with pytest.raises(NonpositiveVariance):
+            TwoLevelData([1.0, 2.0], V)
+
+
+def test_nonfinite_y_and_X_rejected():
+    with pytest.raises(ValueError, match="y contains non-finite"):
+        TwoLevelData([1.0, np.nan, 3.0], np.ones(3))
+    X = np.column_stack([np.ones(4), [0.0, 1.0, np.inf, 2.0]])
+    with pytest.raises(ValueError, match="X contains non-finite"):
+        TwoLevelData(np.arange(4.0), np.ones(4), X)
 
 
 def test_rank_deficient_X_rejected():
     X = np.column_stack([np.ones(8), np.ones(8) * 3.0])  # collinear
-    data = TwoLevelData(np.arange(8.0), np.ones(8), X)
     with pytest.raises(RankDeficientX):
-        validate(data, PriorSpec(), FitMethod.ADM)
+        TwoLevelData(np.arange(8.0), np.ones(8), X)
 
 
 def test_rank_tolerance_is_scale_aware():
@@ -69,13 +77,30 @@ def test_rank_tolerance_is_scale_aware():
 
 
 def test_known_mu_rules():
-    data_r0 = TwoLevelData(np.arange(6.0), np.ones(6))
-    validate(data_r0, PriorSpec(known_mu=np.ones(6)), FitMethod.ADM)
-    with pytest.raises(ValueError):
-        validate(data_r0, PriorSpec(known_mu=np.ones(4)), FitMethod.ADM)
-    data_r1 = TwoLevelData(np.arange(6.0), np.ones(6), np.ones((6, 1)))
-    with pytest.raises(ValueError):
-        validate(data_r1, PriorSpec(known_mu=np.ones(6)), FitMethod.ADM)
+    # known means: zeros by default, one finite entry per unit, r = 0 only
+    np.testing.assert_array_equal(TwoLevelData(np.arange(6.0), np.ones(6)).mu, np.zeros(6))
+    data = TwoLevelData(np.arange(6.0), np.ones(6), mu=[1, 2, 3, 4, 5, 6])
+    np.testing.assert_array_equal(data.mu, np.arange(1.0, 7.0))
+    assert data.mu.dtype == float and not data.mu.flags.writeable
+    for mu, message in (
+        (np.ones(4), "mu has shape"),
+        (np.ones((6, 1)), "mu has shape"),
+        ([0.0, 1.0, np.nan, 0.0, 0.0, 0.0], "mu contains non-finite"),
+        ([0.0, 1.0, -np.inf, 0.0, 0.0, 0.0], "mu contains non-finite"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            TwoLevelData(np.arange(6.0), np.ones(6), mu=mu)
+    assert TwoLevelData(np.arange(6.0), np.ones(6), np.ones((6, 1))).mu is None
+
+
+def test_mu_with_covariates_rejected():
+    # known means and an estimated regression contradict each other; the
+    # check is on the data, so it holds for every method alike
+    rng = np.random.default_rng(43)
+    with pytest.raises(ValueError, match="known means mu are only meaningful when r = 0"):
+        TwoLevelData(
+            rng.normal(0.0, 2.0, 8), rng.uniform(0.5, 2.0, 8), np.ones((8, 1)), np.zeros(8)
+        )
 
 
 def test_validate_is_pure():
@@ -96,6 +121,8 @@ def test_arrays_are_readonly():
 
 
 def test_shape_checks():
+    with pytest.raises(TooFewUnits):
+        TwoLevelData([], [])
     with pytest.raises(ValueError):
         TwoLevelData([1.0, 2.0], [1.0])
     with pytest.raises(ValueError):
