@@ -614,3 +614,16 @@ def nearly_collinear_data(k: int = 30) -> TwoLevelData:
 def test_nearly_collinear_X_raises_rank_deficient(method):
     with pytest.raises(RankDeficientX):
         fit(nearly_collinear_data(), PriorSpec(), method)
+
+
+@pytest.mark.parametrize("method", list(FitMethod))
+def test_known_mu_with_regression_rejected(method):
+    # known means and an estimated regression contradict each other, for
+    # every method alike: the data carrying both cannot be built, so no fit
+    # under any method sees it
+    rng = np.random.default_rng(43)
+    y, V = rng.normal(0.0, 2.0, 8), rng.uniform(0.5, 2.0, 8)
+    with pytest.raises(ValueError, match="known means mu are only meaningful when r = 0"):
+        fit(TwoLevelData(y, V, np.ones((8, 1)), np.zeros(8)), PriorSpec(1.0), method)
+    # the same known means without covariates fit under this method
+    assert fit(TwoLevelData(y, V, mu=np.zeros(8)), PriorSpec(1.0), method).B_hat.shape == (8,)
