@@ -10,7 +10,11 @@ Each checkout runs, through its own ``src/`` in a fresh interpreter:
   100 and 1e4, mu its Level-2 mean 0.5 + x2) under each of the four
   methods, 160 calls;
 - a small seeded ``simulate --preset equal`` and ``simulate --preset
-  two-group``;
+  two-group``, each with its default methods and with all four; and
+  ``simulate --preset equal --c 0.5`` with all four. Together these run
+  every path of the simulation's replication batch: the equal-variance
+  closed forms (ADM at c = 1 and 0.5, exact at c = 1) and the scalar fit
+  per replication (MLE, REML, exact by quadrature, unequal variances);
 - ``curves`` with its defaults.
 
 Prints how many outputs are byte-identical per command, names every file
@@ -54,11 +58,17 @@ calls = [
     for csv in sorted(data.glob("*.csv"))
     for m in ("adm", "mle", "reml", "exact")
 ]
+equal = ["simulate", "--preset", "equal", "--k", "4", "--k", "10", "--reps", "20",
+         "--grid-points", "5", "--seed", "7"]
+two_group = ["simulate", "--preset", "two-group", "--reps", "10", "--grid-points", "5",
+             "--seed", "7"]
+every_method = [arg for m in ("adm", "mle", "reml", "exact") for arg in ("--method", m)]
 calls += [
-    ("simulate-equal", ["simulate", "--preset", "equal", "--k", "4", "--k", "10",
-                        "--reps", "20", "--grid-points", "5", "--seed", "7"]),
-    ("simulate-two-group", ["simulate", "--preset", "two-group", "--reps", "10",
-                            "--grid-points", "5", "--seed", "7"]),
+    ("simulate-equal", equal),
+    ("simulate-two-group", two_group),
+    ("simulate-equal-all-methods", equal + every_method),
+    ("simulate-two-group-all-methods", two_group + every_method),
+    ("simulate-equal-c0.5", equal + every_method + ["--c", "0.5"]),
     ("curves.csv", ["curves"]),
 ]
 codes = []

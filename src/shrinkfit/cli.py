@@ -14,6 +14,7 @@ import re
 import sys
 import warnings
 from dataclasses import astuple
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -400,9 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: a parse keeps its state in the Namespace it returns
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (

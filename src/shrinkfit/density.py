@@ -98,15 +98,15 @@ class AdjustedLogDensity:
         self.data = data
         self.prior = prior
         self.restricted = restricted
-        # r = 0: the residuals to the known means do not depend on A
+        # r = 0: the residuals to the known means and their squares do not depend on A
         self._resid0 = data.y - data.mu if data.r == 0 else None
+        self._e2 = self._resid0 * self._resid0 if data.r == 0 else None
 
     def __call__(self, alpha: float) -> float:
         data = self.data
         D = data.V + math.exp(alpha)
         if data.r == 0:
-            resid = self._resid0
-            total = float(np.sum(np.log(D) + resid * resid / D))
+            total = float(np.add.reduce(np.log(D) + self._e2 / D))
         else:
             _, L, _, resid = _gls_fit(data, D)
             logdet_M = 2.0 * float(np.log(np.diag(L)).sum()) if self.restricted else 0.0
@@ -139,8 +139,7 @@ class AdjustedLogDensity:
             W = 1.0 / D
             total = np.log(D, out=D).sum(axis=1)
             if r == 0:
-                resid = self._resid0
-                total += W @ (resid * resid)
+                total += W @ self._e2
             else:
                 G = W @ cross
                 M = G[:, : r * r].reshape(-1, r, r)

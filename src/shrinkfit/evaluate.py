@@ -32,8 +32,9 @@ from .fitters import (
     mle_shrinkage_equal,
     quadrature_moments,
 )
-from .inference import random_effects
-from .model import PriorSpec, TwoLevelData
+from .density import beta_and_projection_diag
+from .inference import shrunken_moments
+from .model import PriorSpec, TwoLevelData, validate
 
 TWO_GROUP_V = (0.55,) * 5 + (5.5,) * 5  # harmonic mean 1.0, 10x spread
 
@@ -273,6 +274,12 @@ def _rep_rng(seed: int, gridpoint: int, rep: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
+def _group_label(v: float) -> str:
+    """'V=' and v's %g form, or its repr when %g does not read back as v."""
+    short = f"{v:g}"
+    return f"V={short if float(short) == v else repr(v)}"
+
+
 def _group_slices(V: np.ndarray) -> list[tuple[str, np.ndarray]]:
     """Units grouped by distinct variance, in order of first appearance."""
     seen: dict[float, None] = {}
@@ -281,10 +288,51 @@ def _group_slices(V: np.ndarray) -> list[tuple[str, np.ndarray]]:
     values = list(seen)
     if len(values) == 1:
         return [("all", np.arange(V.size))]
-    return [(f"V={v:g}", np.flatnonzero(V == v)) for v in values]
+    return [(_group_label(v), np.flatnonzero(V == v)) for v in values]
+
+
+def _fit_replications(cfg: SimConfig, method: FitMethod, y: np.ndarray):
+    """B, v, fitted Level-2 means and projection diagonals p_ii of every
+    replication (row of y), each broadcasting to y's shape; when r = 0 the
+    means are the known zeros and p_ii = 0.
+
+    With equal variances and r = 0, ADM for any c and exact Bayes at c = 1
+    are closed forms in each replication's T = S/2V: the prior is validated
+    once and no per-replication dataset or posterior is built.  Any other
+    (method, design) pair runs the scalar `fit` on each replication, with
+    beta_hat and p_ii at A_hat from beta_and_projection_diag when r >= 1.
+    """
+    prior = PriorSpec(c=cfg.c)
+    V = np.asarray(cfg.V, dtype=float)
+    X = _design_matrix(cfg)
+    reps, k = y.shape
+    B, v = np.empty((reps, k)), np.empty((reps, k))
+    closed = method is FitMethod.ADM or (method is FitMethod.EXACT and prior.c == 1.0)
+    if closed and X is None and V.max() == V.min():
+        validate(TwoLevelData(y[0], V), prior, method)
+        m = 0.5 * (k - 2.0)
+        for i in range(reps):
+            T = float(y[i] @ y[i]) / (2.0 * float(V[0]))
+            if method is FitMethod.ADM:
+                B[i], v[i], _ = adm_moments_equal(T, m, prior.c)
+            else:
+                B[i], v[i] = exact_moments_equal(T, m)
+        return B, v, 0.0, 0.0
+    mean, p_diag = (0.0, 0.0) if X is None else (np.empty((reps, k)), np.empty((reps, k)))
+    for i in range(reps):
+        data = TwoLevelData(y[i], V, X)
+        shr = fit(data, prior, method)
+        B[i], v[i] = shr.B_hat, shr.v
+        if X is not None:
+            beta, p_diag[i] = beta_and_projection_diag(shr.A_hat, data)
+            mean[i] = data.X @ beta
+    return B, v, mean, p_diag
 
 
 def _simulate_gridpoint(cfg: SimConfig, g: int) -> list[SimRow]:
+    """Rows of gridpoint g: every replication is drawn from its own stream
+    into (reps, k) arrays, each method is fitted to all of them by
+    _fit_replications, and intervals are scored in one array pass."""
     b0 = cfg.grid[g]
     A = cfg.V0 * (1.0 - b0) / b0
     V = np.asarray(cfg.V, dtype=float)
@@ -293,61 +341,41 @@ def _simulate_gridpoint(cfg: SimConfig, g: int) -> list[SimRow]:
     mu_true = X @ beta_true if X is not None else np.zeros(cfg.k)
     B_true = V / (V + A)
     sigma_cond = np.sqrt(V * (1.0 - B_true))
-    prior = PriorSpec(c=cfg.c)
     z = cfg.z_star
     k, reps = cfg.k, cfg.reps
     sqrt_A = math.sqrt(A)
     sqrt_V = np.sqrt(V)
 
-    stats = {
-        m: {name: np.empty((reps, k)) for name in
-            ("cov_rb", "risk", "ok", "raw", "sqerr", "half", "B", "v")}
-        for m in cfg.methods
-    }
+    theta, y = np.empty((reps, k)), np.empty((reps, k))
     for rep in range(reps):
         rng = _rep_rng(cfg.seed, g, rep)
-        theta = mu_true + sqrt_A * rng.standard_normal(k)
-        y = theta + sqrt_V * rng.standard_normal(k)
-        data = TwoLevelData(y, V, X)
-        cond_mean = (1.0 - B_true) * y + B_true * mu_true
-        for method in cfg.methods:
-            shr = fit(data, prior, method)
-            post = random_effects(data, shr, z_star=z)
-            th, s2 = post.theta_hat, post.s2
-            s = np.sqrt(s2)
-            centered = th - cond_mean
-            cov = ndtr((centered + z * s) / sigma_cond) - ndtr(
-                (centered - z * s) / sigma_cond
-            )
-            ok = s2 > 0.0
-            risk = np.where(
-                ok,
-                (V * (1.0 - B_true) + centered * centered) / np.where(ok, s2, 1.0),
-                np.nan,
-            )
-            rec = stats[method]
-            rec["cov_rb"][rep] = cov
-            rec["risk"][rep] = risk
-            rec["ok"][rep] = ok
-            rec["raw"][rep] = np.abs(theta - th) <= z * s
-            rec["sqerr"][rep] = (th - theta) ** 2
-            rec["half"][rep] = z * s
-            rec["B"][rep] = shr.B_hat
-            rec["v"][rep] = shr.v
-
+        theta[rep] = mu_true + sqrt_A * rng.standard_normal(k)
+        y[rep] = theta[rep] + sqrt_V * rng.standard_normal(k)
+    cond_mean = (1.0 - B_true) * y + B_true * mu_true
     rows: list[SimRow] = []
     groups = _group_slices(V)
     for method in cfg.methods:
-        rec = stats[method]
+        B, v, mean, p_diag = _fit_replications(cfg, method, y)
+        th, s2 = shrunken_moments(y, V, B, v, mean, p_diag)
+        s = np.sqrt(s2)
+        centered = th - cond_mean
+        cov_rb = ndtr((centered + z * s) / sigma_cond) - ndtr((centered - z * s) / sigma_cond)
+        ok = s2 > 0.0
+        risk = np.where(
+            ok, (V * (1.0 - B_true) + centered * centered) / np.where(ok, s2, 1.0), np.nan
+        )
+        raw = np.abs(theta - th) <= z * s
+        sqerr = (th - theta) ** 2
+        half = z * s
         for label, idx in groups:
-            per_rep_cov = rec["cov_rb"][:, idx].mean(axis=1)
-            per_rep_raw = rec["raw"][:, idx].mean(axis=1)
-            ok = rec["ok"][:, idx].astype(bool)
-            risk_vals = rec["risk"][:, idx][ok]
+            per_rep_cov = cov_rb[:, idx].mean(axis=1)
+            per_rep_raw = raw[:, idx].mean(axis=1)
+            ok_g = ok[:, idx]
+            risk_vals = risk[:, idx][ok_g]
             # replications where every unit of the group sits on the s2 = 0
             # boundary contribute no risk and are left out of its standard error
-            has_risk = ok.any(axis=1)
-            per_rep_risk = np.nanmean(rec["risk"][has_risk][:, idx], axis=1)
+            has_risk = ok_g.any(axis=1)
+            per_rep_risk = np.nanmean(risk[has_risk][:, idx], axis=1)
             n_risk = per_rep_risk.size
             rows.append(
                 SimRow(
@@ -371,11 +399,11 @@ def _simulate_gridpoint(cfg: SimConfig, g: int) -> list[SimRow]:
                     risk_se=float(
                         per_rep_risk.std(ddof=1) / math.sqrt(n_risk) if n_risk > 1 else 0.0
                     ),
-                    boundary_rate=float(1.0 - ok.mean()),
-                    mean_B_hat=float(rec["B"][:, idx].mean()),
-                    mean_v=float(rec["v"][:, idx].mean()),
-                    rmse=float(math.sqrt(rec["sqerr"][:, idx].mean())),
-                    mean_halfwidth=float(rec["half"][:, idx].mean()),
+                    boundary_rate=float(1.0 - ok_g.mean()),
+                    mean_B_hat=float(B[:, idx].mean()),
+                    mean_v=float(v[:, idx].mean()),
+                    rmse=float(math.sqrt(sqerr[:, idx].mean())),
+                    mean_halfwidth=float(half[:, idx].mean()),
                 )
             )
     return rows

@@ -22,12 +22,12 @@ def random_effects(
 
     theta_hat_i = (1 - B_i) y_i + B_i * fitted mean, and
 
-        s_i^2 = (1 - (1 - p_ii) B_i) V_i + v_i (y_i - yhat_i)^2   (r >= 1)
-        s_i^2 = V_i (1 - B_i) + v_i (y_i - mu_i)^2                (r = 0)
+        s_i^2 = (1 - (1 - p_ii) B_i) V_i + v_i (y_i - yhat_i)^2
 
-    where p_ii is the projection diagonal at A_hat.  The second term carries
-    the uncertainty in the shrinkage itself; plug-in fits (v = 0) omit it,
-    which is what makes their intervals too short.  The regression weights
+    where yhat_i is the fitted mean and p_ii the projection diagonal at
+    A_hat (p_ii = 0 when r = 0).  The second term carries the uncertainty
+    in the shrinkage itself; plug-in fits (v = 0) omit it, which is what
+    makes their intervals too short.  The regression weights
     (beta_hat and p_ii) are frozen at A_hat: exact for equal variances, where
     they do not depend on A, and a good approximation otherwise since their
     relative variation dies off like 1/k.  Intervals are the Normal
@@ -35,18 +35,12 @@ def random_effects(
     """
     if z_star <= 0.0:
         raise ValueError("z_star must be positive")
-    B = shr.B_hat
     if data.r >= 1:
         beta, p_diag = beta_and_projection_diag(shr.A_hat, data)
-        y_fit = data.X @ beta
-        theta = (1.0 - B) * data.y + B * y_fit
-        s2 = (1.0 - (1.0 - p_diag) * B) * data.V + shr.v * (data.y - y_fit) ** 2
+        mean = data.X @ beta
     else:
-        beta = np.empty(0)
-        mu = data.mu
-        theta = (1.0 - B) * data.y + B * mu
-        s2 = data.V * (1.0 - B) + shr.v * (data.y - mu) ** 2
-    s2 = np.maximum(s2, 0.0)
+        beta, p_diag, mean = np.empty(0), 0.0, data.mu
+    theta, s2 = shrunken_moments(data.y, data.V, shr.B_hat, shr.v, mean, p_diag)
     half = z_star * np.sqrt(s2)
     return RandomEffectPosterior(
         theta_hat=theta,
@@ -56,4 +50,14 @@ def random_effects(
         hi=theta + half,
         z_star=z_star,
     )
+
+
+def shrunken_moments(y, V, B, v, mean, p_diag=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """theta_hat and s2 (floored at 0) of random_effects from the shrinkage
+    moments B, v, the fitted Level-2 means and the projection diagonal p_ii
+    (0 when r = 0); every argument broadcasts, so a leading axis may run
+    over replications."""
+    theta = (1.0 - B) * y + B * mean
+    s2 = (1.0 - (1.0 - p_diag) * B) * V + v * (y - mean) ** 2
+    return theta, np.maximum(s2, 0.0)
 

@@ -13,7 +13,7 @@ import pytest
 
 import shrinkfit
 from shrinkfit import ModelError, TwoLevelData
-from shrinkfit.cli import CliInputError, main, read_dataset_csv, write_dataset_csv
+from shrinkfit.cli import CliInputError, _parser, main, read_dataset_csv, write_dataset_csv
 
 
 @pytest.fixture
@@ -44,6 +44,22 @@ class TestFit:
         assert main(["fit", str(fig1_csv)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "adm" in payload["results"]
+
+    def test_successive_calls_parse_independently(self, fig1_csv, tmp_path):
+        # main reuses one parser: no appended --method or --k list, and no
+        # subcommand default, may carry over from one call to the next
+        outs = [tmp_path / f"{j}.json" for j in range(3)]
+        assert main(["fit", str(fig1_csv), "--method", "mle", "--method", "reml",
+                     "--out", str(outs[0])]) == 0
+        assert main(["curves", "--k", "5", "--t-grid", "1", "--out", str(tmp_path / "c.csv")]) == 0
+        assert main(["fit", str(fig1_csv), "--out", str(outs[1])]) == 0
+        assert main(["fit", str(fig1_csv), "--method", "exact", "--out", str(outs[2])]) == 0
+        results = [list(json.loads(p.read_text())["results"]) for p in outs]
+        assert results == [["mle", "reml"], ["adm"], ["exact"]]
+        assert _parser() is _parser()
+        fresh = _parser().parse_args(["curves"])
+        assert fresh.k is None and fresh.func.__name__ == "cmd_curves"
+        assert not hasattr(fresh, "method")
 
     def test_missing_V_column_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -226,6 +226,23 @@ class TestBlockEvaluation:
             for restricted in (True, False):
                 self._check(AdjustedLogDensity(data, zero, restricted), alphas)
 
+    @pytest.mark.parametrize("c", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("known_mu", [False, True])
+    def test_r0_call_matches_reference_expression(self, c, known_mu):
+        # the scalar r = 0 evaluation, bit for bit, against the plain
+        # expression c*alpha - sum(log D + e*e/D)/2 it computes
+        rng = np.random.default_rng(41)
+        for k in (3, 10, 57):
+            V = 10.0 ** rng.uniform(-2.0, 2.0, k)
+            mu = rng.normal(0.0, 3.0, k) if known_mu else np.zeros(k)
+            y = mu + rng.normal(0.0, np.sqrt(V + 1.0))
+            ell = AdjustedLogDensity(TwoLevelData(y, V, mu=mu), PriorSpec(c=c))
+            e = y - mu
+            for alpha in np.linspace(-30.0, 30.0, 241):
+                D = V + math.exp(alpha)
+                want = c * alpha - 0.5 * float(np.sum(np.log(D) + e * e / D))
+                assert ell(float(alpha)) == want
+
     def test_chunks_join_seamlessly(self, monkeypatch):
         # blocks of two or three nodes: every chunk boundary is crossed (BLAS
         # may round a row differently when the block's shape changes)

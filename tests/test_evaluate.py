@@ -7,12 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
-from shrinkfit import FitMethod
+from shrinkfit import FitMethod, PriorSpec, TwoLevelData, fit, random_effects
 from shrinkfit.evaluate import (
     AccuracyResult,
     SimConfig,
+    SimRow,
+    _design_matrix,
+    _group_slices,
     _rep_rng,
+    _simulate_gridpoint,
     adm_moments_equal,
     curve_rows,
     equal_variance_config,
@@ -134,6 +139,127 @@ class TestRunCoverage:
         )
         with pytest.raises(ValueError):
             run_coverage(bad)
+
+
+def per_replication_gridpoint(cfg: SimConfig, g: int) -> list[SimRow]:
+    """Oracle for _simulate_gridpoint: one scalar fit and random_effects
+    call per (replication, method), scored one replication at a time."""
+    b0 = cfg.grid[g]
+    A = cfg.V0 * (1.0 - b0) / b0
+    V = np.asarray(cfg.V, dtype=float)
+    X = _design_matrix(cfg)
+    mu_true = X @ np.asarray(cfg.beta_true, dtype=float) if X is not None else np.zeros(cfg.k)
+    B_true = V / (V + A)
+    sigma_cond = np.sqrt(V * (1.0 - B_true))
+    prior = PriorSpec(c=cfg.c)
+    z, k, reps = cfg.z_star, cfg.k, cfg.reps
+    names = ("cov_rb", "risk", "ok", "raw", "sqerr", "half", "B", "v")
+    stats = {m: {name: np.empty((reps, k)) for name in names} for m in cfg.methods}
+    for rep in range(reps):
+        rng = _rep_rng(cfg.seed, g, rep)
+        theta = mu_true + math.sqrt(A) * rng.standard_normal(k)
+        y = theta + np.sqrt(V) * rng.standard_normal(k)
+        data = TwoLevelData(y, V, X)
+        cond_mean = (1.0 - B_true) * y + B_true * mu_true
+        for method in cfg.methods:
+            shr = fit(data, prior, method)
+            post = random_effects(data, shr, z_star=z)
+            th, s2 = post.theta_hat, post.s2
+            s = np.sqrt(s2)
+            centered = th - cond_mean
+            ok = s2 > 0.0
+            rec = stats[method]
+            rec["cov_rb"][rep] = ndtr((centered + z * s) / sigma_cond) - ndtr(
+                (centered - z * s) / sigma_cond
+            )
+            rec["risk"][rep] = np.where(
+                ok,
+                (V * (1.0 - B_true) + centered * centered) / np.where(ok, s2, 1.0),
+                np.nan,
+            )
+            rec["ok"][rep] = ok
+            rec["raw"][rep] = np.abs(theta - th) <= z * s
+            rec["sqerr"][rep] = (th - theta) ** 2
+            rec["half"][rep] = z * s
+            rec["B"][rep] = shr.B_hat
+            rec["v"][rep] = shr.v
+    rows = []
+    se = lambda x, n: float(x.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0)
+    for method in cfg.methods:
+        rec = stats[method]
+        for label, idx in _group_slices(V):
+            per_rep_cov = rec["cov_rb"][:, idx].mean(axis=1)
+            per_rep_raw = rec["raw"][:, idx].mean(axis=1)
+            ok = rec["ok"][:, idx].astype(bool)
+            risk_vals = rec["risk"][:, idx][ok]
+            per_rep_risk = np.nanmean(rec["risk"][ok.any(axis=1)][:, idx], axis=1)
+            rows.append(SimRow(
+                k=cfg.k, r=cfg.r, b0=float(b0), A=float(A), method=method.value,
+                group=label, n_units=int(idx.size), reps=reps,
+                coverage=float(per_rep_cov.mean()), coverage_se=se(per_rep_cov, reps),
+                coverage_raw=float(per_rep_raw.mean()), coverage_raw_se=se(per_rep_raw, reps),
+                risk=float(risk_vals.mean()) if risk_vals.size else float("nan"),
+                risk_se=se(per_rep_risk, per_rep_risk.size),
+                boundary_rate=float(1.0 - ok.mean()),
+                mean_B_hat=float(rec["B"][:, idx].mean()),
+                mean_v=float(rec["v"][:, idx].mean()),
+                rmse=float(math.sqrt(rec["sqerr"][:, idx].mean())),
+                mean_halfwidth=float(rec["half"][:, idx].mean()),
+            ))
+    return rows
+
+
+ALL_METHODS = tuple(FitMethod)
+
+
+class TestGridpointMatchesPerReplicationOracle:
+    """The batched gridpoint reproduces the per-replication loop bit for bit
+    (compared through repr, so NaN risks compare equal)."""
+
+    @staticmethod
+    def assert_bitwise(cfg):
+        for g in range(len(cfg.grid)):
+            assert repr(_simulate_gridpoint(cfg, g)) == repr(per_replication_gridpoint(cfg, g))
+
+    @pytest.mark.parametrize("seed", [1, 203, 4077])
+    def test_sim_equal_k10(self, seed):
+        grid = equal_variance_grid(100)[::11]
+        self.assert_bitwise(equal_variance_config(10, seed=seed, reps=20, grid=grid))
+
+    def test_two_group_all_methods(self):
+        self.assert_bitwise(
+            two_group_config(seed=9, reps=8, grid=(0.05, 0.4, 0.9), methods=ALL_METHODS,
+                             beta_true=(3.0,))
+        )
+
+    def test_equal_k4_c_half_all_methods(self):
+        self.assert_bitwise(
+            equal_variance_config(4, seed=31, reps=10, grid=(0.1, 0.5, 0.9),
+                                  methods=ALL_METHODS, c=0.5)
+        )
+
+    def test_single_replication(self):
+        self.assert_bitwise(equal_variance_config(10, seed=5, reps=1, grid=(0.3, 0.8)))
+        self.assert_bitwise(two_group_config(seed=5, reps=1, grid=(0.3,), methods=ALL_METHODS))
+
+    def test_mle_on_the_boundary(self):
+        cfg = equal_variance_config(10, seed=12, reps=30, grid=(0.995,), methods=ALL_METHODS)
+        rows = _simulate_gridpoint(cfg, 0)
+        assert [r.boundary_rate > 0.0 for r in rows] == [False, True, True, False]
+        self.assert_bitwise(cfg)
+
+    def test_distinct_variances_get_distinct_labels(self):
+        V = (1.0000001,) * 3 + (1.0000002,) * 3
+        cfg = SimConfig(
+            k=6, r=0, V=V, X="none", beta_true=(), grid=(0.5,), V0=1.0, reps=4, seed=0,
+            methods=(FitMethod.ADM,),
+        )
+        rows = run_coverage(cfg).rows
+        assert [r.group for r in rows] == ["V=1.0000001", "V=1.0000002"]
+        assert [label for label, _ in _group_slices(np.array([0.55, 5.5, 1.0, 1e-7]))] == [
+            "V=0.55", "V=5.5", "V=1", "V=1e-07",
+        ]
+        self.assert_bitwise(cfg)
 
 
 class TestTwoGroup:
