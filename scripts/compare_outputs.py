@@ -4,11 +4,14 @@
 
 Each checkout runs, through its own ``src/`` in a fresh interpreter:
 
-- ``shrinkfit fit`` on every fit-cli pool dataset of the benchmark (the 37
-  CSVs of ``bench/workloads.write_cli_csv``, k = 10 to 1e5) and on three
-  r = 0 files with known means (``y,V,mu`` from pool dataset 0 at k = 10,
-  100 and 1e4, mu its Level-2 mean 0.5 + x2) under each of the four
-  methods, 160 calls;
+- ``shrinkfit fit`` under each of the four methods, 168 calls, on every
+  fit-cli pool dataset of the benchmark (the 37 CSVs of
+  ``bench/workloads.write_cli_csv``, k = 10 to 1e5), on three r = 0 files
+  with known means (``y,V,mu`` from pool dataset 0 at k = 10, 100 and 1e4,
+  mu its Level-2 mean 0.5 + x2), on a nearly collinear r = 3 file (X =
+  [1, x, x + 1e-8 e], k = 30, V over one decade: every method exits 2 with
+  RankDeficientX) and on an equal-variance r = 1 file (k = 10, an
+  intercept: the equal-variance closed forms with a fitted mean);
 - a small seeded ``simulate --preset equal`` and ``simulate --preset
   two-group``, each with its default methods and with all four; and
   ``simulate --preset equal --c 0.5`` with all four. Together these run
@@ -84,6 +87,22 @@ def write_mu_csv(path: Path, k: int) -> None:
     y, V, _, x2 = workloads.cli_dataset(k, 0).T
     np.savetxt(path, np.column_stack([y, V, 0.5 + x2]), fmt="%.17g", delimiter=",",
                header="y,V,mu", comments="")
+
+
+def write_design_csvs(data: Path) -> None:
+    """The nearly collinear and the equal-variance r = 1 files."""
+    k = 30
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=k)
+    x3 = x + 1e-8 * rng.normal(size=k)
+    V = 10.0 ** rng.uniform(-0.5, 0.5, k)
+    table = np.column_stack([rng.normal(size=k), V, np.ones(k), x, x3])
+    np.savetxt(data / "collinear-k30.csv", table, fmt="%.17g", delimiter=",",
+               header="y,V,x1,x2,x3", comments="")
+    rng = np.random.default_rng(7)
+    table = np.column_stack([rng.normal(1.0, 1.5, 10), np.full(10, 0.8), np.ones(10)])
+    np.savetxt(data / "equal-r1-k10.csv", table, fmt="%.17g", delimiter=",",
+               header="y,V,x1", comments="")
 
 
 def run_tree(tree: Path, data: Path, out: Path) -> None:
@@ -170,6 +189,7 @@ def main(argv=None) -> int:
                 workloads.write_cli_csv(data / f"k{k}-{j}.csv", k, j)
         for k in MU_SIZES:
             write_mu_csv(data / f"mu-k{k}.csv", k)
+        write_design_csvs(data)
         trees = {"this": ROOT, "other": other}
         for name, tree in trees.items():
             run_tree(tree, data, tmp / name)

@@ -16,6 +16,7 @@ from .model import (
     RandomEffectPosterior,
     RankDeficientX,
     ShrinkagePosterior,
+    ShrinkfitError,
     TooFewUnits,
     TwoLevelData,
     validate,
@@ -58,6 +59,7 @@ __all__ = [
     "RandomEffectPosterior",
     "RankDeficientX",
     "ShrinkagePosterior",
+    "ShrinkfitError",
     "SimConfig",
     "SimResult",
     "TooFewUnits",

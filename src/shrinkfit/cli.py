@@ -2,7 +2,8 @@
 emission.
 
 Exit codes: 0 on success, 1 on I/O errors, 2 on validation/configuration
-errors (the model-module error name is printed to stderr).
+errors: a ShrinkfitError or ValueError, whose name is printed to stderr
+(CliInputError's message alone).
 """
 
 from __future__ import annotations
@@ -21,21 +22,15 @@ import numpy as np
 
 from . import evaluate
 from .evaluate import SimConfig, SimResult, curve_rows, json_text, run_coverage, write_csv
-from .fitters import (
-    FitMethod,
-    NonintegrablePosterior,
-    OptimizerNoBracket,
-    fit,
-)
-from .density import NonconcaveAtMax
+from .fitters import FitMethod, fit
 from .inference import random_effects
-from .model import ModelError, PriorSpec, TwoLevelData
+from .model import PriorSpec, ShrinkfitError, TwoLevelData
 
 SEED_ENV = "SHRINKFIT_SEED"
 _METHOD_CHOICES = [m.value for m in FitMethod]
 
 
-class CliInputError(Exception):
+class CliInputError(ShrinkfitError):
     """Bad dataset contents or command arguments (exit code 2)."""
 
 
@@ -409,14 +404,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ModelError,
-        CliInputError,
-        NonconcaveAtMax,
-        OptimizerNoBracket,
-        NonintegrablePosterior,
-        ValueError,
-    ) as err:
+    except (ShrinkfitError, ValueError) as err:
         name = type(err).__name__
         prefix = "" if isinstance(err, CliInputError) else f"{name}: "
         print(f"{prefix}{err}", file=sys.stderr)

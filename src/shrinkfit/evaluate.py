@@ -34,7 +34,7 @@ from .fitters import (
 )
 from .density import beta_and_projection_diag
 from .inference import shrunken_moments
-from .model import PriorSpec, TwoLevelData, validate
+from .model import PriorSpec, TwoLevelData, check_c, validate
 
 TWO_GROUP_V = (0.55,) * 5 + (5.5,) * 5  # harmonic mean 1.0, 10x spread
 
@@ -146,18 +146,18 @@ def _design_matrix(cfg: SimConfig) -> np.ndarray | None:
 def _check_config(cfg: SimConfig) -> None:
     if cfg.k < 1 or len(cfg.V) != cfg.k:
         raise ValueError("V must list one variance per unit")
-    if any(v <= 0.0 for v in cfg.V):
-        raise ValueError("all variances must be positive")
-    if cfg.V0 <= 0.0:
-        raise ValueError("V0 must be positive")
+    if not all(0.0 < v < math.inf for v in cfg.V):
+        raise ValueError("all variances must be finite and positive")
+    if not 0.0 < cfg.V0 < math.inf:
+        raise ValueError("V0 must be finite and positive")
     if cfg.reps < 1:
         raise ValueError("reps must be at least 1")
     if not cfg.grid or any(not (0.0 < b < 1.0) for b in cfg.grid):
         raise ValueError("grid values must lie strictly inside (0, 1)")
     if not cfg.methods:
         raise ValueError("at least one method is required")
-    if cfg.z_star <= 0.0:
-        raise ValueError("z_star must be positive")
+    if not 0.0 < cfg.z_star < math.inf:
+        raise ValueError("z_star must be finite and positive")
     X = _design_matrix(cfg)
     r = 0 if X is None else X.shape[1]
     if r != cfg.r:
@@ -540,7 +540,9 @@ def exact_moments_equal_anyc(T: float, m: float, c: float) -> tuple[float, float
 def curve_rows(k_values, t_grid, r: int = 0, c: float = 1.0) -> tuple[CurveRow, ...]:
     """Shrinkage B(T) and variance v tables for the exact, ADM, and MLE rules
     (equal variances, T the residual sum of squares over 2V); these
-    reproduce the deterministic comparison figures."""
+    reproduce the deterministic comparison figures.  c must be finite and
+    positive (NonpositiveC), as for a fit."""
+    check_c(c)
     rows = []
     for k in k_values:
         m = 0.5 * (k - r - 2.0)

@@ -19,6 +19,7 @@ from .model import (
     FitMethod,
     PriorSpec,
     ShrinkagePosterior,
+    ShrinkfitError,
     TooFewUnits,
     TwoLevelData,
     validate,
@@ -56,12 +57,12 @@ _MAX_WIDTH = 1.0  # widest panel, in alpha
 _SKIP_DROP = 50.0  # skip panels whose edges both lie this far below the mode
 
 
-class OptimizerNoBracket(Exception):
+class OptimizerNoBracket(ShrinkfitError):
     """No finite interior maximizer was bracketed; for the adjusted density
     this signals c too large relative to k - r."""
 
 
-class NonintegrablePosterior(Exception):
+class NonintegrablePosterior(ShrinkfitError):
     """The posterior of A is improper (k - r <= 2c), so its moments diverge."""
 
 

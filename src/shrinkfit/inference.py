@@ -33,8 +33,8 @@ def random_effects(
     relative variation dies off like 1/k.  Intervals are the Normal
     approximation theta_hat +- z_star * s (no skew correction).
     """
-    if z_star <= 0.0:
-        raise ValueError("z_star must be positive")
+    if not 0.0 < z_star < np.inf:
+        raise ValueError("z_star must be finite and positive")
     if data.r >= 1:
         beta, p_diag = beta_and_projection_diag(shr.A_hat, data)
         mean = data.X @ beta

@@ -13,7 +13,11 @@ import numpy as np
 from scipy import linalg as sla
 
 
-class ModelError(Exception):
+class ShrinkfitError(Exception):
+    """Base class of every named shrinkfit error."""
+
+
+class ModelError(ShrinkfitError):
     """Base class for input-validation failures."""
 
 
@@ -198,6 +202,15 @@ def matrix_rank_pivoted(X: np.ndarray) -> int:
     return int((diag > tol).sum())
 
 
+def check_c(c: float) -> None:
+    """Raise NonpositiveC unless the prior exponent c is finite and positive."""
+    if not 0.0 < c < np.inf:
+        raise NonpositiveC(
+            f"prior exponent c must be finite and positive, got {c} "
+            "(c = 0 forces 100% shrinkage regardless of the data)"
+        )
+
+
 def validate(data: TwoLevelData, prior: PriorSpec, method: FitMethod) -> None:
     """Check that the prior and the unit count admit the requested fit;
     raise otherwise.  The data itself was checked when it was constructed.
@@ -209,11 +222,7 @@ def validate(data: TwoLevelData, prior: PriorSpec, method: FitMethod) -> None:
     """
     if not isinstance(method, FitMethod):
         raise TypeError(f"method must be a FitMethod, got {method!r}")
-    if not np.isfinite(prior.c) or prior.c <= 0.0:
-        raise NonpositiveC(
-            f"prior exponent c must be positive, got {prior.c} "
-            "(c = 0 forces 100% shrinkage regardless of the data)"
-        )
+    check_c(prior.c)
     if method in (FitMethod.ADM, FitMethod.EXACT):
         if data.k - data.r <= 2.0 * prior.c:
             raise TooFewUnits(

@@ -12,7 +12,15 @@ import numpy as np
 import pytest
 
 import shrinkfit
-from shrinkfit import ModelError, TwoLevelData
+from shrinkfit import (
+    ModelError,
+    NonconcaveAtMax,
+    NonintegrablePosterior,
+    OptimizerNoBracket,
+    RankDeficientX,
+    TwoLevelData,
+    cli,
+)
 from shrinkfit.cli import CliInputError, _parser, main, read_dataset_csv, write_dataset_csv
 
 
@@ -76,6 +84,24 @@ class TestFit:
         small.write_text("y,V,x1\n1.0,1.0,1.0\n2.0,1.0,1.0\n3.0,1.0,1.0\n")
         assert main(["fit", str(small), "--method", "adm"]) == 2
         assert "TooFewUnits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("z", ["nan", "inf", "0", "-1"])
+    def test_nonfinite_or_nonpositive_z_exits_2(self, fig1_csv, tmp_path, capsys, z):
+        out = tmp_path / "out.json"
+        assert main(["fit", str(fig1_csv), f"--z={z}", "--out", str(out)]) == 2
+        assert "z_star must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "error", [NonconcaveAtMax, NonintegrablePosterior, OptimizerNoBracket, RankDeficientX]
+    )
+    def test_named_errors_exit_2_with_their_name(self, fig1_csv, capsys, monkeypatch, error):
+        def failing_fit(*args, **kwargs):
+            raise error("no fit")
+
+        monkeypatch.setattr(cli, "fit", failing_fit)
+        assert main(["fit", str(fig1_csv)]) == 2
+        assert capsys.readouterr().err == f"{error.__name__}: no fit\n"
 
     def test_nearly_collinear_X_exits_2(self, tmp_path, capsys):
         from test_fitters import nearly_collinear_data
@@ -318,6 +344,23 @@ class TestSimulate:
             == 2
         )
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--z", "nan", "z_star must be finite and positive"),
+        ("--z", "inf", "z_star must be finite and positive"),
+        ("--v0", "nan", "V0 must be finite and positive"),
+        ("--v0", "inf", "V0 must be finite and positive"),
+        ("--variances", "nan", "all variances must be finite and positive"),
+        ("--variances", "1,1,inf,1,1", "all variances must be finite and positive"),
+    ])
+    def test_nonfinite_config_exits_2(self, tmp_path, capsys, flag, value, message):
+        args = {"--k": "5", "--variances": "1.0", "--grid": "0.5", "--reps": "2"}
+        args[flag] = value
+        out = tmp_path / "sim"
+        argv = ["simulate", *(f"{k}={v}" for k, v in args.items()), "--out", str(out)]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "simulation.csv").exists()
+
     def test_missing_explicit_args_exit_2(self, tmp_path, capsys):
         assert main(["simulate", "--k", "5", "--out", str(tmp_path)]) == 2
         assert "--variances" in capsys.readouterr().err
@@ -395,3 +438,11 @@ class TestCurves:
 
     def test_k_too_small_for_c_exits_2(self, capsys):
         assert main(["curves", "--k", "4", "--c", "2.5", "--t-grid", "1"]) == 2
+
+    @pytest.mark.parametrize("c", ["0", "-1", "nan", "inf"])
+    def test_nonpositive_or_nonfinite_c_exits_2(self, tmp_path, capsys, c):
+        out = tmp_path / "curves.csv"
+        assert main(["curves", "--k", "10", f"--c={c}", "--t-grid", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("NonpositiveC: prior exponent c must be finite and positive")
+        assert not out.exists()

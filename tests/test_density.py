@@ -263,6 +263,36 @@ class TestBlockEvaluation:
         with pytest.raises(RankDeficientX):
             ell.on_nodes(np.linspace(-2.0, 2.0, 9))
 
+    def test_every_entry_point_raises_rank_deficient(self):
+        from test_fitters import nearly_collinear_data
+
+        data = nearly_collinear_data()
+        for restricted in (True, False):
+            ell = AdjustedLogDensity(data, PriorSpec(0.0), restricted)
+            for call in (ell, ell.derivatives, lambda a: ell.on_nodes([a, a + 1.0])):
+                with pytest.raises(RankDeficientX):
+                    call(0.5)
+
+    def test_rank_test_does_not_wait_for_cholesky_to_fail(self):
+        # at s = 3e-8 LAPACK factors X'D^-1 X, with squared pivots about 1e-15
+        # of their diagonal entries; the pivot test still rejects it
+        from test_fitters import nearly_collinear_data
+
+        data = nearly_collinear_data(s=3e-8, seed=1)
+        for alpha in (-3.0, 0.0, 3.0):
+            W = 1.0 / (data.V + math.exp(alpha))
+            M = (data.X * W[:, None]).T @ data.X
+            ratio = np.diag(np.linalg.cholesky(M)) ** 2 / np.diag(M)
+            assert 0.0 < ratio.min() <= density.PIVOT_REL
+            for restricted in (True, False):
+                ell = AdjustedLogDensity(data, PriorSpec(), restricted)
+                with pytest.raises(RankDeficientX):
+                    ell(alpha)
+                with pytest.raises(RankDeficientX):
+                    ell.derivatives(alpha)
+            with pytest.raises(RankDeficientX):
+                beta_and_projection_diag(math.exp(alpha), data)
+
 
 class TestInvariantInformation:
     def test_equal_variance_c1_formula(self, fig1_data):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -139,6 +140,19 @@ class TestRunCoverage:
         )
         with pytest.raises(ValueError):
             run_coverage(bad)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("V", (math.nan,) * 6, "all variances must be finite and positive"),
+        ("V", (1.0,) * 5 + (math.inf,), "all variances must be finite and positive"),
+        ("V0", math.nan, "V0 must be finite and positive"),
+        ("V0", math.inf, "V0 must be finite and positive"),
+        ("z_star", math.nan, "z_star must be finite and positive"),
+        ("z_star", math.inf, "z_star must be finite and positive"),
+    ])
+    def test_nonfinite_config_rejected(self, field, value, message):
+        cfg = dataclasses.replace(tiny_equal_cfg(), **{field: value})
+        with pytest.raises(ValueError, match=message):
+            run_coverage(cfg)
 
 
 def per_replication_gridpoint(cfg: SimConfig, g: int) -> list[SimRow]:

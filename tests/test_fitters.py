@@ -13,6 +13,8 @@ from shrinkfit import (
     OptimizerNoBracket,
     PriorSpec,
     RankDeficientX,
+    ShrinkagePosterior,
+    ShrinkfitError,
     TwoLevelData,
     fit,
     fit_adm_equal,
@@ -23,7 +25,7 @@ from shrinkfit import (
     fit_reml,
     random_effects,
 )
-from shrinkfit.density import AdjustedLogDensity, residual_ss
+from shrinkfit.density import AdjustedLogDensity, beta_and_projection_diag, residual_ss
 from shrinkfit.evaluate import exact_moments_equal_anyc
 from shrinkfit.fitters import (
     adm_beta_moments,
@@ -600,12 +602,13 @@ class TestDispatcherAndInvariants:
         assert np.all(np.diff(shr.B_hat) > 0.0)
 
 
-def nearly_collinear_data(k: int = 30) -> TwoLevelData:
-    """X = [1, x, x + 1e-8 e] (condition number ~1e8): full rank to the
-    pivoted-QR test, but X'D^-1 X is not numerically positive definite."""
-    rng = np.random.default_rng(41)
+def nearly_collinear_data(k: int = 30, s: float = 1e-8, seed: int = 41) -> TwoLevelData:
+    """X = [1, x, x + s e] with V over one decade.  At s = 1e-8 (condition
+    number ~1e8) X is full rank to the pivoted-QR test, but X'D^-1 X is not
+    numerically positive definite."""
+    rng = np.random.default_rng(seed)
     x = rng.normal(size=k)
-    X = np.column_stack([np.ones(k), x, x + 1e-8 * rng.normal(size=k)])
+    X = np.column_stack([np.ones(k), x, x + s * rng.normal(size=k)])
     V = 10.0 ** rng.uniform(-0.5, 0.5, k)
     return TwoLevelData(rng.normal(size=k), V, X)
 
@@ -614,6 +617,45 @@ def nearly_collinear_data(k: int = 30) -> TwoLevelData:
 def test_nearly_collinear_X_raises_rank_deficient(method):
     with pytest.raises(RankDeficientX):
         fit(nearly_collinear_data(), PriorSpec(), method)
+
+
+def rank_verdicts(data: TwoLevelData) -> list[str]:
+    """Per method: "fit" when the fit and its random effects run, else the
+    name of the named error or bare LinAlgError raised."""
+    verdicts = []
+    for method in FitMethod:
+        try:
+            random_effects(data, fit(data, PriorSpec(), method))
+            verdicts.append("fit")
+        except (ShrinkfitError, np.linalg.LinAlgError) as err:
+            verdicts.append(type(err).__name__)
+    return verdicts
+
+
+@pytest.mark.parametrize("seed", range(5))
+class TestRankVerdict:
+    # the squared Cholesky pivot of the third column over its diagonal entry
+    # is about s^2: ~1e-12 at s = 1e-6, ~1e-15 at 3e-8, ~1e-16 at 1e-8
+    def test_separated_columns_fit(self, seed):
+        assert rank_verdicts(nearly_collinear_data(s=1e-6, seed=seed)) == ["fit"] * 4
+
+    def test_collinear_columns_raise(self, seed):
+        verdicts = rank_verdicts(nearly_collinear_data(s=1e-8, seed=seed))
+        assert verdicts == ["RankDeficientX"] * 4
+
+    def test_borderline_columns_get_one_verdict(self, seed):
+        verdicts = rank_verdicts(nearly_collinear_data(s=3e-8, seed=seed))
+        assert len(set(verdicts)) == 1 and verdicts[0] in ("fit", "RankDeficientX")
+
+
+def test_random_effects_rejects_nearly_collinear_X():
+    data = nearly_collinear_data()
+    for A in (0.0, 1.0, 100.0):
+        with pytest.raises(RankDeficientX):
+            beta_and_projection_diag(A, data)
+        shr = ShrinkagePosterior(A_hat=A, B_hat=data.V / (data.V + A), v=np.zeros(data.k))
+        with pytest.raises(RankDeficientX):
+            random_effects(data, shr)
 
 
 @pytest.mark.parametrize("method", list(FitMethod))

@@ -127,3 +127,8 @@ class TestRandomEffects:
         with pytest.raises(ValueError):
             random_effects(fig1_data, fit_mle(fig1_data), z_star=0.0)
 
+    @pytest.mark.parametrize("z", [-1.0, math.nan, math.inf, -math.inf])
+    def test_z_star_must_be_finite_and_positive(self, fig1_data, z):
+        with pytest.raises(ValueError, match="z_star must be finite and positive"):
+            random_effects(fig1_data, fit_mle(fig1_data), z_star=z)
+

@@ -14,6 +14,22 @@ from shrinkfit import (
 from shrinkfit.model import matrix_rank_pivoted
 
 
+def test_named_errors_share_one_base():
+    from shrinkfit import (
+        ModelError,
+        NonconcaveAtMax,
+        NonintegrablePosterior,
+        OptimizerNoBracket,
+        ShrinkfitError,
+    )
+    from shrinkfit.cli import CliInputError
+
+    for cls in (ModelError, RankDeficientX, TooFewUnits, NonpositiveVariance, NonpositiveC,
+                NonconcaveAtMax, NonintegrablePosterior, OptimizerNoBracket, CliInputError):
+        assert issubclass(cls, ShrinkfitError)
+    assert not issubclass(ShrinkfitError, ValueError)
+
+
 def test_valid_dataset_passes():
     data = TwoLevelData(np.arange(10.0), np.full(10, 2.0))
     for method in FitMethod:
