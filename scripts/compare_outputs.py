@@ -13,19 +13,24 @@ Each checkout runs, through its own ``src/`` in a fresh interpreter:
   RankDeficientX) and on an equal-variance r = 1 file (k = 10, an
   intercept: the equal-variance closed forms with a fitted mean);
 - a small seeded ``simulate --preset equal`` and ``simulate --preset
-  two-group``, each with its default methods and with all four; and
-  ``simulate --preset equal --c 0.5`` with all four. Together these run
-  every path of the simulation's replication batch: the equal-variance
-  closed forms (ADM at c = 1 and 0.5, exact at c = 1) and the scalar fit
-  per replication (MLE, REML, exact by quadrature, unequal variances);
+  two-group``, each with its default methods and with all four;
+  ``simulate --preset equal --c 0.5`` with all four; and two explicit
+  configurations with all four (``--k 5 --r 0 --variances
+  0.5,1,1.5,2,2.5`` and ``--k 6 --r 1 --variances 1.0``). Together these
+  run every path of the simulation's replication batch: the
+  equal-variance closed forms (ADM at c = 1 and 0.5, exact at c = 1) and
+  the scalar fit per replication (MLE, REML, exact by quadrature, unequal
+  variances, r = 1);
 - ``curves`` with its defaults.
 
 Prints how many outputs are byte-identical per command, names every file
 that differs or exists in only one checkout, and exits 1 on any difference.
-Under each differing JSON or CSV file it prints the largest relative
-difference |a - b| / max(|a|, |b|) of every numeric field that moved (a JSON
-field is its key path with list positions dropped, a CSV field its column),
-so numerical drift can be told from a changed layout.
+Under each differing JSON or CSV file it prints, for every numeric field
+that moved (a JSON field is its key path with list positions dropped, a CSV
+field its column), the largest |a - b| over its entries divided by the
+largest |value| the field takes in either file. Scaling by the field rather
+than by each entry keeps entries near zero from inflating the drift, and
+numerical drift can still be told from a changed layout (inf).
 Exit codes are compared as well. Everything is written to a temporary
 directory; each checkout takes about 15 s on a 2-core machine.
 """
@@ -72,6 +77,12 @@ calls += [
     ("simulate-equal-all-methods", equal + every_method),
     ("simulate-two-group-all-methods", two_group + every_method),
     ("simulate-equal-c0.5", equal + every_method + ["--c", "0.5"]),
+    ("simulate-explicit-r0", ["simulate", "--k", "5", "--r", "0", "--variances",
+                              "0.5,1,1.5,2,2.5", "--grid", "0.1:0.9:5", "--reps", "10",
+                              "--seed", "7"] + every_method),
+    ("simulate-explicit-r1", ["simulate", "--k", "6", "--r", "1", "--variances", "1.0",
+                              "--grid", "0.1:0.9:5", "--reps", "10", "--seed", "7"]
+                             + every_method),
     ("curves.csv", ["curves"]),
 ]
 codes = []
@@ -112,21 +123,28 @@ def run_tree(tree: Path, data: Path, out: Path) -> None:
     subprocess.run([sys.executable, "-c", DRIVER, str(data), str(out)], env=env, check=True)
 
 
-def _rel_diff(a: float, b: float) -> float:
+def _record(out: dict[str, list[float]], name: str, a: float, b: float) -> None:
+    """Fold one pair of values into the field's [largest |a - b|, largest
+    |value|]; equal values (NaN included) differ by 0, a pair with one
+    non-finite value by inf."""
+    d, scale = out.setdefault(name, [0.0, 0.0])
     if a == b or (math.isnan(a) and math.isnan(b)):
-        return 0.0
-    if not (math.isfinite(a) and math.isfinite(b)):
-        return math.inf
-    return abs(a - b) / max(abs(a), abs(b))
+        diff = 0.0
+    elif math.isfinite(a) and math.isfinite(b):
+        diff = abs(a - b)
+    else:
+        diff = math.inf
+    finite = [abs(x) for x in (a, b) if math.isfinite(x)]
+    out[name] = [max(d, diff), max([scale, *finite])]
 
 
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _walk_json(a, b, path: str, out: dict[str, float]) -> None:
-    """Largest relative difference per numeric field of two parsed JSON
-    values; a field whose layout or non-numeric value differs reads inf."""
+def _walk_json(a, b, path: str, out: dict[str, list[float]]) -> None:
+    """Fold two parsed JSON values into _record's per-field maxima; a field
+    whose layout or non-numeric value differs gets an inf difference."""
     if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
         for key in a:
             _walk_json(a[key], b[key], f"{path}.{key}" if path else key, out)
@@ -134,9 +152,9 @@ def _walk_json(a, b, path: str, out: dict[str, float]) -> None:
         for x, y in zip(a, b):
             _walk_json(x, y, path, out)
     elif _is_number(a) and _is_number(b):
-        out[path] = max(out.get(path, 0.0), _rel_diff(float(a), float(b)))
+        _record(out, path, float(a), float(b))
     elif a != b:
-        out[path or "<top>"] = math.inf
+        out[path or "<top>"] = [math.inf, 0.0]
 
 
 def _csv_columns(path: Path) -> dict[str, list[str]]:
@@ -147,9 +165,10 @@ def _csv_columns(path: Path) -> dict[str, list[str]]:
 
 
 def _field_diffs(a: Path, b: Path) -> dict[str, float] | None:
-    """Per-field largest relative difference of two JSON or CSV files, or
+    """Per field of two JSON or CSV files, its largest |a - b| over the
+    largest |value| it takes in either file (only fields that moved), or
     None for any other kind of file."""
-    out: dict[str, float] = {}
+    out: dict[str, list[float]] = {}
     if a.suffix == ".json":
         _walk_json(json.loads(a.read_text()), json.loads(b.read_text()), "", out)
     elif a.suffix == ".csv":
@@ -157,17 +176,18 @@ def _field_diffs(a: Path, b: Path) -> dict[str, float] | None:
         for name in ca.keys() | cb.keys():
             va, vb = ca.get(name), cb.get(name)
             if va is None or vb is None or len(va) != len(vb):
-                out[name] = math.inf
+                out[name] = [math.inf, 0.0]
                 continue
             for x, y in zip(va, vb):
                 try:
-                    d = _rel_diff(float(x), float(y))
+                    _record(out, name, float(x), float(y))
                 except ValueError:
-                    d = 0.0 if x == y else math.inf
-                out[name] = max(out.get(name, 0.0), d)
+                    if x != y:
+                        out[name] = [math.inf, 0.0]
     else:
         return None
-    return {name: d for name, d in out.items() if d > 0.0}
+    return {name: d / scale if scale > 0.0 else math.inf
+            for name, (d, scale) in out.items() if d > 0.0}
 
 
 def _group(rel: str) -> str:
@@ -213,7 +233,7 @@ def main(argv=None) -> int:
     for rel, fields in bad:
         print(f"  DIFFERS {rel}")
         for name, d in sorted((fields or {}).items()):
-            print(f"    {name}: max rel diff {d:.3g}")
+            print(f"    {name}: max diff / max |value| {d:.3g}")
     print(f"{ROOT} vs {other}: {'identical' if not bad else f'{len(bad)} differing'}")
     return 1 if bad else 0
 

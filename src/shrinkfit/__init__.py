@@ -40,7 +40,6 @@ from .evaluate import (
     equal_variance_config,
     run_accuracy,
     run_coverage,
-    run_two_group,
     two_group_config,
 )
 
@@ -75,7 +74,6 @@ __all__ = [
     "random_effects",
     "run_accuracy",
     "run_coverage",
-    "run_two_group",
     "two_group_config",
     "validate",
 ]

@@ -173,54 +173,30 @@ def _resolve_seed(args) -> int:
 
 def _simulate_configs(args) -> list[SimConfig]:
     seed = _resolve_seed(args)
-    methods = tuple(FitMethod(m) for m in args.method) if args.method else None
-    if args.preset == "equal":
-        ks = args.k or [4, 10, 20]
-        grid = (
-            _parse_grid(args.grid)
-            if args.grid
-            else evaluate.equal_variance_grid(args.grid_points or 100)
-        )
-        return [
-            evaluate.equal_variance_config(
-                k,
-                seed=seed,
-                reps=args.reps if args.reps is not None else 1000,
-                grid=grid,
-                methods=methods
-                or (FitMethod.EXACT, FitMethod.ADM, FitMethod.MLE),
-                z_star=args.z,
-                c=args.c,
-            )
-            for k in ks
-        ]
-    if args.preset == "two-group":
-        grid = (
-            _parse_grid(args.grid)
-            if args.grid
-            else evaluate.two_group_grid(args.grid_points or 50)
-        )
-        return [
-            evaluate.two_group_config(
-                seed=seed,
-                reps=args.reps if args.reps is not None else 100,
-                grid=grid,
-                methods=methods or (FitMethod.ADM,),
-                z_star=args.z,
-                c=args.c,
-            )
-        ]
+    methods = tuple(FitMethod(m) for m in args.method or ())
+    if args.preset is not None:
+        # only the flags given are passed on: the presets own their defaults
+        given = dict(seed=seed, z_star=args.z, c=args.c)
+        if args.reps is not None:
+            given["reps"] = args.reps
+        if methods:
+            given["methods"] = methods
+        equal = args.preset == "equal"
+        if args.grid is not None:
+            given["grid"] = _parse_grid(args.grid)
+        elif args.grid_points is not None:
+            if args.grid_points < 1:
+                raise CliInputError("--grid-points must be at least 1")
+            grid_of = evaluate.equal_variance_grid if equal else evaluate.two_group_grid
+            given["grid"] = grid_of(args.grid_points)
+        if equal:
+            ks = args.k or evaluate.EQUAL_VARIANCE_KS
+            return [evaluate.equal_variance_config(k, **given) for k in ks]
+        return [evaluate.two_group_config(**given)]
     # explicit configuration
-    missing = [
-        flag
-        for flag, val in [
-            ("--k", args.k),
-            ("--variances", args.variances),
-            ("--grid", args.grid),
-            ("--reps", args.reps),
-        ]
-        if not val
-    ]
+    flags = [("--k", args.k), ("--variances", args.variances), ("--grid", args.grid),
+             ("--reps", args.reps)]
+    missing = [flag for flag, val in flags if val is None]
     if missing:
         raise CliInputError(
             "explicit simulation needs " + ", ".join(missing) + " (or use --preset)"
@@ -231,6 +207,8 @@ def _simulate_configs(args) -> list[SimConfig]:
     V = _parse_floats(args.variances, "variances")
     if len(V) == 1:
         V = V * k
+    if len(V) != k:
+        raise CliInputError(f"--variances lists {len(V)} values for --k {k}")
     design = args.x
     if args.r is not None and design is None:
         if args.r not in (0, 1):
@@ -244,8 +222,6 @@ def _simulate_configs(args) -> list[SimConfig]:
         raise CliInputError(f"--r {args.r} contradicts --x {design}")
     return [
         SimConfig(
-            k=k,
-            r=r,
             V=V,
             X=design,
             beta_true=(0.0,) * r,
@@ -332,7 +308,7 @@ def cmd_curves(args) -> int:
     t_grid = _parse_grid(args.t_grid)
     if any(t < 0.0 for t in t_grid):
         raise CliInputError("t-grid values must be nonnegative")
-    ks = args.k or [4, 10, 20]
+    ks = args.k or evaluate.EQUAL_VARIANCE_KS
     try:
         rows = curve_rows(ks, t_grid, r=args.r, c=args.c)
     except ValueError as err:

@@ -41,16 +41,8 @@ class NonconcaveAtMax(ShrinkfitError):
 
 
 def residual_ss(data: TwoLevelData) -> float:
-    """Sum of squared residuals after removing the Level-2 mean structure:
-    ordinary least squares on X when r >= 1, centering at the known means
-    data.mu otherwise.  For equal variances this is the sufficient
-    statistic."""
-    if data.r == 0:
-        resid = data.y - data.mu
-    else:
-        beta, *_ = np.linalg.lstsq(data.X, data.y, rcond=None)
-        resid = data.y - data.X @ beta
-    return float(resid @ resid)
+    """AdjustedLogDensity.residual_ss of the data."""
+    return AdjustedLogDensity(data, PriorSpec()).residual_ss()
 
 
 class AdjustedLogDensity:
@@ -108,6 +100,17 @@ class AdjustedLogDensity:
             raise RankDeficientX("X'D^-1 X is numerically singular: X is nearly collinear")
         beta = np.linalg.solve(M, G[:, r * r :, None])[:, :, 0]
         return M, L, beta, np.subtract(self.data.y, beta @ self._XT, out=out)
+
+    def residual_ss(self) -> float:
+        """Sum of squared residuals after removing the Level-2 mean structure:
+        ordinary least squares on X when r >= 1 (the kernel _gls at unit
+        weights, so a nearly collinear X raises RankDeficientX here too),
+        centering at the known means data.mu otherwise.  For equal variances
+        this is the sufficient statistic."""
+        if self.data.r == 0:
+            return float(self._resid0 @ self._resid0)
+        resid = self._gls(np.ones((1, self.data.k)))[3][0]
+        return float(resid @ resid)
 
     def __call__(self, alpha: float) -> float:
         if self.data.r >= 1:

@@ -37,6 +37,7 @@ from .inference import shrunken_moments
 from .model import PriorSpec, TwoLevelData, check_c, validate
 
 TWO_GROUP_V = (0.55,) * 5 + (5.5,) * 5  # harmonic mean 1.0, 10x spread
+EQUAL_VARIANCE_KS = (4, 10, 20)  # the unit counts of the equal-variance sweep
 
 
 # ---------------------------------------------------------------------------
@@ -47,10 +48,9 @@ TWO_GROUP_V = (0.55,) * 5 + (5.5,) * 5  # harmonic mean 1.0, 10x spread
 class SimConfig:
     """One coverage experiment: a grid of true shrinkage levels B0 (relative
     to the reference variance V0, so A = V0 (1 - B0)/B0), `reps` replications
-    per gridpoint, and the methods to score."""
+    per gridpoint, and the methods to score.  The unit count k and the
+    covariate count r are read off V and X."""
 
-    k: int
-    r: int
     V: tuple[float, ...]
     X: object  # "none", "intercept", or a k-by-r nested tuple
     beta_true: tuple[float, ...]
@@ -61,6 +61,15 @@ class SimConfig:
     methods: tuple[FitMethod, ...]
     z_star: float = 1.96
     c: float = 1.0
+
+    @property
+    def k(self) -> int:
+        return len(self.V)
+
+    @property
+    def r(self) -> int:
+        X = _design_matrix(self)
+        return 0 if X is None else X.shape[1]
 
 
 def equal_variance_grid(n: int = 100) -> tuple[float, ...]:
@@ -87,8 +96,6 @@ def equal_variance_config(
 ) -> SimConfig:
     """Equal variances, known means (r = 0), shrinking toward zero."""
     return SimConfig(
-        k=k,
-        r=0,
         V=(float(V),) * k,
         X="none",
         beta_true=(),
@@ -115,8 +122,6 @@ def two_group_config(
     """The two-group design: k = 10, five variances at 0.55 and five at 5.5,
     shrinking toward an estimated common mean (intercept-only regression)."""
     return SimConfig(
-        k=10,
-        r=1,
         V=TWO_GROUP_V,
         X="intercept",
         beta_true=tuple(beta_true),
@@ -144,8 +149,8 @@ def _design_matrix(cfg: SimConfig) -> np.ndarray | None:
 
 
 def _check_config(cfg: SimConfig) -> None:
-    if cfg.k < 1 or len(cfg.V) != cfg.k:
-        raise ValueError("V must list one variance per unit")
+    """Raise on a config that cannot run; the design is checked, before any
+    draw, as the data of a TwoLevelData with V and X."""
     if not all(0.0 < v < math.inf for v in cfg.V):
         raise ValueError("all variances must be finite and positive")
     if not 0.0 < cfg.V0 < math.inf:
@@ -158,11 +163,8 @@ def _check_config(cfg: SimConfig) -> None:
         raise ValueError("at least one method is required")
     if not 0.0 < cfg.z_star < math.inf:
         raise ValueError("z_star must be finite and positive")
-    X = _design_matrix(cfg)
-    r = 0 if X is None else X.shape[1]
-    if r != cfg.r:
-        raise ValueError(f"design implies r={r} but config says r={cfg.r}")
-    if len(cfg.beta_true) != cfg.r:
+    design = TwoLevelData(np.zeros(cfg.k), cfg.V, _design_matrix(cfg))
+    if len(cfg.beta_true) != design.r:
         raise ValueError("beta_true must have one entry per covariate")
 
 
@@ -211,7 +213,8 @@ class SimResult:
 
     def json_payload(self) -> dict:
         cfg = asdict(self.config)
-        cfg["methods"] = [m.value for m in self.config.methods]
+        methods = [m.value for m in self.config.methods]
+        cfg.update(k=self.config.k, r=self.config.r, methods=methods)
         return {"schema": 1, "config": cfg, "rows": [asdict(row) for row in self.rows]}
 
     def to_json_bytes(self) -> bytes:
@@ -342,7 +345,7 @@ def _simulate_gridpoint(cfg: SimConfig, g: int) -> list[SimRow]:
     B_true = V / (V + A)
     sigma_cond = np.sqrt(V * (1.0 - B_true))
     z = cfg.z_star
-    k, reps = cfg.k, cfg.reps
+    k, r, reps = cfg.k, cfg.r, cfg.reps
     sqrt_A = math.sqrt(A)
     sqrt_V = np.sqrt(V)
 
@@ -379,8 +382,8 @@ def _simulate_gridpoint(cfg: SimConfig, g: int) -> list[SimRow]:
             n_risk = per_rep_risk.size
             rows.append(
                 SimRow(
-                    k=cfg.k,
-                    r=cfg.r,
+                    k=k,
+                    r=r,
                     b0=float(b0),
                     A=float(A),
                     method=method.value,
@@ -425,16 +428,6 @@ def run_coverage(cfg: SimConfig, threads: int | None = None) -> SimResult:
     else:
         parts = [_simulate_gridpoint(cfg, g) for g in indices]
     return SimResult(config=cfg, rows=tuple(chain.from_iterable(parts)))
-
-
-def run_two_group(cfg: SimConfig | None = None, *, threads: int | None = None, **kwargs) -> SimResult:
-    """Coverage and calibrated risk for the two-group design; `kwargs` are
-    forwarded to two_group_config when no explicit config is given."""
-    if cfg is None:
-        cfg = two_group_config(**kwargs)
-    if cfg.r != 1 or len(set(cfg.V)) != 2:
-        raise ValueError("run_two_group expects the two-variance-group design")
-    return run_coverage(cfg, threads=threads)
 
 
 # ---------------------------------------------------------------------------

@@ -158,14 +158,14 @@ def _maximize_alpha(f, x0: float, lo: float, hi: float, d1=None):
     return _newton_polish(f, x, lo, hi, d1=d1)
 
 
-def _search_range(data: TwoLevelData) -> tuple[float, float, float]:
-    """Starting point and search bounds for alpha: expand from
+def _search_range(ell: AdjustedLogDensity) -> tuple[float, float, float]:
+    """Starting point and search bounds for alpha on ell's data: expand from
     log(max(A_unb, Vbar/10)) with A_unb the moment estimate of A, and floor
     the search at min(V) * 1e-12, so that the floor stays below the mode
     however widely V is spread."""
+    data = ell.data
     v_bar = float(data.V.mean())
-    dof = data.k - data.r if data.r >= 1 else data.k
-    a_unb = residual_ss(data) / dof - v_bar
+    a_unb = ell.residual_ss() / (data.k - data.r) - v_bar
     a0 = max(a_unb, v_bar / 10.0)
     alpha0 = math.log(a0)
     lo = math.log(float(data.V.min()) * _FLOOR_REL)
@@ -304,7 +304,7 @@ def fit_adm_general(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
     alpha = log A; handles any r >= 0 and unequal variances."""
     validate(data, prior, FitMethod.ADM)
     ell = AdjustedLogDensity(data, prior)
-    alpha0, lo, hi = _search_range(data)
+    alpha0, lo, hi = _search_range(ell)
     B, v, alpha_hat, inv_info = adm_beta_moments(
         ell, alpha0, V=data.V, lo=lo, hi=hi, d2=lambda a: ell.derivatives(a)[1]
     )
@@ -327,7 +327,7 @@ def _fit_plugin(data: TwoLevelData, method: FitMethod) -> ShrinkagePosterior:
     (v = 0 convention)."""
     validate(data, PriorSpec(), method)  # c only matters to ADM/exact
     ell = AdjustedLogDensity(data, PriorSpec(0.0), restricted=method is FitMethod.REML)
-    alpha0, lo, hi = _search_range(data)
+    alpha0, lo, hi = _search_range(ell)
     alpha_hat = _maximize_alpha(ell, alpha0, lo, hi)
     boundary = alpha_hat is None or math.exp(alpha_hat) < float(data.V.min()) * _BOUNDARY_REL
     A_hat = 0.0 if boundary else math.exp(alpha_hat)
@@ -448,7 +448,7 @@ def fit_exact_quadrature(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePoste
             f"posterior of A is improper: k - r <= 2c (k={data.k}, r={data.r}, c={prior.c})"
         ) from err
     ell = AdjustedLogDensity(data, prior)
-    alpha0, lo, hi = _search_range(data)
+    alpha0, lo, hi = _search_range(ell)
     alpha_hat = _maximize_alpha(ell, alpha0, lo, hi)
     if alpha_hat is None:
         raise OptimizerNoBracket("posterior density keeps rising toward A = 0")

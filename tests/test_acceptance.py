@@ -26,7 +26,6 @@ from shrinkfit.evaluate import (
     equal_variance_grid,
     run_accuracy,
     run_coverage,
-    run_two_group,
     two_group_config,
     two_group_grid,
 )
@@ -69,7 +68,7 @@ def equal_sweep():
 @pytest.fixture(scope="module")
 def two_group_result():
     t0 = time.monotonic()
-    res = run_two_group(two_group_config(seed=SEED, reps=100), threads=2)
+    res = run_coverage(two_group_config(seed=SEED, reps=100), threads=2)
     return res, time.monotonic() - t0
 
 
@@ -254,7 +253,7 @@ def test_criterion_7_risk_clause_rejects_reml():
     # REML plugs in v = 0, so its intervals are too short: the same clause
     # must flag it on mid-grid cells at the same replication count
     grid = two_group_grid()[20:24]
-    res = run_two_group(
+    res = run_coverage(
         two_group_config(seed=SEED, reps=100, grid=grid, methods=(FitMethod.REML,)),
         threads=2,
     )

@@ -365,6 +365,29 @@ class TestSimulate:
         assert main(["simulate", "--k", "5", "--out", str(tmp_path)]) == 2
         assert "--variances" in capsys.readouterr().err
 
+    def test_variance_count_must_match_k(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        argv = ["simulate", "--k", "5", "--variances", "1,2,3", "--grid", "0.5",
+                "--reps", "2", "--out", str(out)]
+        assert main(argv) == 2
+        assert "--variances lists 3 values for --k 5" in capsys.readouterr().err
+        assert not (out / "simulation.csv").exists()
+
+    def test_zero_grid_points_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        argv = ["simulate", "--preset", "equal", "--k", "4", "--reps", "2",
+                "--grid-points", "0", "--out", str(out)]
+        assert main(argv) == 2
+        assert "--grid-points must be at least 1" in capsys.readouterr().err
+        assert not (out / "simulation.csv").exists()
+
+    def test_zero_reps_is_given_not_missing(self, tmp_path, capsys):
+        argv = ["simulate", "--k", "5", "--variances", "1.0", "--grid", "0.5",
+                "--reps", "0", "--out", str(tmp_path / "sim")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "reps must be at least 1" in err and "needs" not in err
+
     def test_emit_plotdata_equal(self, tmp_path):
         out = tmp_path / "plots"
         code = main(

@@ -10,10 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from shrinkfit import FitMethod, PriorSpec, TwoLevelData, fit, random_effects
+from shrinkfit import (
+    FitMethod, PriorSpec, RankDeficientX, TwoLevelData, evaluate, fit, random_effects,
+)
 from shrinkfit.evaluate import (
     AccuracyResult,
     SimConfig,
+    SimResult,
     SimRow,
     _design_matrix,
     _group_slices,
@@ -28,7 +31,6 @@ from shrinkfit.evaluate import (
     json_text,
     run_accuracy,
     run_coverage,
-    run_two_group,
     two_group_config,
     two_group_grid,
 )
@@ -86,8 +88,8 @@ class TestRunCoverage:
     def test_risk_se_covers_seed_to_seed_spread(self):
         # the same two-group cell under two seeds: the risks must agree within
         # their combined Monte-Carlo error, per variance group
-        a = run_two_group(seed=21, reps=400, grid=(0.3,)).rows
-        b = run_two_group(seed=22, reps=400, grid=(0.3,)).rows
+        a = run_coverage(two_group_config(seed=21, reps=400, grid=(0.3,))).rows
+        b = run_coverage(two_group_config(seed=22, reps=400, grid=(0.3,))).rows
         for row_a, row_b in zip(a, b):
             assert row_a.risk_se > 0.0 and row_b.risk_se > 0.0
             combined = math.hypot(row_a.risk_se, row_b.risk_se)
@@ -135,11 +137,33 @@ class TestRunCoverage:
         with pytest.raises(ValueError):
             run_coverage(tiny_equal_cfg(reps=0))
         bad = SimConfig(
-            k=4, r=1, V=(1.0,) * 4, X="none", beta_true=(0.0,),
+            V=(1.0,) * 4, X="none", beta_true=(0.0,),
             grid=(0.5,), V0=1.0, reps=4, seed=0, methods=(FitMethod.ADM,),
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="beta_true must have one entry per covariate"):
             run_coverage(bad)
+
+    def test_design_rows_must_match_units(self):
+        X = tuple((1.0, float(i)) for i in range(5))
+        cfg = SimConfig(
+            V=(1.0,) * 6, X=X, beta_true=(0.0, 0.0), grid=(0.5,), V0=1.0, reps=4,
+            seed=0, methods=(FitMethod.ADM,),
+        )
+        with pytest.raises(ValueError, match="X has 5 rows for 6 units"):
+            run_coverage(cfg)
+
+    def test_rank_deficient_design_raises_before_any_draw(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a replication was drawn")
+
+        monkeypatch.setattr(evaluate, "_rep_rng", no_draws)
+        X = tuple((1.0, float(i), 2.0 * i) for i in range(8))
+        cfg = SimConfig(
+            V=(1.0,) * 8, X=X, beta_true=(0.0,) * 3, grid=(0.5,), V0=1.0, reps=4,
+            seed=0, methods=(FitMethod.ADM,),
+        )
+        with pytest.raises(RankDeficientX):
+            run_coverage(cfg)
 
     @pytest.mark.parametrize("field, value, message", [
         ("V", (math.nan,) * 6, "all variances must be finite and positive"),
@@ -265,7 +289,7 @@ class TestGridpointMatchesPerReplicationOracle:
     def test_distinct_variances_get_distinct_labels(self):
         V = (1.0000001,) * 3 + (1.0000002,) * 3
         cfg = SimConfig(
-            k=6, r=0, V=V, X="none", beta_true=(), grid=(0.5,), V0=1.0, reps=4, seed=0,
+            V=V, X="none", beta_true=(), grid=(0.5,), V0=1.0, reps=4, seed=0,
             methods=(FitMethod.ADM,),
         )
         rows = run_coverage(cfg).rows
@@ -278,15 +302,11 @@ class TestGridpointMatchesPerReplicationOracle:
 
 class TestTwoGroup:
     def test_rows_per_group(self):
-        res = run_two_group(seed=3, reps=10, grid=(0.25, 0.75))
+        res = run_coverage(two_group_config(seed=3, reps=10, grid=(0.25, 0.75)))
         assert len(res.rows) == 2 * 2  # gridpoints x groups (one method)
         assert {row.group for row in res.rows} == {"V=0.55", "V=5.5"}
         small = [r for r in res.rows if r.group == "V=0.55"]
         assert all(r.n_units == 5 for r in small)
-
-    def test_requires_two_group_design(self):
-        with pytest.raises(ValueError):
-            run_two_group(tiny_equal_cfg())
 
     def test_grid_default_matches_design(self):
         assert len(two_group_grid()) == 50
@@ -314,6 +334,18 @@ class TestSerialization:
         assert payload["config"]["seed"] == 99
         assert payload["config"]["methods"] == ["exact", "adm", "mle"]
         assert len(payload["rows"]) == len(res.rows)
+
+    def test_config_block_keeps_k_and_r(self):
+        nested = SimConfig(
+            V=(1.0, 2.0, 3.0, 4.0, 5.0), X=tuple((1.0, float(i)) for i in range(5)),
+            beta_true=(0.0, 0.0), grid=(0.5,), V0=1.0, reps=2, seed=0,
+            methods=(FitMethod.ADM,),
+        )
+        for cfg, k, r in [(tiny_equal_cfg(), 6, 0), (two_group_config(seed=1), 10, 1),
+                          (nested, 5, 2)]:
+            config = SimResult(cfg, ()).json_payload()["config"]
+            assert (config["k"], config["r"]) == (k, r)
+            assert (cfg.k, cfg.r) == (k, r)
 
 
 _SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16])

@@ -643,6 +643,15 @@ class TestRankVerdict:
         verdicts = rank_verdicts(nearly_collinear_data(s=1e-8, seed=seed))
         assert verdicts == ["RankDeficientX"] * 4
 
+    def test_collinear_columns_raise_with_equal_variances(self, seed):
+        # the equal-variance closed forms take T from the same kernel, so the
+        # fit itself raises under every method, not only random_effects after it
+        data = nearly_collinear_data(s=1e-8, seed=seed)
+        equal = TwoLevelData(data.y, np.ones(data.k), data.X)
+        for method in FitMethod:
+            with pytest.raises(RankDeficientX):
+                fit(equal, PriorSpec(), method)
+
     def test_borderline_columns_get_one_verdict(self, seed):
         verdicts = rank_verdicts(nearly_collinear_data(s=3e-8, seed=seed))
         assert len(set(verdicts)) == 1 and verdicts[0] in ("fit", "RankDeficientX")
