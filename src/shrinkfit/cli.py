@@ -171,10 +171,23 @@ def _resolve_seed(args) -> int:
     return args.seed
 
 
+def _reject_given(flags, mode: str) -> None:
+    """Raise CliInputError naming the first flag of (flag, value) pairs that
+    was given (value not None) although `mode` does not read it."""
+    for flag, value in flags:
+        if value is not None:
+            raise CliInputError(f"{flag} is not used {mode}")
+
+
 def _simulate_configs(args) -> list[SimConfig]:
     seed = _resolve_seed(args)
     methods = tuple(FitMethod(m) for m in args.method or ())
     if args.preset is not None:
+        unused = [("--variances", args.variances), ("--v0", args.v0), ("--x", args.x),
+                  ("--r", args.r)]
+        if args.preset == "two-group":
+            unused.append(("--k", args.k))
+        _reject_given(unused, f"with --preset {args.preset}")
         # only the flags given are passed on: the presets own their defaults
         given = dict(seed=seed, z_star=args.z, c=args.c)
         if args.reps is not None:
@@ -194,6 +207,7 @@ def _simulate_configs(args) -> list[SimConfig]:
             return [evaluate.equal_variance_config(k, **given) for k in ks]
         return [evaluate.two_group_config(**given)]
     # explicit configuration
+    _reject_given([("--grid-points", args.grid_points)], "without --preset")
     flags = [("--k", args.k), ("--variances", args.variances), ("--grid", args.grid),
              ("--reps", args.reps)]
     missing = [flag for flag, val in flags if val is None]
@@ -226,7 +240,7 @@ def _simulate_configs(args) -> list[SimConfig]:
             X=design,
             beta_true=(0.0,) * r,
             grid=_parse_grid(args.grid),
-            V0=args.v0,
+            V0=1.0 if args.v0 is None else args.v0,
             reps=args.reps,
             seed=seed,
             methods=methods or (FitMethod.ADM,),
@@ -351,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--grid-points", type=int, default=None, help="preset grid size")
     p_sim.add_argument("--reps", type=int, default=None)
     p_sim.add_argument("--seed", type=int, default=1, help=f"overridden by ${SEED_ENV}")
-    p_sim.add_argument("--v0", type=float, default=1.0, help="reference variance")
+    p_sim.add_argument("--v0", type=float, default=None,
+                       help="reference variance (default 1; without --preset only)")
     p_sim.add_argument(
         "--method", action="append", choices=_METHOD_CHOICES, help="repeatable"
     )

@@ -57,7 +57,7 @@ class AdjustedLogDensity:
     is c = 0 and MLE is c = 0 with restricted=False.  For r = 0 the
     regression terms are absent, the residuals are taken to the known means
     and `restricted` makes no difference.  The same object serves every
-    method and every r, so one optimizer drives all fitters.
+    method and every r.
     """
 
     def __init__(self, data: TwoLevelData, prior: PriorSpec, restricted: bool = True):

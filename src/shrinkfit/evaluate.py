@@ -150,7 +150,8 @@ def _design_matrix(cfg: SimConfig) -> np.ndarray | None:
 
 def _check_config(cfg: SimConfig) -> None:
     """Raise on a config that cannot run; the design is checked, before any
-    draw, as the data of a TwoLevelData with V and X."""
+    draw, as the data of a TwoLevelData with V and X, and with the prior
+    A^(c-1) for each method (validate: c > 0 and the k - r rules)."""
     if not all(0.0 < v < math.inf for v in cfg.V):
         raise ValueError("all variances must be finite and positive")
     if not 0.0 < cfg.V0 < math.inf:
@@ -166,6 +167,8 @@ def _check_config(cfg: SimConfig) -> None:
     design = TwoLevelData(np.zeros(cfg.k), cfg.V, _design_matrix(cfg))
     if len(cfg.beta_true) != design.r:
         raise ValueError("beta_true must have one entry per covariate")
+    for method in cfg.methods:
+        validate(design, PriorSpec(cfg.c), method)
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +303,11 @@ def _fit_replications(cfg: SimConfig, method: FitMethod, y: np.ndarray):
     means are the known zeros and p_ii = 0.
 
     With equal variances and r = 0, ADM for any c and exact Bayes at c = 1
-    are closed forms in each replication's T = S/2V: the prior is validated
-    once and no per-replication dataset or posterior is built.  Any other
-    (method, design) pair runs the scalar `fit` on each replication, with
-    beta_hat and p_ii at A_hat from beta_and_projection_diag when r >= 1.
+    are closed forms in each replication's T = S/2V (run_coverage validated
+    the prior before any draw): no per-replication dataset or posterior is
+    built.  Any other (method, design) pair runs the scalar `fit` on each
+    replication, with beta_hat and p_ii at A_hat from
+    beta_and_projection_diag when r >= 1.
     """
     prior = PriorSpec(c=cfg.c)
     V = np.asarray(cfg.V, dtype=float)
@@ -312,7 +316,6 @@ def _fit_replications(cfg: SimConfig, method: FitMethod, y: np.ndarray):
     B, v = np.empty((reps, k)), np.empty((reps, k))
     closed = method is FitMethod.ADM or (method is FitMethod.EXACT and prior.c == 1.0)
     if closed and X is None and V.max() == V.min():
-        validate(TwoLevelData(y[0], V), prior, method)
         m = 0.5 * (k - 2.0)
         for i in range(reps):
             T = float(y[i] @ y[i]) / (2.0 * float(V[0]))

@@ -8,7 +8,6 @@ ShrinkagePosterior; they can run concurrently on different datasets.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 from scipy import optimize
@@ -44,6 +43,10 @@ __all__ = [
 ]
 
 _GROW = 1.7
+_MAX_STEP = 2.0  # largest Newton step in alpha
+_NEWTON_XTOL = 1e-13
+_NOISE_STEP = 1e-6  # a Newton step this small is at least halved by the next
+_NEWTON_ITERS = 100
 _BRENT_XTOL = 1e-10
 _BOUNDARY_REL = 1e-10
 _FLOOR_REL = 1e-12
@@ -103,29 +106,16 @@ def _walk_bracket(f, x0: float, lo: float, hi: float, step: float = 1.0):
         a, b, fa, fb = b, c, fb, fc
 
 
-def _newton_polish(
-    f,
-    x: float,
-    lo: float,
-    hi: float,
-    d1: Callable[[float], float] | None = None,
-    iters: int = 6,
-) -> float:
-    """Sharpen a Brent maximizer with Newton steps on the first derivative.
-
-    Derivative-free bracketing locates an argmax only to ~sqrt(eps); a few
-    Newton steps on the (analytic or central-difference) gradient recover
-    ~1e-10 accuracy in alpha.
+def _newton_polish(f, x: float, lo: float, hi: float, iters: int = 6) -> float:
+    """Sharpen a Brent maximizer with Newton steps on the central-difference
+    gradient: derivative-free bracketing locates an argmax only to
+    ~sqrt(eps); a few Newton steps recover ~1e-10 accuracy in alpha.
     """
     for _ in range(iters):
         h = 1e-5 * max(1.0, abs(x))
-        if d1 is not None:
-            g = d1(x)
-            curv = (d1(x + h) - d1(x - h)) / (2.0 * h)
-        else:
-            fp, fm, f0 = f(x + h), f(x - h), f(x)
-            g = (fp - fm) / (2.0 * h)
-            curv = (fp - 2.0 * f0 + fm) / (h * h)
+        fp, fm, f0 = f(x + h), f(x - h), f(x)
+        g = (fp - fm) / (2.0 * h)
+        curv = (fp - 2.0 * f0 + fm) / (h * h)
         if not (curv < 0.0) or not math.isfinite(g):
             break
         step = max(-0.5, min(0.5, -g / curv))
@@ -136,8 +126,9 @@ def _newton_polish(
     return x
 
 
-def _maximize_alpha(f, x0: float, lo: float, hi: float, d1=None):
+def _maximize_alpha(f, x0: float, lo: float, hi: float):
     """Bracket from x0, refine by Brent (parabolic/golden), then polish.
+    Serves MLE and REML at r = 0 only (see _fit_plugin).
 
     Returns the maximizer, or None when the maximum sits at/below `lo`.
     """
@@ -155,11 +146,58 @@ def _maximize_alpha(f, x0: float, lo: float, hi: float, d1=None):
     except ValueError:
         x = bracket[1]  # degenerate (flat) bracket; Newton below still applies
     x = min(max(x, lo), hi)
-    return _newton_polish(f, x, lo, hi, d1=d1)
+    return _newton_polish(f, x, lo, hi)
+
+
+def _newton_alpha(derivatives, alpha0: float, lo: float, hi: float):
+    """Root of the score l'(alpha) in [lo, hi] by safeguarded Newton from
+    alpha0, where derivatives(alpha) = (l', l'') is called once per step.
+
+    Each evaluation narrows a bracket [a, b], l' > 0 at a and l' < 0 at b,
+    which starts as the whole range (its ends count as bracketing until they
+    are evaluated).  A step is -l'/l'' where l'' < 0 and _MAX_STEP uphill
+    otherwise, clipped to +-_MAX_STEP and to [lo, hi]; a step that leaves
+    the bracket is replaced by bisection.  Stops when the step or the bracket
+    is at most _NEWTON_XTOL, or when a step below _NOISE_STEP is not at
+    least halved by the next (Newton has reached the rounding noise of l'),
+    and returns (alpha, l', l'') of the last evaluation, so the curvature at
+    the root costs no further call.  Raises OptimizerNoBracket when l' > 0
+    at hi or l' < 0 at lo (the density still rises at an end of the range),
+    when l' is not a number, or after _NEWTON_ITERS steps.
+    """
+    a, b = lo, hi
+    x = min(max(alpha0, lo), hi)
+    last = math.inf  # the previous Newton step
+    for _ in range(_NEWTON_ITERS):
+        d1, d2 = derivatives(x)
+        if d1 > 0.0:
+            if x >= hi:
+                raise OptimizerNoBracket(
+                    "objective is still increasing at the top of the search range"
+                )
+            a = x
+        elif d1 < 0.0:
+            if x <= lo:
+                raise OptimizerNoBracket("objective keeps rising toward A = 0")
+            b = x
+        elif d1 == 0.0:
+            return x, d1, d2
+        else:
+            raise OptimizerNoBracket(f"score is {d1} at alpha={x}")
+        step = -d1 / d2 if d2 < 0.0 else math.copysign(_MAX_STEP, d1)
+        step = min(max(step, -_MAX_STEP), _MAX_STEP)
+        if abs(step) <= _NEWTON_XTOL or b - a <= _NEWTON_XTOL:
+            return x, d1, d2
+        if abs(last) <= _NOISE_STEP and abs(step) > 0.5 * abs(last):
+            return x, d1, d2
+        last = step
+        x_new = min(max(x + step, lo), hi)
+        x = x_new if a <= x_new <= b else 0.5 * (a + b)
+    raise OptimizerNoBracket(f"Newton did not converge in {_NEWTON_ITERS} steps")
 
 
 def _search_range(ell: AdjustedLogDensity) -> tuple[float, float, float]:
-    """Starting point and search bounds for alpha on ell's data: expand from
+    """Starting point and search bounds for alpha on ell's data: start at
     log(max(A_unb, Vbar/10)) with A_unb the moment estimate of A, and floor
     the search at min(V) * 1e-12, so that the floor stays below the mode
     however widely V is spread."""
@@ -178,31 +216,26 @@ def _search_range(ell: AdjustedLogDensity) -> tuple[float, float, float]:
 
 
 def adm_beta_moments(
-    logdensity,
+    derivatives,
     alpha0: float = 0.0,
     *,
     V: float | np.ndarray = 1.0,
     lo: float | None = None,
     hi: float | None = None,
-    d1: Callable[[float], float] | None = None,
-    d2: Callable[[float], float],
 ) -> tuple[float, float, float, float]:
     """ADM Beta approximation for shrinkage factors B = V / (V + exp(alpha))
     (V a scalar or an array of unit variances) whose adjusted log-density
-    in alpha is `logdensity`.
+    in alpha has the first two derivatives derivatives(alpha) = (l', l'').
 
-    Maximizes the density (bracketing plus Brent, polished by Newton on `d1`
-    when given, on central differences otherwise), takes the invariant
-    information -l''(alpha_hat) from `d2`, and returns
-    (B_hat, v, alpha_hat, inv_info).  With exact Beta input and analytic
-    derivatives the recovered mean and variance are exact.
+    Finds the maximizer alpha_hat by safeguarded Newton on l' (_newton_alpha),
+    takes the invariant information -l''(alpha_hat) from the same call, and
+    returns (B_hat, v, alpha_hat, inv_info).  With exact Beta input the
+    recovered mean and variance are exact.
     """
     lo = alpha0 - 100.0 if lo is None else lo
     hi = alpha0 + 100.0 if hi is None else hi
-    alpha_hat = _maximize_alpha(logdensity, alpha0, lo, hi, d1=d1)
-    if alpha_hat is None:
-        raise OptimizerNoBracket("no interior maximizer in the search range")
-    inv_info = -d2(alpha_hat)
+    alpha_hat, _, d2 = _newton_alpha(derivatives, alpha0, lo, hi)
+    inv_info = -d2
     if not inv_info > 0.0:
         raise NonconcaveAtMax(
             f"nonpositive curvature {inv_info} at alpha={alpha_hat}"
@@ -305,9 +338,7 @@ def fit_adm_general(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
     validate(data, prior, FitMethod.ADM)
     ell = AdjustedLogDensity(data, prior)
     alpha0, lo, hi = _search_range(ell)
-    B, v, alpha_hat, inv_info = adm_beta_moments(
-        ell, alpha0, V=data.V, lo=lo, hi=hi, d2=lambda a: ell.derivatives(a)[1]
-    )
+    B, v, alpha_hat, inv_info = adm_beta_moments(ell.derivatives, alpha0, V=data.V, lo=lo, hi=hi)
     return ShrinkagePosterior(
         A_hat=math.exp(alpha_hat),
         B_hat=B,
@@ -320,15 +351,41 @@ def fit_adm_general(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
     )
 
 
+def _reml_alpha(ell: AdjustedLogDensity, alpha0: float, lo: float, hi: float):
+    """REML's maximizer for r >= 1, or None on the A = 0 boundary.
+
+    With c = 0 the score is l' = A g for the A-score g = (u'u - tr P)/2, so
+    the boundary verdict is the sign of g at the floor: g <= 0 there means
+    l falls from A = 0 on (a second, interior mode is not looked for).
+    Otherwise Newton runs on g, whose root is l''s but whose steps, unlike
+    those on l', do not crawl at about one unit of alpha each where A is
+    small; dg/dalpha = (l'' - l')/A.
+    """
+    if not ell.derivatives(lo)[0] > 0.0:
+        return None
+
+    def a_score(alpha: float) -> tuple[float, float]:
+        d1, d2 = ell.derivatives(alpha)
+        A = math.exp(alpha)
+        return d1 / A, (d2 - d1) / A
+
+    return _newton_alpha(a_score, alpha0, lo, hi)[0]
+
+
 def _fit_plugin(data: TwoLevelData, method: FitMethod) -> ShrinkagePosterior:
     """Shared MLE/REML driver: maximize the c = 0 member of the log-density
     family over alpha, with beta maximized out (MLE) or integrated out
     (REML), detect the A = 0 boundary (A below min(V) * 1e-10), then plug in
-    (v = 0 convention)."""
+    (v = 0 convention).  REML at r >= 1 finds alpha by Newton (_reml_alpha);
+    MLE and REML at r = 0, one objective, by bracket, Brent and polish
+    (_maximize_alpha)."""
     validate(data, PriorSpec(), method)  # c only matters to ADM/exact
     ell = AdjustedLogDensity(data, PriorSpec(0.0), restricted=method is FitMethod.REML)
     alpha0, lo, hi = _search_range(ell)
-    alpha_hat = _maximize_alpha(ell, alpha0, lo, hi)
+    if method is FitMethod.REML and data.r >= 1:
+        alpha_hat = _reml_alpha(ell, alpha0, lo, hi)
+    else:
+        alpha_hat = _maximize_alpha(ell, alpha0, lo, hi)
     boundary = alpha_hat is None or math.exp(alpha_hat) < float(data.V.min()) * _BOUNDARY_REL
     A_hat = 0.0 if boundary else math.exp(alpha_hat)
     B = data.V / (data.V + A_hat) if A_hat > 0.0 else np.ones(data.k)
@@ -437,8 +494,9 @@ def quadrature_moments(
 def fit_exact_quadrature(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
     """Exact posterior mean and variance of each B_i by quadrature of the
     posterior of alpha = log A (which, including the Jacobian, is the
-    adjusted density): the scalar log-density is maximized, then
-    quadrature_moments integrates around the maximizer with the block
+    adjusted density): the mode is found by Newton on the closed-form
+    derivatives (_newton_alpha), whose last call also gives the curvature
+    there, then quadrature_moments integrates around the mode with the block
     evaluation AdjustedLogDensity.on_nodes.
     """
     try:
@@ -449,10 +507,8 @@ def fit_exact_quadrature(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePoste
         ) from err
     ell = AdjustedLogDensity(data, prior)
     alpha0, lo, hi = _search_range(ell)
-    alpha_hat = _maximize_alpha(ell, alpha0, lo, hi)
-    if alpha_hat is None:
-        raise OptimizerNoBracket("posterior density keeps rising toward A = 0")
-    EB, v = quadrature_moments(ell.on_nodes, alpha_hat, data.V, -ell.derivatives(alpha_hat)[1])
+    alpha_hat, _, d2 = _newton_alpha(ell.derivatives, alpha0, lo, hi)
+    EB, v = quadrature_moments(ell.on_nodes, alpha_hat, data.V, -d2)
     if data.equal_variances:
         # single shrinkage factor: report the A consistent with it
         A_hat = float(data.V[0]) * (1.0 - EB[0]) / EB[0]

@@ -117,19 +117,13 @@ def test_criterion_3_beta_recovery_exactness():
     worst_mean = worst_var = 0.0
     for a1, a0 in ((2.0, 3.0), (5.0, 1.0), (0.5, 0.5)):
 
-        def f(alpha, a1=a1, a0=a0):
+        # the Beta(a1, a0) log-density a1 log B + a0 log(1 - B) in alpha,
+        # B = 1/(1 + exp(alpha)): its first two derivatives
+        def derivatives(alpha, a1=a1, a0=a0):
             B = 1.0 / (1.0 + math.exp(alpha))
-            return a1 * math.log(B) + a0 * math.log1p(-B)
+            return -a1 * (1.0 - B) + a0 * B, -(a1 + a0) * B * (1.0 - B)
 
-        def d1(alpha, a1=a1, a0=a0):
-            B = 1.0 / (1.0 + math.exp(alpha))
-            return -a1 * (1.0 - B) + a0 * B
-
-        def d2(alpha, a1=a1, a0=a0):
-            B = 1.0 / (1.0 + math.exp(alpha))
-            return -(a1 + a0) * B * (1.0 - B)
-
-        B, v, _, _ = adm_beta_moments(f, 0.0, d1=d1, d2=d2)
+        B, v, _, _ = adm_beta_moments(derivatives, 0.0)
         mean_true = a1 / (a1 + a0)
         var_true = mean_true * (1.0 - mean_true) / (a1 + a0 + 1.0)
         worst_mean = max(worst_mean, abs(B - mean_true) / mean_true)

@@ -388,6 +388,31 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "reps must be at least 1" in err and "needs" not in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--preset", "equal", "--variances", "1.0"], "--variances"),
+        (["--preset", "equal", "--v0", "1.0"], "--v0"),
+        (["--preset", "equal", "--x", "none"], "--x"),
+        (["--preset", "equal", "--r", "0"], "--r"),
+        (["--preset", "two-group", "--r", "1"], "--r"),
+        (["--preset", "two-group", "--k", "10"], "--k"),
+        (["--k", "5", "--variances", "1.0", "--grid", "0.5", "--reps", "2",
+          "--grid-points", "3"], "--grid-points"),
+    ])
+    def test_unused_flag_exits_2_naming_it(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "sim"
+        assert main(["simulate", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{flag} is not used ")
+        assert not (out / "simulation.csv").exists()
+
+    def test_explicit_v0_default_is_one(self, tmp_path):
+        base = ["simulate", "--k", "5", "--variances", "1.0", "--grid", "0.5", "--reps", "3",
+                "--seed", "4", "--out"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(base + [str(a)]) == 0
+        assert main(base + [str(b), "--v0", "1.0"]) == 0
+        assert (a / "simulation.json").read_bytes() == (b / "simulation.json").read_bytes()
+
     def test_emit_plotdata_equal(self, tmp_path):
         out = tmp_path / "plots"
         code = main(

@@ -377,9 +377,7 @@ class TestInvariantInformation:
         ell = AdjustedLogDensity(TwoLevelData(y, np.ones(6)), PriorSpec())
         assert ell.derivatives(-8.0)[1] > 0.0
         with pytest.raises(NonconcaveAtMax):
-            adm_beta_moments(
-                lambda a: -((a + 8.0) ** 2), 0.0, d2=lambda a: ell.derivatives(a)[1]
-            )
+            adm_beta_moments(lambda a: (-2.0 * (a + 8.0), ell.derivatives(a)[1]), 0.0)
 
 
 class TestRestrictedLoglik:

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from shrinkfit import (
-    FitMethod, PriorSpec, RankDeficientX, TwoLevelData, evaluate, fit, random_effects,
+    FitMethod, NonpositiveC, PriorSpec, RankDeficientX, TooFewUnits, TwoLevelData, evaluate,
+    fit, random_effects,
 )
 from shrinkfit.evaluate import (
     AccuracyResult,
@@ -164,6 +165,22 @@ class TestRunCoverage:
         )
         with pytest.raises(RankDeficientX):
             run_coverage(cfg)
+
+    def test_improper_prior_raises_before_any_draw_or_pool(self, monkeypatch):
+        # k = 2, r = 0: k - r <= 2c for ADM and exact at c = 1
+        draws = []
+        monkeypatch.setattr(evaluate, "_rep_rng", lambda *args: draws.append(args))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(evaluate, "ProcessPoolExecutor", no_pool)
+        cfg = equal_variance_config(2, seed=1, reps=50, grid=(0.5, 0.6))
+        with pytest.raises(TooFewUnits):
+            run_coverage(cfg, threads=2)
+        with pytest.raises(NonpositiveC):
+            run_coverage(dataclasses.replace(tiny_equal_cfg(), c=0.0))
+        assert draws == []
 
     @pytest.mark.parametrize("field, value, message", [
         ("V", (math.nan,) * 6, "all variances must be finite and positive"),

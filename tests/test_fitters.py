@@ -28,6 +28,7 @@ from shrinkfit import (
 from shrinkfit.density import AdjustedLogDensity, beta_and_projection_diag, residual_ss
 from shrinkfit.evaluate import exact_moments_equal_anyc
 from shrinkfit.fitters import (
+    _search_range,
     adm_beta_moments,
     adm_moments_equal,
     exact_moments_equal,
@@ -167,34 +168,25 @@ class TestBetaRecovery:
     CASES = [(2.0, 3.0), (5.0, 1.0), (0.5, 0.5)]
 
     @staticmethod
-    def beta_logdensity(a1, a0):
+    def beta_derivatives(a1, a0):
         # B = 1/(1 + A); the adjusted density in alpha = log A is
         # a1 log B + a0 log(1 - B), with analytic first two derivatives
-        def f(alpha):
+        def derivatives(alpha):
             B = 1.0 / (1.0 + math.exp(alpha))
-            return a1 * math.log(B) + a0 * math.log1p(-B)
+            return -a1 * (1.0 - B) + a0 * B, -(a1 + a0) * B * (1.0 - B)
 
-        def d1(alpha):
-            B = 1.0 / (1.0 + math.exp(alpha))
-            return -a1 * (1.0 - B) + a0 * B
-
-        def d2(alpha):
-            B = 1.0 / (1.0 + math.exp(alpha))
-            return -(a1 + a0) * B * (1.0 - B)
-
-        return f, d1, d2
+        return derivatives
 
     @pytest.mark.parametrize("a1,a0", CASES)
     def test_exact_recovery_with_analytic_derivatives(self, a1, a0):
-        f, d1, d2 = self.beta_logdensity(a1, a0)
-        B, v, _, info = adm_beta_moments(f, 0.0, d1=d1, d2=d2)
+        B, v, _, info = adm_beta_moments(self.beta_derivatives(a1, a0), 0.0)
         assert B == pytest.approx(a1 / (a1 + a0), rel=1e-14, abs=1e-15)
         assert v == pytest.approx(B * (1 - B) / (a1 + a0 + 1.0), rel=1e-13)
         assert info == pytest.approx((a1 + a0) * B * (1 - B), rel=1e-13)
 
     def test_rising_density_has_no_bracket(self):
         with pytest.raises(OptimizerNoBracket):
-            adm_beta_moments(lambda a: 0.3 * a, 0.0, d2=lambda a: 0.0)
+            adm_beta_moments(lambda a: (0.3, 0.0), 0.0)
 
 
 class TestMle:
@@ -399,6 +391,68 @@ def fine_grid_B(ell, center: float, V: np.ndarray) -> np.ndarray:
     logw = ell.on_nodes(nodes)
     w = (half[:, None] * _ORACLE_W).ravel() * np.exp(logw - logw.max())
     return (w @ (V / (V + np.exp(nodes)[:, None]))) / w.sum()
+
+
+def cli_pool_dataset(k: int, j: int) -> TwoLevelData:
+    """The benchmark's `shrinkfit fit` pool dataset j of size k: V
+    log-uniform over a decade around 1, an intercept and one Normal
+    covariate, A = 1, drawn from default_rng([k, j])."""
+    rng = np.random.default_rng([k, j])
+    V = 10.0 ** rng.uniform(-0.5, 0.5, k)
+    X = np.column_stack([np.ones(k), rng.standard_normal(k)])
+    theta = X @ np.array([0.5, 1.0]) + rng.standard_normal(k)
+    y = theta + np.sqrt(V) * rng.standard_normal(k)
+    return TwoLevelData(y, V, X)
+
+
+# |l'(alpha_hat)| of a Newton fit on a hostile design; the worst seen is
+# about 2e-10 (the bracket-Brent-polish optimizer left up to 7e-6)
+HOSTILE_SCORE_TOL = 1e-8
+
+
+class TestNewton:
+    """ADM, REML at r >= 1 and the mode of exact Bayes find alpha_hat by
+    safeguarded Newton on the closed-form l', l''."""
+
+    @pytest.mark.parametrize("method", [FitMethod.ADM, FitMethod.REML, FitMethod.EXACT])
+    def test_few_evaluations_on_the_cli_pool(self, method, monkeypatch):
+        # scalar evaluations (derivatives and __call__) per fit over the 32
+        # k <= 100 designs: bracket, Brent and polish made about 40-52
+        calls = []
+        for name in ("derivatives", "__call__"):
+            def counted(self, alpha, evaluate=getattr(AdjustedLogDensity, name)):
+                calls.append(alpha)
+                return evaluate(self, alpha)
+
+            monkeypatch.setattr(AdjustedLogDensity, name, counted)
+        counts = []
+        for k in (10, 100):
+            for j in range(16):
+                calls.clear()
+                fit(cli_pool_dataset(k, j), PriorSpec(c=1.0), method)
+                counts.append(len(calls))
+        assert np.mean(counts) <= 10
+
+    @pytest.mark.parametrize("decades, log10_A, k, r", HOSTILE_DESIGNS)
+    def test_hostile_designs(self, decades, log10_A, k, r):
+        data, prior = hostile_design(decades, log10_A, k, r)
+        adm = fit_adm_general(data, prior)
+        ell = AdjustedLogDensity(data, prior)
+        assert abs(ell.derivatives(math.log(adm.A_hat))[0]) <= HOSTILE_SCORE_TOL
+        if r == 0:
+            return  # REML is MLE's objective and optimizer
+        # REML's A = 0 verdict is the sign of the A-score l'/A at the floor
+        reml = fit_reml(data)
+        ell0 = AdjustedLogDensity(data, PriorSpec(0.0))
+        floor = _search_range(ell0)[1]
+        assert reml.boundary == (ell0.derivatives(floor)[0] <= 0.0)
+        if not reml.boundary:
+            assert abs(ell0.derivatives(math.log(reml.A_hat))[0]) <= HOSTILE_SCORE_TOL
+
+    @pytest.mark.parametrize("j", [4, 8])
+    def test_cli_pool_reml_boundaries_stay(self, j):
+        shr = fit_reml(cli_pool_dataset(10, j))
+        assert shr.boundary and shr.A_hat == 0.0 and np.all(shr.B_hat == 1.0)
 
 
 class TestExactQuadrature:
