@@ -11,7 +11,10 @@ Each checkout runs, through its own ``src/`` in a fresh interpreter:
   mu its Level-2 mean 0.5 + x2), on a nearly collinear r = 3 file (X =
   [1, x, x + 1e-8 e], k = 30, V over one decade: every method exits 2 with
   RankDeficientX) and on an equal-variance r = 1 file (k = 10, an
-  intercept: the equal-variance closed forms with a fitted mean);
+  intercept: the equal-variance closed forms with a fitted mean); then
+  one two-method call (ADM and REML on the k = 100 pool dataset 0) and
+  one ADM call written to stdout (k = 1e4 pool dataset 0, stdout
+  redirected into the output file);
 - a small seeded ``simulate --preset equal`` and ``simulate --preset
   two-group``, each with its default methods and with all four;
   ``simulate --preset equal --c 0.5`` with all four; and two explicit
@@ -56,6 +59,7 @@ MU_SIZES = (10, 100, 10_000)
 
 # Runs inside each checkout: argv = datasets directory, output directory.
 DRIVER = """
+import contextlib
 import sys
 from pathlib import Path
 from shrinkfit.cli import main
@@ -66,6 +70,8 @@ calls = [
     for csv in sorted(data.glob("*.csv"))
     for m in ("adm", "mle", "reml", "exact")
 ]
+calls.append(("fit-k100-0-adm-reml.json",
+              ["fit", str(data / "k100-0.csv"), "--method", "adm", "--method", "reml"]))
 equal = ["simulate", "--preset", "equal", "--k", "4", "--k", "10", "--reps", "20",
          "--grid-points", "5", "--seed", "7"]
 two_group = ["simulate", "--preset", "two-group", "--reps", "10", "--grid-points", "5",
@@ -88,6 +94,10 @@ calls += [
 codes = []
 for name, argv in calls:
     codes.append(f"{name} {main(argv + ['--out', str(out / name)])}")
+name = "fit-stdout-k10000-0-adm.json"  # the same document, written to stdout
+with open(out / name, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+    code = main(["fit", str(data / "k10000-0.csv"), "--method", "adm"])
+codes.append(f"{name} {code}")
 (out / "exit-codes.txt").write_text("\\n".join(codes) + "\\n")
 """
 

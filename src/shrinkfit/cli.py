@@ -14,6 +14,7 @@ import os
 import re
 import sys
 import warnings
+from contextlib import nullcontext
 from dataclasses import astuple
 from functools import cache
 from pathlib import Path
@@ -21,7 +22,15 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate
-from .evaluate import SimConfig, SimResult, curve_rows, json_text, run_coverage, write_csv
+from .evaluate import (
+    SimConfig,
+    SimResult,
+    curve_rows,
+    json_chunks,
+    json_text,
+    run_coverage,
+    write_csv,
+)
 from .fitters import FitMethod, fit
 from .inference import random_effects
 from .model import PriorSpec, ShrinkfitError, TwoLevelData
@@ -98,6 +107,8 @@ def write_dataset_csv(path, data: TwoLevelData) -> None:
 
 
 def _posterior_payload(shr, post) -> dict:
+    """One method's results; the arrays stay float64 ndarrays, which
+    json_chunks turns into lists one at a time as it writes them."""
     arrays = {
         "B_hat": shr.B_hat, "v": shr.v, "a1": shr.a1, "a0": shr.a0,
         "theta_hat": post.theta_hat, "s2": post.s2, "beta_hat": post.beta_hat,
@@ -105,7 +116,7 @@ def _posterior_payload(shr, post) -> dict:
     }
     payload = {"A_hat": shr.A_hat, "boundary": shr.boundary, "inv_info": shr.inv_info}
     for name, a in arrays.items():
-        payload[name] = None if a is None else np.asarray(a, dtype=float).tolist()
+        payload[name] = None if a is None else np.asarray(a, dtype=float)
     return payload
 
 
@@ -127,11 +138,11 @@ def cmd_fit(args) -> int:
         "z_star": args.z,
         "results": results,
     }
-    text = json_text(payload) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text, encoding="utf-8")
+    # written only after every fit has run, one array at a time
+    sink = nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8")
+    with sink as fh:
+        fh.writelines(json_chunks(payload))
+        fh.write("\n")
     return 0
 
 

@@ -237,24 +237,54 @@ def csv_text(header, rows) -> str:
 _C_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
-def json_text(obj, nl: str = "\n") -> str:
-    """The text ``json.dumps`` writes for ``obj`` with an indent of 1 and
-    sorted keys, with every scalar and every all-float list encoded by json's
-    C encoder: a float list is encoded in one call and re-split on its commas,
-    which float text never contains. Dict keys must be strings."""
+def _float_list_text(floats: list, nl: str) -> str:
+    """A non-empty float list encoded in one call of json's C encoder and
+    re-split on its commas, which float text never contains."""
     inner = nl + " "
+    return "[" + inner + _C_JSON.encode(floats)[1:-1].replace(",", "," + inner) + nl + "]"
+
+
+def json_chunks(obj, nl: str = "\n"):
+    """The text ``json.dumps`` writes for ``obj`` with an indent of 1 and
+    sorted keys, yielded in pieces: one per scalar, per dict key and per
+    float array, so that a writer holds the text of one array at a time.
+    Every scalar and every float array (an all-float list or tuple, or a 1-d
+    float64 ndarray, whose list is made only when it is reached) is encoded
+    by json's C encoder. Other ndarrays are written as their ``tolist()``.
+    Dict keys must be strings."""
+    inner = nl + " "
+    if isinstance(obj, np.ndarray):
+        if obj.ndim == 1 and obj.dtype == np.float64 and obj.size:
+            yield _float_list_text(obj.tolist(), nl)
+            return
+        obj = obj.tolist()
     if isinstance(obj, dict) and obj:
         if not all(isinstance(k, str) for k in obj):
-            raise TypeError("json_text takes string keys only")
-        items = (_C_JSON.encode(k) + ": " + json_text(obj[k], inner) for k in sorted(obj))
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if isinstance(obj, (list, tuple)) and obj:
+            raise TypeError("json_chunks takes string keys only")
+        sep = "{" + inner
+        for k in sorted(obj):
+            yield sep + _C_JSON.encode(k) + ": "
+            yield from json_chunks(obj[k], inner)
+            sep = "," + inner
+        yield nl + "}"
+    elif isinstance(obj, (list, tuple)) and obj:
         if all(isinstance(x, float) for x in obj):
-            body = _C_JSON.encode(obj)[1:-1].replace(",", "," + inner)
-        else:
-            body = ("," + inner).join(json_text(x, inner) for x in obj)
-        return "[" + inner + body + nl + "]"
-    return _C_JSON.encode(obj)
+            yield _float_list_text(obj, nl)
+            return
+        sep = "[" + inner
+        for x in obj:
+            yield sep
+            yield from json_chunks(x, inner)
+            sep = "," + inner
+        yield nl + "]"
+    else:
+        yield _C_JSON.encode(obj)
+
+
+def json_text(obj) -> str:
+    """The whole text of json_chunks(obj), for documents small enough to
+    hold in one string."""
+    return "".join(json_chunks(obj))
 
 
 def write_csv(path, header, rows) -> None:

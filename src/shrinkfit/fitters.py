@@ -351,12 +351,13 @@ def fit_adm_general(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
     )
 
 
-def _reml_alpha(ell: AdjustedLogDensity, alpha0: float, lo: float, hi: float):
-    """REML's maximizer for r >= 1, or None on the A = 0 boundary.
+def _plugin_alpha(ell: AdjustedLogDensity, alpha0: float, lo: float, hi: float):
+    """MLE's or REML's maximizer for r >= 1, or None on the A = 0 boundary.
 
-    With c = 0 the score is l' = A g for the A-score g = (u'u - tr P)/2, so
-    the boundary verdict is the sign of g at the floor: g <= 0 there means
-    l falls from A = 0 on (a second, interior mode is not looked for).
+    With c = 0 the score is l' = A g for the A-score g = (u'u - tr P)/2
+    (tr D^-1 in place of tr P for MLE's profile likelihood), so the
+    boundary verdict is the sign of g at the floor: g <= 0 there means l
+    falls from A = 0 on (a second, interior mode is not looked for).
     Otherwise Newton runs on g, whose root is l''s but whose steps, unlike
     those on l', do not crawl at about one unit of alpha each where A is
     small; dg/dalpha = (l'' - l')/A.
@@ -376,14 +377,14 @@ def _fit_plugin(data: TwoLevelData, method: FitMethod) -> ShrinkagePosterior:
     """Shared MLE/REML driver: maximize the c = 0 member of the log-density
     family over alpha, with beta maximized out (MLE) or integrated out
     (REML), detect the A = 0 boundary (A below min(V) * 1e-10), then plug in
-    (v = 0 convention).  REML at r >= 1 finds alpha by Newton (_reml_alpha);
-    MLE and REML at r = 0, one objective, by bracket, Brent and polish
-    (_maximize_alpha)."""
+    (v = 0 convention).  At r >= 1 both find alpha by Newton on the A-score
+    (_plugin_alpha); at r = 0, where they are one objective, by bracket,
+    Brent and polish (_maximize_alpha)."""
     validate(data, PriorSpec(), method)  # c only matters to ADM/exact
     ell = AdjustedLogDensity(data, PriorSpec(0.0), restricted=method is FitMethod.REML)
     alpha0, lo, hi = _search_range(ell)
-    if method is FitMethod.REML and data.r >= 1:
-        alpha_hat = _reml_alpha(ell, alpha0, lo, hi)
+    if data.r >= 1:
+        alpha_hat = _plugin_alpha(ell, alpha0, lo, hi)
     else:
         alpha_hat = _maximize_alpha(ell, alpha0, lo, hi)
     boundary = alpha_hat is None or math.exp(alpha_hat) < float(data.V.min()) * _BOUNDARY_REL

@@ -122,6 +122,67 @@ class TestFit:
         assert main(["fit", str(bad)]) == 2
 
 
+def _as_lists(obj):
+    """obj with every ndarray replaced by its tolist()."""
+    if isinstance(obj, dict):
+        return {k: _as_lists(v) for k, v in obj.items()}
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj
+
+
+class TestFitStreamedWrite:
+    """`fit` writes its document one piece of json_chunks at a time; the
+    bytes must be those of json.dumps on the same payload with lists."""
+
+    @pytest.mark.parametrize("methods", [["adm"], ["adm", "mle"]])
+    @pytest.mark.parametrize("r", [0, 2])
+    @pytest.mark.parametrize("sink", ["file", "stdout"])
+    def test_bytes_match_json_dumps(self, tmp_path, capsys, monkeypatch, sink, r, methods):
+        from test_fitters import cli_pool_dataset
+
+        data = cli_pool_dataset(10, 0)
+        if r == 0:
+            data = TwoLevelData(data.y, data.V)
+        path = tmp_path / "data.csv"
+        write_dataset_csv(path, data)
+        payloads = []
+
+        def recording(obj, chunks=cli.json_chunks):
+            payloads.append(obj)
+            return chunks(obj)
+
+        monkeypatch.setattr(cli, "json_chunks", recording)
+        argv = ["fit", str(path)] + [arg for m in methods for arg in ("--method", m)]
+        out = tmp_path / "out.json"
+        if sink == "file":
+            argv += ["--out", str(out)]
+        assert main(argv) == 0
+        written = out.read_bytes() if sink == "file" else capsys.readouterr().out.encode()
+        (payload,) = payloads
+        results = payload["results"]
+        assert list(results) == methods and payload["r"] == r
+        assert all(isinstance(res["B_hat"], np.ndarray) for res in results.values())
+        assert results["adm"]["beta_hat"].shape == (r,)
+        want = json.dumps(_as_lists(payload), indent=1, sort_keys=True) + "\n"
+        assert written == want.encode()
+
+    def test_memory_is_about_the_file_size(self, tmp_path):
+        # the arrays are encoded one at a time, not as one document string
+        # (the whole text, its lists and its copies took 4x the file size)
+        import tracemalloc
+
+        from test_fitters import cli_pool_dataset
+
+        path, out = tmp_path / "data.csv", tmp_path / "out.json"
+        write_dataset_csv(path, cli_pool_dataset(5000, 0))
+        tracemalloc.start()
+        try:
+            assert main(["fit", str(path), "--method", "adm", "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * out.stat().st_size
+
+
 class TestDatasetRoundTrip:
     def test_parse_emit_parse_identity(self, tmp_path, two_group_data):
         p1 = tmp_path / "a.csv"

@@ -29,6 +29,7 @@ from shrinkfit.evaluate import (
     equal_variance_grid,
     exact_moments_equal,
     exact_moments_equal_anyc,
+    json_chunks,
     json_text,
     run_accuracy,
     run_coverage,
@@ -391,6 +392,19 @@ class TestJsonText:
         want = json.dumps(obj, indent=1, sort_keys=True)
         assert json_text(obj) == want
         assert '\n  NaN,\n  -Infinity\n' in want and '"\\u00e9"' in want
+
+    def test_float_ndarrays(self):
+        arrays = {"empty": np.array([]), "special": np.array([1.5, math.nan, math.inf, -math.inf]),
+                  "nested": [np.array([0.25]), np.array([], dtype=float)]}
+        want = json.dumps({"empty": [], "special": [1.5, math.nan, math.inf, -math.inf],
+                           "nested": [[0.25], []]}, indent=1, sort_keys=True)
+        assert json_text(arrays) == want
+        assert "\n  NaN,\n  Infinity,\n  -Infinity\n" in want
+
+    def test_one_chunk_per_key_and_float_array(self):
+        chunks = list(json_chunks({"b": np.arange(3.0), "a": [None, 2]}))
+        assert chunks == ['{\n "a": ', "[\n  ", "null", ",\n  ", "2", "\n ]",
+                          ',\n "b": ', "[\n  0.0,\n  1.0,\n  2.0\n ]", "\n}"]
 
     def test_non_string_key_raises(self):
         with pytest.raises(TypeError):

@@ -411,10 +411,11 @@ HOSTILE_SCORE_TOL = 1e-8
 
 
 class TestNewton:
-    """ADM, REML at r >= 1 and the mode of exact Bayes find alpha_hat by
-    safeguarded Newton on the closed-form l', l''."""
+    """ADM, MLE and REML at r >= 1 and the mode of exact Bayes find alpha_hat
+    by safeguarded Newton on the closed-form l', l''."""
 
-    @pytest.mark.parametrize("method", [FitMethod.ADM, FitMethod.REML, FitMethod.EXACT])
+    @pytest.mark.parametrize("method", [FitMethod.ADM, FitMethod.MLE, FitMethod.REML,
+                                        FitMethod.EXACT])
     def test_few_evaluations_on_the_cli_pool(self, method, monkeypatch):
         # scalar evaluations (derivatives and __call__) per fit over the 32
         # k <= 100 designs: bracket, Brent and polish made about 40-52
@@ -440,14 +441,16 @@ class TestNewton:
         ell = AdjustedLogDensity(data, prior)
         assert abs(ell.derivatives(math.log(adm.A_hat))[0]) <= HOSTILE_SCORE_TOL
         if r == 0:
-            return  # REML is MLE's objective and optimizer
-        # REML's A = 0 verdict is the sign of the A-score l'/A at the floor
-        reml = fit_reml(data)
-        ell0 = AdjustedLogDensity(data, PriorSpec(0.0))
-        floor = _search_range(ell0)[1]
-        assert reml.boundary == (ell0.derivatives(floor)[0] <= 0.0)
-        if not reml.boundary:
-            assert abs(ell0.derivatives(math.log(reml.A_hat))[0]) <= HOSTILE_SCORE_TOL
+            return  # MLE and REML keep bracket, Brent and polish at r = 0
+        # MLE's and REML's A = 0 verdict is the sign of the A-score l'/A at
+        # the floor
+        for fitter, restricted in ((fit_mle, False), (fit_reml, True)):
+            shr = fitter(data)
+            ell0 = AdjustedLogDensity(data, PriorSpec(0.0), restricted=restricted)
+            floor = _search_range(ell0)[1]
+            assert shr.boundary == (ell0.derivatives(floor)[0] <= 0.0)
+            if not shr.boundary:
+                assert abs(ell0.derivatives(math.log(shr.A_hat))[0]) <= HOSTILE_SCORE_TOL
 
     @pytest.mark.parametrize("j", [4, 8])
     def test_cli_pool_reml_boundaries_stay(self, j):
