@@ -17,13 +17,15 @@ Each checkout runs, through its own ``src/`` in a fresh interpreter:
   redirected into the output file);
 - a small seeded ``simulate --preset equal`` and ``simulate --preset
   two-group``, each with its default methods and with all four;
-  ``simulate --preset equal --c 0.5`` with all four; and two explicit
+  ``simulate --preset equal --c 0.5`` with all four; two explicit
   configurations with all four (``--k 5 --r 0 --variances
-  0.5,1,1.5,2,2.5`` and ``--k 6 --r 1 --variances 1.0``). Together these
-  run every path of the simulation's replication batch: the
-  equal-variance closed forms (ADM at c = 1 and 0.5, exact at c = 1) and
-  the scalar fit per replication (MLE, REML, exact by quadrature, unequal
-  variances, r = 1);
+  0.5,1,1.5,2,2.5`` and ``--k 6 --r 1 --variances 1.0``); and one larger
+  batch, MLE and REML at k = 20 with 400 replications a gridpoint. Together
+  these run every path of the simulation's replication batch: the
+  equal-variance closed forms (ADM at c = 1 and 0.5, exact at c = 1), the
+  lockstep MLE/REML batch at r = 0 (equal and unequal variances, batches
+  of 1 to 400 rows) and the scalar fit per replication (every method at
+  r = 1, ADM and exact with unequal variances, exact at c = 0.5);
 - ``curves`` with its defaults.
 
 Prints how many outputs are byte-identical per command, names every file
@@ -89,6 +91,9 @@ calls += [
     ("simulate-explicit-r1", ["simulate", "--k", "6", "--r", "1", "--variances", "1.0",
                               "--grid", "0.1:0.9:5", "--reps", "10", "--seed", "7"]
                              + every_method),
+    ("simulate-equal-k20-400-reps", ["simulate", "--preset", "equal", "--k", "20", "--reps",
+                                     "400", "--grid-points", "3", "--seed", "7", "--method",
+                                     "mle", "--method", "reml"]),
     ("curves.csv", ["curves"]),
 ]
 codes = []

@@ -40,6 +40,15 @@ class NonconcaveAtMax(ShrinkfitError):
     maximizer, so no Beta approximation can be formed."""
 
 
+def known_means_rows(alphas, e2: np.ndarray, V: np.ndarray, c: float = 0.0) -> np.ndarray:
+    """l at r = 0, c alpha - (1/2) sum_k [log D + e^2/D] with D = V + exp(alpha),
+    for each row i of e2 = (y - mu)^2, (n, k), at alphas[i].  A row's value is
+    bitwise the same in any batch: A comes from math.exp row by row (np.exp
+    may round differently) and the sum runs along axis 1 of a C array."""
+    D = np.add.outer([math.exp(a) for a in alphas], V)
+    return c * np.asarray(alphas) - 0.5 * np.add.reduce(np.log(D) + e2 / D, axis=1)
+
+
 def residual_ss(data: TwoLevelData) -> float:
     """AdjustedLogDensity.residual_ss of the data."""
     return AdjustedLogDensity(data, PriorSpec()).residual_ss()
@@ -113,10 +122,10 @@ class AdjustedLogDensity:
         return float(resid @ resid)
 
     def __call__(self, alpha: float) -> float:
-        if self.data.r >= 1:
-            return float(self.on_nodes(alpha)[0])
-        D = self.data.V + math.exp(alpha)
-        return self.prior.c * alpha - 0.5 * float(np.add.reduce(np.log(D) + self._e2 / D))
+        if self.data.r == 0:
+            e2 = self._e2[None, :]
+            return float(known_means_rows([alpha], e2, self.data.V, self.prior.c)[0])
+        return float(self.on_nodes(alpha)[0])
 
     def on_nodes(self, alphas: np.ndarray) -> np.ndarray:
         """l at every alpha of an array (or at one alpha), in blocks of about

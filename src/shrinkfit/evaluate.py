@@ -21,7 +21,6 @@ from functools import partial
 from itertools import chain
 
 import numpy as np
-from scipy import optimize
 from scipy.special import ndtr
 
 from .fitters import (
@@ -29,6 +28,7 @@ from .fitters import (
     adm_moments_equal,
     exact_moments_equal,
     fit,
+    mle_known_means,
     mle_shrinkage_equal,
     quadrature_moments,
 )
@@ -332,10 +332,11 @@ def _fit_replications(cfg: SimConfig, method: FitMethod, y: np.ndarray):
     replication (row of y), each broadcasting to y's shape; when r = 0 the
     means are the known zeros and p_ii = 0.
 
-    With equal variances and r = 0, ADM for any c and exact Bayes at c = 1
-    are closed forms in each replication's T = S/2V (run_coverage validated
-    the prior before any draw): no per-replication dataset or posterior is
-    built.  Any other (method, design) pair runs the scalar `fit` on each
+    At r = 0 no per-replication dataset or posterior is built (run_coverage
+    validated the design and prior before any draw): with equal variances
+    ADM for any c and exact Bayes at c = 1 are closed forms in each
+    replication's T = S/2V, and MLE and REML run on all replications at
+    once (mle_known_means).  Any other pair runs the scalar `fit` on each
     replication, with beta_hat and p_ii at A_hat from
     beta_and_projection_diag when r >= 1.
     """
@@ -354,6 +355,9 @@ def _fit_replications(cfg: SimConfig, method: FitMethod, y: np.ndarray):
             else:
                 B[i], v[i] = exact_moments_equal(T, m)
         return B, v, 0.0, 0.0
+    if X is None and method in (FitMethod.MLE, FitMethod.REML):
+        A_hat = mle_known_means(y, V)[:, None]
+        return V / (V + A_hat), np.zeros((reps, k)), 0.0, 0.0
     mean, p_diag = (0.0, 0.0) if X is None else (np.empty((reps, k)), np.empty((reps, k)))
     for i in range(reps):
         data = TwoLevelData(y[i], V, X)
@@ -485,6 +489,7 @@ class AccuracyResult:
 
 def _solve_T_for_exact_shrinkage(b: float, m: float) -> float:
     """Invert the (monotone decreasing) exact shrinkage curve B(T) = b."""
+    from scipy import optimize  # imported here, so that `import shrinkfit` skips it
     f = lambda log_t: exact_moments_equal(math.exp(log_t), m)[0] - b
     return math.exp(optimize.brentq(f, -25.0, 25.0, xtol=1e-13))
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize
 
 from . import specfun
 from .density import BLOCK_ELEMENTS, AdjustedLogDensity, NonconcaveAtMax, residual_ss
+from .density import known_means_rows
 from .model import (
     FitMethod,
     PriorSpec,
@@ -32,6 +32,7 @@ __all__ = [
     "fit_adm_equal",
     "fit_adm_general",
     "fit_mle",
+    "mle_known_means",
     "fit_reml",
     "fit_exact_equal",
     "fit_exact_quadrature",
@@ -73,17 +74,16 @@ class NonintegrablePosterior(ShrinkfitError):
 # 1-D maximization in alpha = log A
 
 
-def _walk_bracket(f, x0: float, lo: float, hi: float, step: float = 1.0):
-    """Expand from x0 until a triple a < b < c brackets a maximum of f.
+def _walk_bracket(x0: float, lo: float, hi: float, step: float = 1.0):
+    """Expand from x0 until a triple a < b < c brackets a maximum of l (a
+    search generator, see _lockstep).
 
-    Returns the triple, or None when f keeps rising toward `lo` (the caller
-    treats that as an A = 0 boundary).  Raises OptimizerNoBracket when f is
+    Returns the triple, or None when l keeps rising toward `lo` (the caller
+    treats that as an A = 0 boundary).  Raises OptimizerNoBracket when l is
     still rising at `hi`.
     """
     x0 = min(max(x0, lo + step), hi - step)
-    f0 = f(x0)
-    fp = f(x0 + step)
-    fm = f(x0 - step)
+    f0, fp, fm = (yield x0), (yield x0 + step), (yield x0 - step)
     if f0 >= fp and f0 >= fm:
         return (x0 - step, x0, x0 + step)
     if fp > f0:
@@ -94,7 +94,7 @@ def _walk_bracket(f, x0: float, lo: float, hi: float, step: float = 1.0):
     while True:
         d *= _GROW
         c = min(max(b + d, lo), hi)
-        fc = f(c)
+        fc = yield c
         if fc <= fb:
             return (a, b, c) if a < c else (c, b, a)
         if c == lo:
@@ -106,14 +106,72 @@ def _walk_bracket(f, x0: float, lo: float, hi: float, step: float = 1.0):
         a, b, fa, fb = b, c, fb, fc
 
 
-def _newton_polish(f, x: float, lo: float, hi: float, iters: int = 6) -> float:
+def _brent(bracket: tuple[float, float, float]):
+    """Maximizer of l from a bracketing triple (a search generator, see
+    _lockstep): scipy.optimize.Brent (scipy 1.17, 500 iterations at most)
+    on -l at xtol _BRENT_XTOL, with every float operation and comparison
+    kept, the re-evaluation of the three bracket points included.  Raises
+    ValueError, as scipy does, unless the triple is strictly ordered with
+    its middle value strictly the largest.
+    """
+    xa, xb, xc = bracket[::-1] if bracket[0] > bracket[2] else bracket
+    if not (xa < xb and xb < xc):
+        raise ValueError("bracket points are not strictly ordered")
+    fa, fb, fc = -(yield xa), -(yield xb), -(yield xc)
+    if not (fb < fa and fb < fc):
+        raise ValueError("bracket does not strictly enclose a maximum")
+    x = w = v = xb
+    fw = fv = fx = fb
+    a, b, deltax, rat = xa, xc, 0.0, 0.0
+    for _ in range(500):
+        tol1 = _BRENT_XTOL * abs(x) + 1.0e-11
+        tol2 = 2.0 * tol1
+        xmid = 0.5 * (a + b)
+        if abs(x - xmid) < (tol2 - 0.5 * (b - a)):
+            break
+        golden = abs(deltax) <= tol1
+        if not golden:  # try a parabolic step
+            tmp1 = (x - w) * (fx - fv)
+            tmp2 = (x - v) * (fx - fw)
+            p = (x - v) * tmp2 - (x - w) * tmp1
+            tmp2 = 2.0 * (tmp2 - tmp1)
+            p, tmp2 = -p if tmp2 > 0.0 else p, abs(tmp2)
+            dx_temp, deltax = deltax, rat
+            golden = not (p > tmp2 * (a - x) and p < tmp2 * (b - x)
+                          and abs(p) < abs(0.5 * tmp2 * dx_temp))
+            if not golden:
+                rat = p / tmp2
+                if (x + rat - a) < tol2 or (b - (x + rat)) < tol2:
+                    rat = tol1 if xmid - x >= 0 else -tol1
+        if golden:
+            deltax = a - x if x >= xmid else b - x
+            rat = 0.3819660 * deltax  # scipy's golden-section fraction
+        if abs(rat) < tol1:  # move by at least tol1
+            u = x + tol1 if rat >= 0 else x - tol1
+        else:
+            u = x + rat
+        fu = -(yield u)
+        if fu > fx:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, w, fv, fw = w, u, fw, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        else:
+            a, b = (x, b) if u >= x else (a, x)
+            v, w, x, fv, fw, fx = w, x, u, fw, fx, fu
+    return x
+
+
+def _newton_polish(x: float, lo: float, hi: float, iters: int = 6):
     """Sharpen a Brent maximizer with Newton steps on the central-difference
     gradient: derivative-free bracketing locates an argmax only to
-    ~sqrt(eps); a few Newton steps recover ~1e-10 accuracy in alpha.
+    ~sqrt(eps); a few Newton steps recover ~1e-10 accuracy in alpha (a
+    search generator, see _lockstep).
     """
     for _ in range(iters):
         h = 1e-5 * max(1.0, abs(x))
-        fp, fm, f0 = f(x + h), f(x - h), f(x)
+        fp, fm, f0 = (yield x + h), (yield x - h), (yield x)
         g = (fp - fm) / (2.0 * h)
         curv = (fp - 2.0 * f0 + fm) / (h * h)
         if not (curv < 0.0) or not math.isfinite(g):
@@ -126,27 +184,43 @@ def _newton_polish(f, x: float, lo: float, hi: float, iters: int = 6) -> float:
     return x
 
 
-def _maximize_alpha(f, x0: float, lo: float, hi: float):
-    """Bracket from x0, refine by Brent (parabolic/golden), then polish.
-    Serves MLE and REML at r = 0 only (see _fit_plugin).
-
-    Returns the maximizer, or None when the maximum sits at/below `lo`.
+def _maximize_alpha(x0: float, lo: float, hi: float):
+    """Bracket from x0, refine by Brent (parabolic/golden), then polish (a
+    search generator, see _lockstep).  Serves MLE and REML at r = 0 only
+    (mle_known_means).  Returns the maximizer, or None when the maximum
+    sits at/below `lo`.  _brent reproduces scipy's arithmetic so that the
+    MLE figures bench/reference/sim-equal.json pins keep their bits; once
+    that file pins the true MLE, _newton_alpha replaces this whole search.
     """
-    bracket = _walk_bracket(f, x0, lo, hi)
+    bracket = yield from _walk_bracket(x0, lo, hi)
     if bracket is None:
         return None
     try:
-        res = optimize.minimize_scalar(
-            lambda a: -f(a),
-            bracket=bracket,
-            method="brent",
-            options={"xtol": _BRENT_XTOL},
-        )
-        x = float(res.x)
+        x = yield from _brent(bracket)
     except ValueError:
         x = bracket[1]  # degenerate (flat) bracket; Newton below still applies
     x = min(max(x, lo), hi)
-    return _newton_polish(f, x, lo, hi)
+    return (yield from _newton_polish(x, lo, hi))
+
+
+def _lockstep(searches: list, evaluate) -> list:
+    """Run search generators, each of which yields an alpha and is sent the
+    objective there, in lockstep; return their return values in order.
+    Each round, one call evaluate(rows, alphas) returns the objective at
+    the pending alpha of every generator still running (rows index
+    `searches`)."""
+    out = [None] * len(searches)
+    todo = [(i, None) for i in range(len(searches))]
+    while todo:
+        rows, alphas = [], []
+        for i, value in todo:
+            try:
+                alphas.append(searches[i].send(value))
+                rows.append(i)
+            except StopIteration as stop:
+                out[i] = stop.value
+        todo = list(zip(rows, evaluate(rows, alphas))) if rows else []
+    return out
 
 
 def _newton_alpha(derivatives, alpha0: float, lo: float, hi: float):
@@ -196,19 +270,16 @@ def _newton_alpha(derivatives, alpha0: float, lo: float, hi: float):
     raise OptimizerNoBracket(f"Newton did not converge in {_NEWTON_ITERS} steps")
 
 
-def _search_range(ell: AdjustedLogDensity) -> tuple[float, float, float]:
-    """Starting point and search bounds for alpha on ell's data: start at
-    log(max(A_unb, Vbar/10)) with A_unb the moment estimate of A, and floor
-    the search at min(V) * 1e-12, so that the floor stays below the mode
-    however widely V is spread."""
-    data = ell.data
-    v_bar = float(data.V.mean())
-    a_unb = ell.residual_ss() / (data.k - data.r) - v_bar
-    a0 = max(a_unb, v_bar / 10.0)
-    alpha0 = math.log(a0)
-    lo = math.log(float(data.V.min()) * _FLOOR_REL)
-    hi = math.log(max(a0, v_bar)) + 45.0
-    return alpha0, lo, hi
+def _search_range(V: np.ndarray, ss, dof: int) -> list[tuple[float, float, float]]:
+    """Starting point and search bounds for alpha, one triple per residual
+    sum of squares in ss (dof = k - r): start at log(max(A_unb, Vbar/10))
+    with A_unb = ss/dof - Vbar the moment estimate of A, and floor the search
+    at min(V) * 1e-12, so that the floor stays below the mode however widely
+    V is spread."""
+    v_bar = float(V.mean())
+    lo = math.log(float(V.min()) * _FLOOR_REL)
+    starts = [max(s / dof - v_bar, v_bar / 10.0) for s in ss]
+    return [(math.log(a0), lo, math.log(max(a0, v_bar)) + 45.0) for a0 in starts]
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +408,7 @@ def fit_adm_general(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
     alpha = log A; handles any r >= 0 and unequal variances."""
     validate(data, prior, FitMethod.ADM)
     ell = AdjustedLogDensity(data, prior)
-    alpha0, lo, hi = _search_range(ell)
+    (alpha0, lo, hi), = _search_range(data.V, [ell.residual_ss()], data.k - data.r)
     B, v, alpha_hat, inv_info = adm_beta_moments(ell.derivatives, alpha0, V=data.V, lo=lo, hi=hi)
     return ShrinkagePosterior(
         A_hat=math.exp(alpha_hat),
@@ -373,29 +444,46 @@ def _plugin_alpha(ell: AdjustedLogDensity, alpha0: float, lo: float, hi: float):
     return _newton_alpha(a_score, alpha0, lo, hi)[0]
 
 
+def _plugin_A(alpha_hat: float | None, V: np.ndarray) -> float:
+    """MLE's or REML's A_hat from its maximizer; 0 on the A = 0 boundary."""
+    A = 0.0 if alpha_hat is None else math.exp(alpha_hat)
+    return 0.0 if A < float(V.min()) * _BOUNDARY_REL else A
+
+
+def mle_known_means(resid: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """MLE's A_hat at r = 0 (REML's too), 0 on the A = 0 boundary, for each
+    row of resid = y - mu, an (n, k) array; the data are not checked.  Each
+    row runs _maximize_alpha, all in lockstep on density.known_means_rows,
+    so a row's A_hat does not depend on the other rows."""
+    e2 = resid * resid
+    starts = _search_range(V, [float(e @ e) for e in resid], resid.shape[1])
+    alphas = _lockstep(
+        [_maximize_alpha(*start) for start in starts],
+        lambda rows, a: known_means_rows(a, e2[rows], V).tolist(),
+    )
+    return np.array([_plugin_A(a, V) for a in alphas])
+
+
 def _fit_plugin(data: TwoLevelData, method: FitMethod) -> ShrinkagePosterior:
     """Shared MLE/REML driver: maximize the c = 0 member of the log-density
     family over alpha, with beta maximized out (MLE) or integrated out
     (REML), detect the A = 0 boundary (A below min(V) * 1e-10), then plug in
     (v = 0 convention).  At r >= 1 both find alpha by Newton on the A-score
     (_plugin_alpha); at r = 0, where they are one objective, by bracket,
-    Brent and polish (_maximize_alpha)."""
+    Brent and polish as a batch of one row (mle_known_means)."""
     validate(data, PriorSpec(), method)  # c only matters to ADM/exact
-    ell = AdjustedLogDensity(data, PriorSpec(0.0), restricted=method is FitMethod.REML)
-    alpha0, lo, hi = _search_range(ell)
-    if data.r >= 1:
-        alpha_hat = _plugin_alpha(ell, alpha0, lo, hi)
+    if data.r == 0:
+        A_hat = float(mle_known_means((data.y - data.mu)[None, :], data.V)[0])
     else:
-        alpha_hat = _maximize_alpha(ell, alpha0, lo, hi)
-    boundary = alpha_hat is None or math.exp(alpha_hat) < float(data.V.min()) * _BOUNDARY_REL
-    A_hat = 0.0 if boundary else math.exp(alpha_hat)
-    B = data.V / (data.V + A_hat) if A_hat > 0.0 else np.ones(data.k)
+        ell = AdjustedLogDensity(data, PriorSpec(0.0), restricted=method is FitMethod.REML)
+        (alpha0, lo, hi), = _search_range(data.V, [ell.residual_ss()], data.k - data.r)
+        A_hat = _plugin_A(_plugin_alpha(ell, alpha0, lo, hi), data.V)
     return ShrinkagePosterior(
         A_hat=A_hat,
-        B_hat=B,
+        B_hat=data.V / (data.V + A_hat),  # all ones at A_hat = 0
         v=np.zeros(data.k),
         inv_info=None,
-        boundary=boundary,
+        boundary=A_hat == 0.0,
         method=method,
     )
 
@@ -507,7 +595,7 @@ def fit_exact_quadrature(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePoste
             f"posterior of A is improper: k - r <= 2c (k={data.k}, r={data.r}, c={prior.c})"
         ) from err
     ell = AdjustedLogDensity(data, prior)
-    alpha0, lo, hi = _search_range(ell)
+    (alpha0, lo, hi), = _search_range(data.V, [ell.residual_ss()], data.k - data.r)
     alpha_hat, _, d2 = _newton_alpha(ell.derivatives, alpha0, lo, hi)
     EB, v = quadrature_moments(ell.on_nodes, alpha_hat, data.V, -d2)
     if data.equal_variances:

@@ -304,6 +304,21 @@ class TestGridpointMatchesPerReplicationOracle:
         assert [r.boundary_rate > 0.0 for r in rows] == [False, True, True, False]
         self.assert_bitwise(cfg)
 
+    @pytest.mark.parametrize("b0, least, most", [(0.5, 0.0, 0.2), (0.995, 0.5, 1.0)])
+    def test_unequal_variances_r0_all_methods(self, b0, least, most):
+        cfg = SimConfig(
+            V=(0.3, 0.6, 1.0, 1.5, 2.5, 4.0) * 2, X="none", beta_true=(), grid=(b0,), V0=1.0,
+            reps=25, seed=17, methods=ALL_METHODS,
+        )
+        rows = _simulate_gridpoint(cfg, 0)
+        # near b0 = 1 MLE and REML sit on the A = 0 boundary in most replications
+        for row in rows:
+            if row.method in ("mle", "reml"):
+                assert least < row.boundary_rate <= most
+            else:
+                assert row.boundary_rate == 0.0
+        self.assert_bitwise(cfg)
+
     def test_distinct_variances_get_distinct_labels(self):
         V = (1.0000001,) * 3 + (1.0000002,) * 3
         cfg = SimConfig(

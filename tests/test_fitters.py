@@ -1,12 +1,16 @@
 import math
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, optimize
 
+import shrinkfit
 from shrinkfit import (
     FitMethod,
     NonintegrablePosterior,
@@ -25,13 +29,21 @@ from shrinkfit import (
     fit_reml,
     random_effects,
 )
-from shrinkfit.density import AdjustedLogDensity, beta_and_projection_diag, residual_ss
+from shrinkfit.density import (
+    AdjustedLogDensity,
+    beta_and_projection_diag,
+    known_means_rows,
+    residual_ss,
+)
 from shrinkfit.evaluate import exact_moments_equal_anyc
 from shrinkfit.fitters import (
+    _brent,
+    _lockstep,
     _search_range,
     adm_beta_moments,
     adm_moments_equal,
     exact_moments_equal,
+    mle_known_means,
     quadrature_moments,
 )
 
@@ -278,6 +290,103 @@ class TestReml:
             assert reml.A_hat <= adm.A_hat + 1e-9
 
 
+def known_means_rows_data(V: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """n rows of residuals y - mu with V shared; a quarter are drawn at
+    A = 0, where MLE mostly sits on the boundary."""
+    rng = np.random.default_rng(seed)
+    A = np.array([0.0, 0.1, 1.0, 6.0])[rng.integers(0, 4, n)] * V.mean()
+    return rng.normal(0.0, np.sqrt(V + A[:, None]))
+
+
+def brent_by_lockstep(f, bracket):
+    """_brent's maximizer of f, driven as a batch of one."""
+    return _lockstep([_brent(bracket)], lambda rows, alphas: [f(a) for a in alphas])[0]
+
+
+class TestKnownMeansBatch:
+    """MLE and REML at r = 0 run in lockstep over rows (mle_known_means);
+    a row's fit must not depend on its batch, and scalar fit_mle/fit_reml
+    are batches of one."""
+
+    @pytest.mark.parametrize("equal", [True, False])
+    def test_a_row_does_not_depend_on_its_batch(self, equal):
+        k = 12
+        V = np.full(k, 0.7) if equal else np.random.default_rng(3).uniform(0.2, 5.0, k)
+        resid = known_means_rows_data(V, 1000, seed=5 + equal)
+        whole = mle_known_means(resid, V)
+        assert (whole == 0.0).sum() > 100 and (whole > 0.0).sum() > 500
+        perm = np.random.default_rng(8).permutation(1000)
+        assert mle_known_means(resid[perm], V).tobytes() == whole[perm].tobytes()
+        parts = [mle_known_means(resid[i : i + 20], V) for i in range(0, 1000, 20)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+        subset = perm[:37]
+        assert mle_known_means(resid[subset], V).tobytes() == whole[subset].tobytes()
+        for i in perm[:60]:
+            data = TwoLevelData(resid[i], V)
+            for fitter in (fit_mle, fit_reml):
+                shr = fitter(data)
+                assert shr.A_hat == mle_known_means(resid[i : i + 1], V)[0] == whole[i]
+                assert shr.boundary == (whole[i] == 0.0)
+                assert shr.B_hat.tobytes() == (V / (V + whole[i])).tobytes()
+
+    def test_scalar_fit_with_known_means_is_the_batch_of_its_residuals(self):
+        rng = np.random.default_rng(21)
+        k = 9
+        V = rng.uniform(0.3, 3.0, k)
+        mu = rng.normal(4.0, 2.0, k)
+        resid = known_means_rows_data(V, 40, seed=22)
+        batch = mle_known_means(resid, V)
+        for i in range(40):
+            data = TwoLevelData(mu + resid[i], V, mu=mu)
+            for fitter in (fit_mle, fit_reml):
+                shr = fitter(data)
+                # mu + resid - mu need not round back to resid
+                want = mle_known_means((data.y - mu)[None, :], V)[0]
+                assert shr.A_hat == want and shr.boundary == (want == 0.0)
+                assert shr.B_hat.tobytes() == (V / (V + want)).tobytes()
+                assert want == pytest.approx(batch[i], rel=1e-6, abs=1e-9)
+
+    @pytest.mark.parametrize("k", [5, 300])
+    def test_kernel_rows_match_the_scalar_density(self, k):
+        rng = np.random.default_rng(k)
+        V = rng.uniform(0.2, 5.0, k)
+        resid = known_means_rows_data(V, 50, seed=k + 1)
+        alphas = rng.uniform(-8.0, 8.0, 50).tolist()
+        for c in (0.0, 1.0):
+            rows = known_means_rows(alphas, resid * resid, V, c)
+            for i, alpha in enumerate(alphas):
+                ell = AdjustedLogDensity(TwoLevelData(resid[i], V), PriorSpec(c))
+                assert rows[i] == ell(alpha)
+                assert known_means_rows(alphas[i : i + 1], resid[i : i + 1] ** 2, V, c)[0] == rows[i]
+
+    def test_brent_is_scipys_brent(self):
+        V = np.random.default_rng(1).uniform(0.5, 2.0, 10)
+        resid = known_means_rows_data(V, 30, seed=2)
+        for e in resid:
+            ell = AdjustedLogDensity(TwoLevelData(e, V), PriorSpec(0.0))
+            for bracket in ((-3.0, 0.0, 3.0), (-8.0, -1.0, 0.5), (4.0, 0.0, -3.0)):
+                values = [ell(a) for a in bracket]
+                if not values[1] > max(values[0], values[2]):
+                    with pytest.raises(ValueError):
+                        brent_by_lockstep(ell, bracket)
+                    with pytest.raises(ValueError):
+                        optimize.minimize_scalar(lambda a: -ell(a), bracket=bracket,
+                                                 method="brent")
+                    continue
+                want = optimize.minimize_scalar(
+                    lambda a: -ell(a), bracket=bracket, method="brent", options={"xtol": 1e-10}
+                ).x
+                assert brent_by_lockstep(ell, bracket) == want
+
+
+def test_import_does_not_load_scipy_optimize():
+    # a fresh interpreter that finds the shrinkfit under test first
+    src = str(Path(shrinkfit.__file__).resolve().parent.parent)
+    code = f"import sys; sys.path.insert(0, {src!r}); import shrinkfit; print(sorted(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert "shrinkfit.fitters" in out.stdout and "scipy.optimize" not in out.stdout
+
+
 def exact_mean_by_posterior_integral(T: float, m: float) -> float:
     # independent oracle: the posterior of B given S+ has density ~ B^(m-1) e^(-TB)
     num = integrate.quad(lambda b: b**m * math.exp(-T * b), 0, 1, epsabs=0, epsrel=1e-12)[0]
@@ -447,7 +556,7 @@ class TestNewton:
         for fitter, restricted in ((fit_mle, False), (fit_reml, True)):
             shr = fitter(data)
             ell0 = AdjustedLogDensity(data, PriorSpec(0.0), restricted=restricted)
-            floor = _search_range(ell0)[1]
+            floor = _search_range(data.V, [ell0.residual_ss()], data.k - data.r)[0][1]
             assert shr.boundary == (ell0.derivatives(floor)[0] <= 0.0)
             if not shr.boundary:
                 assert abs(ell0.derivatives(math.log(shr.A_hat))[0]) <= HOSTILE_SCORE_TOL
