@@ -4,17 +4,21 @@
 
 Each checkout runs, through its own ``src/`` in a fresh interpreter:
 
-- ``shrinkfit fit`` under each of the four methods, 168 calls, on every
+- ``shrinkfit fit`` under each of the four methods, 176 calls, on every
   fit-cli pool dataset of the benchmark (the 37 CSVs of
   ``bench/workloads.write_cli_csv``, k = 10 to 1e5), on three r = 0 files
   with known means (``y,V,mu`` from pool dataset 0 at k = 10, 100 and 1e4,
   mu its Level-2 mean 0.5 + x2), on a nearly collinear r = 3 file (X =
   [1, x, x + 1e-8 e], k = 30, V over one decade: every method exits 2 with
   RankDeficientX) and on an equal-variance r = 1 file (k = 10, an
-  intercept: the equal-variance closed forms with a fitted mean); then
-  one two-method call (ADM and REML on the k = 100 pool dataset 0) and
-  one ADM call written to stdout (k = 1e4 pool dataset 0, stdout
-  redirected into the output file);
+  intercept: the equal-variance closed forms with a fitted mean), and on
+  two scaled copies of the k = 1e4 pool dataset 0, y·1e9 with V·1e18
+  (every s2 lies above 1e16, at 2e17 to 8e17) and y·1e-3 with V·1e-6
+  (every s2 and some theta_hat, lo and hi lie below 1e-4), which leave
+  B_hat as it is and send whole arrays to each of the JSON writer's two
+  float encoders; then one two-method call (ADM and REML on the k = 100
+  pool dataset 0) and one ADM call written to stdout (k = 1e4 pool
+  dataset 0, stdout redirected into the output file);
 - a small seeded ``simulate --preset equal`` and ``simulate --preset
   two-group``, each with its default methods and with all four;
   ``simulate --preset equal --c 0.5`` with all four; two explicit
@@ -131,6 +135,16 @@ def write_design_csvs(data: Path) -> None:
                header="y,V,x1", comments="")
 
 
+def write_scaled_csvs(data: Path) -> None:
+    """Pool dataset 0 of size 1e4 with y scaled by s and V by s², for s =
+    1e9 and 1e-3."""
+    table = workloads.cli_dataset(10_000, 0)
+    for name, s in (("scaled-1e9-k10000", 1e9), ("scaled-1e-3-k10000", 1e-3)):
+        scaled = table * np.array([s, s * s, 1.0, 1.0])
+        np.savetxt(data / f"{name}.csv", scaled, fmt="%.17g", delimiter=",",
+                   header="y,V,x1,x2", comments="")
+
+
 def run_tree(tree: Path, data: Path, out: Path) -> None:
     out.mkdir()
     env = {k: v for k, v in os.environ.items() if k != "SHRINKFIT_SEED"}
@@ -225,6 +239,7 @@ def main(argv=None) -> int:
         for k in MU_SIZES:
             write_mu_csv(data / f"mu-k{k}.csv", k)
         write_design_csvs(data)
+        write_scaled_csvs(data)
         trees = {"this": ROOT, "other": other}
         for name, tree in trees.items():
             run_tree(tree, data, tmp / name)

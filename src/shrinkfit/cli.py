@@ -108,7 +108,7 @@ def write_dataset_csv(path, data: TwoLevelData) -> None:
 
 def _posterior_payload(shr, post) -> dict:
     """One method's results; the arrays stay float64 ndarrays, which
-    json_chunks turns into lists one at a time as it writes them."""
+    json_chunks writes one block at a time."""
     arrays = {
         "B_hat": shr.B_hat, "v": shr.v, "a1": shr.a1, "a0": shr.a0,
         "theta_hat": post.theta_hat, "s2": post.s2, "beta_hat": post.beta_hat,

@@ -235,27 +235,45 @@ def csv_text(header, rows) -> str:
 
 
 _C_JSON = json.JSONEncoder(separators=(",", ":"))
+_BLOCK = 1024
 
 
-def _float_list_text(floats: list, nl: str) -> str:
-    """A non-empty float list encoded in one call of json's C encoder and
-    re-split on its commas, which float text never contains."""
+def _float_list_chunks(a: np.ndarray, nl: str):
+    """A non-empty 1-d float64 array as json.dumps writes its list, one chunk
+    per block of _BLOCK elements, each encoded in one call and re-split on
+    its commas, which float text never contains. orjson writes repr's
+    digits but spells 1e+16, 1e-05, NaN and inf its own way, so only blocks
+    of zeros and 1e-4 <= |x| < 1e16 go to it; the rest go to json's C
+    encoder."""
+    import orjson
+
     inner = nl + " "
-    return "[" + inner + _C_JSON.encode(floats)[1:-1].replace(",", "," + inner) + nl + "]"
+    comma = ("," + inner).encode()
+    sep = "[" + inner
+    for i in range(0, a.size, _BLOCK):
+        block = np.ascontiguousarray(a[i:i + _BLOCK])
+        mag = np.abs(block)
+        if np.all(((mag >= 1e-4) & (mag < 1e16)) | (block == 0)):
+            text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+        else:
+            text = _C_JSON.encode(block.tolist()).encode()
+        end = nl + "]" if i + _BLOCK >= a.size else ""
+        yield sep + text[1:-1].replace(b",", comma).decode() + end
+        sep = "," + inner
 
 
 def json_chunks(obj, nl: str = "\n"):
     """The text ``json.dumps`` writes for ``obj`` with an indent of 1 and
     sorted keys, yielded in pieces: one per scalar, per dict key and per
-    float array, so that a writer holds the text of one array at a time.
-    Every scalar and every float array (an all-float list or tuple, or a 1-d
-    float64 ndarray, whose list is made only when it is reached) is encoded
-    by json's C encoder. Other ndarrays are written as their ``tolist()``.
-    Dict keys must be strings."""
+    block of a float array, so that a writer holds the text of one block at
+    a time. Every float array (an all-float list or tuple, or a 1-d float64
+    ndarray) goes through _float_list_chunks, every scalar through json's C
+    encoder. Other ndarrays are written as their ``tolist()``. Dict keys
+    must be strings."""
     inner = nl + " "
     if isinstance(obj, np.ndarray):
         if obj.ndim == 1 and obj.dtype == np.float64 and obj.size:
-            yield _float_list_text(obj.tolist(), nl)
+            yield from _float_list_chunks(obj, nl)
             return
         obj = obj.tolist()
     if isinstance(obj, dict) and obj:
@@ -269,7 +287,7 @@ def json_chunks(obj, nl: str = "\n"):
         yield nl + "}"
     elif isinstance(obj, (list, tuple)) and obj:
         if all(isinstance(x, float) for x in obj):
-            yield _float_list_text(obj, nl)
+            yield from _float_list_chunks(np.array(obj, dtype=float), nl)
             return
         sep = "[" + inner
         for x in obj:

@@ -15,6 +15,7 @@ from shrinkfit import (
     fit, random_effects,
 )
 from shrinkfit.evaluate import (
+    _BLOCK,
     AccuracyResult,
     SimConfig,
     SimResult,
@@ -395,6 +396,41 @@ _JSON_VALUES = st.recursive(
     max_leaves=30,
 )
 
+_ANY_BITS = st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
+_IN_RANGE = (st.floats(1e-4, 1e16, exclude_max=True) | st.floats(-1e16, -1e-4, exclude_min=True)
+             | st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def _float_arrays(draw):
+    """One background value with a few elements of any kind scattered over
+    it, so that blocks of either encoder sit side by side."""
+    n = draw(st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]))
+    a = np.full(n, draw(_IN_RANGE | _FLOATS))
+    for i, x in draw(st.lists(st.tuples(st.integers(0, n - 1), _FLOATS | _ANY_BITS), max_size=8)):
+        a[i] = x
+    return a
+
+
+def _assert_same_text(got, want):
+    # report a mismatch by its line rather than diff megabytes of text
+    if got != want:
+        assert got.split("\n") == want.split("\n")
+
+
+def _bits(rng, n, exponents=(0, 2048)):
+    """n float64 of random sign and mantissa, biased exponent drawn from
+    the half-open range `exponents` (the default spans every bit pattern)."""
+    exp = rng.integers(*exponents, n, dtype=np.uint64) << np.uint64(52)
+    sign = rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)
+    return (sign | exp | rng.integers(0, 2**52, n, dtype=np.uint64)).view(np.float64)
+
+
+def _ulp_neighbours(x, n):
+    """The 2n + 1 floats nearest to each positive float in x, and their negatives."""
+    near = (np.asarray(x).view(np.int64)[:, None] + np.arange(-n, n + 1)).view(np.float64)
+    return np.concatenate([near.ravel(), -near.ravel()])
+
 
 class TestJsonText:
     @settings(max_examples=400)
@@ -415,6 +451,46 @@ class TestJsonText:
                            "nested": [[0.25], []]}, indent=1, sort_keys=True)
         assert json_text(arrays) == want
         assert "\n  NaN,\n  Infinity,\n  -Infinity\n" in want
+
+    @settings(max_examples=50, deadline=None)
+    @given(a=_float_arrays(), form=st.sampled_from(["contiguous", "strided", "list"]))
+    def test_float_arrays_match_json_dumps(self, a, form):
+        obj = {"contiguous": a, "strided": np.repeat(a, 2)[::2], "list": list(a)}[form]
+        assert form != "strided" or obj.strides == (16,)
+        plain = obj.tolist() if isinstance(obj, np.ndarray) else obj
+        want = json.dumps({"k": [plain]}, indent=1, sort_keys=True)
+        _assert_same_text(json_text({"k": [obj]}), want)
+
+    def test_float_encoder_edges(self):
+        # 1e-4 and 1e16 bound the numbers both encoders spell alike
+        for x in _ulp_neighbours([1e-4, 1e16], 1):
+            for a in (np.array([x]), np.full(3, x), np.array([1.5] * (_BLOCK - 1) + [x, 2.5])):
+                want = json.dumps(a.tolist(), indent=1, sort_keys=True)
+                _assert_same_text(json_text(a), want)
+                _assert_same_text(json_text(np.repeat(a, 2)[::2]), want)
+
+    def test_float_sweep_matches_repr(self):
+        # random digits inside 6e-5 <= |x| < 2e16 (biased exponents 1009 to
+        # 1076), arbitrary bit patterns, and the floats around every decade
+        # from 1e-6 to 1e18; each split into its in- and out-of-range floats
+        rng = np.random.default_rng(20261019)
+        decades = _ulp_neighbours(10.0 ** np.arange(-6, 19), 64)
+        for a in (_bits(rng, 2**19, (1009, 1077)), _bits(rng, 2**14), decades):
+            mag = np.abs(a)
+            inside = (mag >= 1e-4) & (mag < 1e16)
+            for part in (a[inside], a[~inside & np.isfinite(a)]):
+                want = "[\n " + ",\n ".join(map(repr, part.tolist())) + "\n]"
+                _assert_same_text(json_text(part), want)
+
+    def test_one_chunk_per_block(self):
+        # the writer holds one block's text at a time, whatever the length;
+        # the middle block (a NaN) goes to the other encoder
+        a = np.linspace(0.5, 3e4, 3 * _BLOCK)
+        a[_BLOCK + 7] = math.nan
+        chunks = list(json_chunks({"a": a}))
+        assert [c.count(",") for c in chunks[1:-1]] == [_BLOCK - 1, _BLOCK, _BLOCK]
+        assert chunks[-2].endswith("\n ]") and chunks[-1] == "\n}"
+        assert "".join(chunks) == json.dumps({"a": a.tolist()}, indent=1)
 
     def test_one_chunk_per_key_and_float_array(self):
         chunks = list(json_chunks({"b": np.arange(3.0), "a": [None, 2]}))

@@ -1,3 +1,4 @@
+import functools
 import math
 import subprocess
 import sys
@@ -379,12 +380,24 @@ class TestKnownMeansBatch:
                 assert brent_by_lockstep(ell, bracket) == want
 
 
-def test_import_does_not_load_scipy_optimize():
+@functools.cache
+def _modules_after_import() -> list[str]:
     # a fresh interpreter that finds the shrinkfit under test first
     src = str(Path(shrinkfit.__file__).resolve().parent.parent)
-    code = f"import sys; sys.path.insert(0, {src!r}); import shrinkfit; print(sorted(sys.modules))"
+    code = f"import sys; sys.path.insert(0, {src!r}); import shrinkfit; print(*sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert "shrinkfit.fitters" in out.stdout and "scipy.optimize" not in out.stdout
+    return out.stdout.split()
+
+
+def test_import_does_not_load_scipy_optimize():
+    modules = _modules_after_import()
+    assert "shrinkfit.fitters" in modules and "scipy.optimize" not in modules
+
+
+def test_import_does_not_load_orjson():
+    # the JSON writer imports it when it first writes a float array
+    modules = _modules_after_import()
+    assert "shrinkfit.evaluate" in modules and "orjson" not in modules
 
 
 def exact_mean_by_posterior_integral(T: float, m: float) -> float:
