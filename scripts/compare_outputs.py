@@ -4,7 +4,7 @@
 
 Each checkout runs, through its own ``src/`` in a fresh interpreter:
 
-- ``shrinkfit fit`` under each of the four methods, 176 calls, on every
+- ``shrinkfit fit`` under each of the four methods, 196 calls, on every
   fit-cli pool dataset of the benchmark (the 37 CSVs of
   ``bench/workloads.write_cli_csv``, k = 10 to 1e5), on three r = 0 files
   with known means (``y,V,mu`` from pool dataset 0 at k = 10, 100 and 1e4,
@@ -12,13 +12,20 @@ Each checkout runs, through its own ``src/`` in a fresh interpreter:
   [1, x, x + 1e-8 e], k = 30, V over one decade: every method exits 2 with
   RankDeficientX) and on an equal-variance r = 1 file (k = 10, an
   intercept: the equal-variance closed forms with a fitted mean), and on
-  two scaled copies of the k = 1e4 pool dataset 0, y·1e9 with V·1e18
-  (every s2 lies above 1e16, at 2e17 to 8e17) and y·1e-3 with V·1e-6
-  (every s2 and some theta_hat, lo and hi lie below 1e-4), which leave
-  B_hat as it is and send whole arrays to each of the JSON writer's two
-  float encoders; then one two-method call (ADM and REML on the k = 100
-  pool dataset 0) and one ADM call written to stdout (k = 1e4 pool
-  dataset 0, stdout redirected into the output file);
+  three scaled copies of the k = 1e4 pool dataset 0, y·1e9 with V·1e18
+  (every s2 lies above 1e16, at 2e17 to 8e17), y·1e-2 with V·1e-4 (every
+  s2 lies in 1e-5 to 1e-4, the band orjson writes positionally, as v does
+  at this k) and y·1e-3 with V·1e-6 (every s2 and some theta_hat, lo and
+  hi lie below 1e-5), which leave B_hat as it is and send whole arrays to
+  each of the JSON writer's two float encoders, and through orjson in both
+  exponent forms; on four copies of the same k = 1e4 file
+  that reach both CSV readers: with CRLF line ends (the orjson reader), and
+  with its middle row's V spaced, its last row's y quoted, or its last
+  row's x2 written as the integer -0 (each sends the reader back to
+  np.loadtxt, the last two after it has parsed most of the file); then one
+  two-method call (ADM and REML on the k = 100 pool dataset 0) and one ADM
+  call written to stdout (k = 1e4 pool dataset 0, stdout redirected into
+  the output file);
 - a small seeded ``simulate --preset equal`` and ``simulate --preset
   two-group``, each with its default methods and with all four;
   ``simulate --preset equal --c 0.5`` with all four; two explicit
@@ -137,12 +144,29 @@ def write_design_csvs(data: Path) -> None:
 
 def write_scaled_csvs(data: Path) -> None:
     """Pool dataset 0 of size 1e4 with y scaled by s and V by s², for s =
-    1e9 and 1e-3."""
+    1e9, 1e-2 and 1e-3."""
     table = workloads.cli_dataset(10_000, 0)
-    for name, s in (("scaled-1e9-k10000", 1e9), ("scaled-1e-3-k10000", 1e-3)):
+    for name, s in (("scaled-1e9-k10000", 1e9), ("scaled-1e-2-k10000", 1e-2),
+                    ("scaled-1e-3-k10000", 1e-3)):
         scaled = table * np.array([s, s * s, 1.0, 1.0])
         np.savetxt(data / f"{name}.csv", scaled, fmt="%.17g", delimiter=",",
                    header="y,V,x1,x2", comments="")
+
+
+def write_spelling_csvs(data: Path) -> None:
+    """The pool file k10000-0.csv with CRLF line ends, and with one field
+    spelled otherwise: the middle row's V spaced, the last row's y quoted,
+    the last row's x2 the integer -0."""
+    lines = (data / "k10000-0.csv").read_text().splitlines()
+    (data / "crlf-k10000.csv").write_bytes("\r\n".join(lines).encode() + b"\r\n")
+    rows = [line.split(",") for line in lines]
+    for name, (i, j, spell) in {"spaced": (len(rows) // 2, 1, " {} "),
+                                "quoted": (-1, 0, '"{}"'),
+                                "minus-zero": (-1, 3, "-0")}.items():
+        spelled = [list(row) for row in rows]
+        spelled[i][j] = spell.format(spelled[i][j])
+        text = "".join(",".join(row) + "\n" for row in spelled)
+        (data / f"{name}-k10000.csv").write_text(text)
 
 
 def run_tree(tree: Path, data: Path, out: Path) -> None:
@@ -240,6 +264,7 @@ def main(argv=None) -> int:
             write_mu_csv(data / f"mu-k{k}.csv", k)
         write_design_csvs(data)
         write_scaled_csvs(data)
+        write_spelling_csvs(data)
         trees = {"this": ROOT, "other": other}
         for name, tree in trees.items():
             run_tree(tree, data, tmp / name)

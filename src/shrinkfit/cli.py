@@ -9,6 +9,7 @@ errors: a ShrinkfitError or ValueError, whose name is printed to stderr
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import os
 import re
@@ -51,7 +52,11 @@ def read_dataset_csv(path) -> TwoLevelData:
     """Read a unit-level dataset: required columns y and V, optional
     covariates x1..xr (numbered without gaps), optional known means mu
     (used only when there are no covariates).  Data errors (non-finite
-    values, V <= 0, rank-deficient X) are raised by TwoLevelData."""
+    values, V <= 0, rank-deficient X) are raised by TwoLevelData.
+
+    A body of plain numbers is parsed by _read_plain_body; any other body
+    (quoted fields, spaces, blank lines, nan, ...) by np.loadtxt, which
+    also names the column of a parse error. Both give the same bits."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         line = fh.readline()
         if not line:
@@ -68,20 +73,24 @@ def read_dataset_csv(path) -> TwoLevelData:
         if set(covariates) != set(x_names):
             raise CliInputError(f"parse error: covariates {covariates} are not x1..xr")
         names = ["y", "V", *x_names] + (["mu"] if "mu" in header and not x_names else [])
-        start = fh.tell()
-        try:
-            table = _load_columns(fh, [header.index(name) for name in names])
-        except ValueError:
-            for name in names:  # report the first column that fails on its own
-                fh.seek(start)
-                try:
-                    _load_columns(fh, [header.index(name)])
-                except ValueError as err:
-                    raise CliInputError(f"parse error in column {name!r}: {err}") from err
-            raise
-    if table.size == 0:
-        raise CliInputError("parse error: no data rows")
-    columns = dict(zip(names, table.T.copy()))
+        usecols = [header.index(name) for name in names]
+        columns = _read_plain_body(path, line, len(header), usecols)
+        if columns is None:
+            start = fh.tell()
+            try:
+                table = _load_columns(fh, usecols)
+            except ValueError:
+                for name in names:  # report the first column that fails on its own
+                    fh.seek(start)
+                    try:
+                        _load_columns(fh, [header.index(name)])
+                    except ValueError as err:
+                        raise CliInputError(f"parse error in column {name!r}: {err}") from err
+                raise
+            if table.size == 0:
+                raise CliInputError("parse error: no data rows")
+            columns = table.T.copy()
+    columns = dict(zip(names, columns))
     X = np.column_stack([columns[name] for name in x_names]) if x_names else None
     return TwoLevelData(columns["y"], columns["V"], X, columns.get("mu"))
 
@@ -92,6 +101,57 @@ def _load_columns(fh, usecols: list[int]) -> np.ndarray:
         warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
         return np.loadtxt(fh, delimiter=",", usecols=usecols, quotechar='"', comments=None,
                           ndmin=2)
+
+
+_BODY_BLOCK = 1 << 15  # bytes of whole lines parsed at a time
+_PLAIN_BYTES = b"0123456789.eE+-\r"  # and the separators: commas, newlines
+_NEGATIVE_ZERO = re.compile(rb"(?:^|[,\n])-0[,\r\n]")  # orjson reads the integer -0 as +0
+
+
+def _read_plain_body(path, header_line: str, ncols: int, usecols: list[int]):
+    """Columns ``usecols`` of the lines after ``header_line``, one row each,
+    or None unless there is at least one line and every line is ncols JSON
+    numbers joined by commas, none of them the integer -0, ended by a
+    newline or CRLF (the last one may lack it). The body is read in blocks
+    of whole lines of about _BODY_BLOCK bytes, each parsed by one
+    orjson.loads as a JSON list (orjson reads such numbers to the same bits
+    as np.loadtxt) into one table, sized from the first block and the
+    file's length, whose rows are the columns: no transposed copy."""
+    import orjson
+
+    row = b"," * (ncols - 1) + b"\n"
+    table, n = np.empty((len(usecols), 0)), 0
+    with open(path, "rb") as fb:
+        if fb.readline() not in (header_line.encode(), codecs.BOM_UTF8 + header_line.encode()):
+            return None  # the header ended at a lone \r
+        size = os.fstat(fb.fileno()).st_size
+        while block := fb.read(_BODY_BLOCK):
+            if not block.endswith(b"\n"):
+                block += fb.readline()
+                if not block.endswith(b"\n"):
+                    block += b"\n"
+            separators = block.translate(None, _PLAIN_BYTES)
+            if separators.count(row) * len(row) != len(separators):
+                return None  # another byte, or a line of another field count
+            if b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
+                return None
+            try:
+                values = orjson.loads(b"[" + block[:-1].replace(b"\n", b",") + b"]")
+            except orjson.JSONDecodeError:
+                return None
+            parsed = np.fromiter(values, dtype=float, count=len(values)).reshape(-1, ncols)
+            del values
+            if not parsed.all() and _NEGATIVE_ZERO.search(block):
+                return None
+            rows = len(parsed)
+            if n + rows > table.shape[1]:  # this block and the rest at its rows per byte, +5%
+                room = rows * (1.0 + 1.05 * (size - fb.tell()) / len(block))
+                grown = np.empty((len(usecols), n + int(room) + 1))
+                grown[:, :n] = table[:, :n]
+                table = grown
+            table[:, n:n + rows] = parsed[:, usecols].T
+            n += rows
+    return table[:, :n] if n else None
 
 
 def write_dataset_csv(path, data: TwoLevelData) -> None:

@@ -236,14 +236,45 @@ def csv_text(header, rows) -> str:
 
 _C_JSON = json.JSONEncoder(separators=(",", ":"))
 _BLOCK = 1024
+# orjson writes 1e-5 <= |x| < 1e-4 positionally (0.00001); every other
+# finite float gets repr's digits, in exponent form with a shorter exponent
+# (1e-6, 1e16 where repr writes 1e-06, 1e+16) below that band and from 1e16
+# up. The band's bounds as float64 bit patterns, which order as the
+# magnitudes do:
+_BAND_LO = np.float64(1e-5).view(np.uint64)
+_BAND_WIDTH = np.float64(1e-4).view(np.uint64) - _BAND_LO
+_PAD_ONE_DIGIT = [(f"e-{d}{end}".encode(), f"e-0{d}{end}".encode())
+                  for d in range(6, 10) for end in ",]"]
+
+
+def _orjson_takes(mag: np.ndarray) -> bool:
+    """True when the magnitudes are all finite and none lies in 1e-5 <= |x|
+    < 1e-4. The band test is one pass: |x| - 1e-5 in bits wraps round
+    below the band, so it is below the band's width just inside it."""
+    return bool(mag.max() < math.inf and (mag.view(np.uint64) - _BAND_LO).min() >= _BAND_WIDTH)
+
+
+def _repr_exponents(text: bytes, mag: np.ndarray) -> bytes:
+    """orjson's text of a block that _orjson_takes, with its exponents
+    spelled as repr spells them: a sign on positive ones, and negative ones
+    of one digit (those of 1e-9 <= |x| < 1e-5) padded to two."""
+    if mag.max() >= 1e16:
+        text = text.replace(b"e", b"e+").replace(b"e+-", b"e-")
+    if b"e-" in text:
+        if np.any((mag > 0.0) & (mag < 1e-9)):  # exponents of two or three digits too
+            for old, new in _PAD_ONE_DIGIT:
+                text = text.replace(old, new)
+        else:
+            text = text.replace(b"e-", b"e-0")
+    return text
 
 
 def _float_list_chunks(a: np.ndarray, nl: str):
     """A non-empty 1-d float64 array as json.dumps writes its list, one chunk
     per block of _BLOCK elements, each encoded in one call and re-split on
-    its commas, which float text never contains. orjson writes repr's
-    digits but spells 1e+16, 1e-05, NaN and inf its own way, so only blocks
-    of zeros and 1e-4 <= |x| < 1e16 go to it; the rest go to json's C
+    its commas, which float text never contains. A block that _orjson_takes
+    goes to orjson, with its exponents rewritten by _repr_exponents; the
+    others (NaN, inf or a number of the positional band) go to json's C
     encoder."""
     import orjson
 
@@ -253,8 +284,10 @@ def _float_list_chunks(a: np.ndarray, nl: str):
     for i in range(0, a.size, _BLOCK):
         block = np.ascontiguousarray(a[i:i + _BLOCK])
         mag = np.abs(block)
-        if np.all(((mag >= 1e-4) & (mag < 1e16)) | (block == 0)):
+        if _orjson_takes(mag):
             text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+            if b"e" in text:
+                text = _repr_exponents(text, mag)
         else:
             text = _C_JSON.encode(block.tolist()).encode()
         end = nl + "]" if i + _BLOCK >= a.size else ""
@@ -326,6 +359,19 @@ def _rep_rng(seed: int, gridpoint: int, rep: int) -> np.random.Generator:
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0x9E3779B97F4A7C15], dtype=np.uint64)
     counter = np.array([0, 0, gridpoint, rep], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
+
+
+def _rep_rngs(seed: int, gridpoint: int, reps: int):
+    """The streams _rep_rng(seed, gridpoint, rep) for rep = 0 .. reps - 1,
+    yielded in turn as one Generator: before each yield its Philox is given
+    the counter of the next replication and an empty buffer (buffer_pos 4,
+    no cached 32-bit half), which is cheaper than a new Philox each time."""
+    rng = _rep_rng(seed, gridpoint, 0)
+    state = rng.bit_generator.state  # a copy, taken while the buffer is empty
+    for rep in range(reps):
+        state["state"]["counter"][3] = rep
+        rng.bit_generator.state = state
+        yield rng
 
 
 def _group_label(v: float) -> str:
@@ -405,8 +451,7 @@ def _simulate_gridpoint(cfg: SimConfig, g: int) -> list[SimRow]:
     sqrt_V = np.sqrt(V)
 
     theta, y = np.empty((reps, k)), np.empty((reps, k))
-    for rep in range(reps):
-        rng = _rep_rng(cfg.seed, g, rep)
+    for rep, rng in enumerate(_rep_rngs(cfg.seed, g, reps)):
         theta[rep] = mu_true + sqrt_A * rng.standard_normal(k)
         y[rep] = theta[rep] + sqrt_V * rng.standard_normal(k)
     cond_mean = (1.0 - B_true) * y + B_true * mu_true

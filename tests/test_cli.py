@@ -5,11 +5,15 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import shrinkfit
 from shrinkfit import (
@@ -246,7 +250,114 @@ _REJECTED = {
 }
 
 
+# Fields for the reader's differential test: JSON numbers that orjson reads
+# otherwise than loadtxt (the integer -0 as +0) or not at all (1e400), or
+# that are edge cases of its parse, which may turn up in any body; and
+# spellings that are no JSON number, which only odd bodies hold.
+_JSON_NUMBER_FIELDS = ["-0", "-0", "-0.0", "0", "0.0", "1E5", "2e+3", "1e-0", "-0e0", "1e-400",
+                       "1e400", "-1e400", str(2**53 + 1), str(2**64 + 1), str(-(2**64) - 3),
+                       "4.9e-324", "2.2250738585072014e-308", "123456789012345678901234567890"]
+_OTHER_FIELDS = ["+1", ".5", "1.", "01", "-01", "nan", "-inf", "inf", "-", "", "1_000", "0x10",
+                 "1e"]
+
+
+@st.composite
+def _decimal_text(draw):
+    """1 to 40 significant digits, with a point and an exponent e-345 to e300."""
+    digits = str(draw(st.integers(1, 10**40 - 1)))
+    point = draw(st.integers(1, len(digits)))
+    sign = draw(st.sampled_from(["", "-"]))
+    return f"{sign}{digits[:point]}.{digits[point:] or '0'}e{draw(st.integers(-345, 300))}"
+
+
+_NUMBER_TEXT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:.17g}"),
+    st.floats(0.05, 20.0).map(repr),
+    st.integers(-(2**70), 2**70).map(str),
+    _decimal_text(),
+)
+_POSITIVE_TEXT = st.one_of(
+    st.floats(1e-300, 1e300).map(repr), st.floats(0.1, 10.0).map(lambda x: f"{x:.17g}"),
+    st.integers(1, 2**70).map(str),
+)
+
+
+@st.composite
+def _csv_bodies(draw):
+    """A header of y, V and some of x1, mu, a numeric note and a text id, in
+    any order, then rows of numbers, any of which may be one of
+    _JSON_NUMBER_FIELDS, with LF or CRLF line ends, the last one missing or
+    doubled, and perhaps a byte-order mark. About half the bodies hold one
+    kind of oddity, now and then: a field of _OTHER_FIELDS; a field quoted,
+    spaced or next to a lone CR; a short or long row; a line end unlike the
+    others (a lone CR too, the header's as well); a blank line; a text id."""
+    odd = draw(st.sampled_from([None] * 6 + ["other", "decor", "ragged", "ends", "blank", "id"]))
+
+    def now_and_then(kind, n):
+        return odd == kind and draw(st.integers(0, n - 1)) == 0
+
+    names = ["y", "V"] + [n for n in ("x1", "mu", "note") if draw(st.booleans())]
+    names = draw(st.permutations(names + (["id"] if odd == "id" else [])))
+    lines = [",".join(names)]
+    for _ in range(draw(st.integers(0, 8))):
+        fields = []
+        for name in names:
+            if name == "id":
+                text = draw(st.sampled_from(["a", "unit 7", '"b,c"', "12", "-0"]))
+            elif draw(st.integers(0, 7)) == 0:
+                text = draw(st.sampled_from(_JSON_NUMBER_FIELDS))
+            elif now_and_then("other", 8):
+                text = draw(st.sampled_from(_OTHER_FIELDS))
+            else:
+                text = draw(_POSITIVE_TEXT if name == "V" else _NUMBER_TEXT)
+            if now_and_then("decor", 8):
+                text = draw(st.sampled_from(['"{}"', " {}", "{} ", "\r{}", "{}\r"])).format(text)
+            fields.append(text)
+        if now_and_then("ragged", 4):
+            fields = fields[:-1]
+        elif now_and_then("ragged", 4):
+            fields.append("0.5")
+        lines.append(",".join(fields))
+        if now_and_then("blank", 4):
+            lines.append("")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) if now_and_then("ends", 3) else end
+            for _ in lines]
+    ends[-1] = draw(st.sampled_from(["", ends[-1], ends[-1] * 2]))
+    bom = draw(st.sampled_from(["", "", "\ufeff"]))
+    return bom + "".join(line + e for line, e in zip(lines, ends))
+
+
+def _read_outcome(path):
+    """read_dataset_csv's arrays as bytes, or its error's type and message."""
+    try:
+        data = read_dataset_csv(path)
+    except (CliInputError, ValueError, ModelError) as err:
+        return type(err).__name__, str(err)
+    return [a if a is None else (a.shape, a.tobytes()) for a in (data.y, data.V, data.X, data.mu)]
+
+
 class TestReadDataset:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(text=_csv_bodies(), block=st.sampled_from([8, 64, 1 << 16]))
+    @example(text="y,V,x1\n1.5,1.0,1\n2.5,2.0,-0\n3.5,1.0,3\n", block=8)  # loadtxt: -0.0
+    @example(text="y,V\n1.5,1.0\n-0,2.0\n", block=1 << 16)
+    @example(text="y,V\n1.5\r,1.0\n", block=1 << 16)  # loadtxt ends the line at \r
+    @example(text="y,V\r1.5,1.0\n2.5,2.0\n", block=1 << 16)  # ...the header's too
+    @example(text="y,V\n-1.2345678901234567e-300,2.2250738585072014e-308\n" + "1,2\n" * 40,
+             block=8)  # shorter lines than the first block's: the table grows
+    def test_same_as_loadtxt_alone(self, text, block):
+        # the plain-number reader, with blocks of `block` bytes, gives the
+        # same bits or the same error as the loadtxt path by itself
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "in.csv"
+            path.write_bytes(text.encode())
+            with mock.patch.object(cli, "_BODY_BLOCK", block):
+                got = _read_outcome(path)
+            with mock.patch.object(cli, "_read_plain_body", return_value=None):
+                assert got == _read_outcome(path)
+
     @pytest.mark.parametrize("case", sorted(_ACCEPTED))
     def test_accepted(self, tmp_path, case):
         text, y, V, X, mu = _ACCEPTED[case]
@@ -260,6 +371,36 @@ class TestReadDataset:
             assert data.mu is None
         else:
             np.testing.assert_array_equal(data.mu, np.zeros(2) if mu is None else mu)
+
+    def test_peak_memory_no_higher_than_loadtxt(self, tmp_path, monkeypatch):
+        # the plain-number reader holds one block's text and numbers at a
+        # time, so neither it nor the whole read peaks above np.loadtxt's
+        import tracemalloc
+
+        from test_fitters import cli_pool_dataset
+
+        path = tmp_path / "data.csv"
+        write_dataset_csv(path, cli_pool_dataset(50_000, 0))
+
+        def peak(read, *args):
+            tracemalloc.start()
+            try:
+                read(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def loadtxt_table():
+            with open(path, newline="", encoding="utf-8-sig") as fh:
+                fh.readline()
+                return cli._load_columns(fh, [0, 1, 2, 3])
+
+        plain = (path, "y,V,x1,x2\n", 4, [0, 1, 2, 3])
+        assert cli._read_plain_body(*plain) is not None
+        assert peak(cli._read_plain_body, *plain) <= peak(loadtxt_table)
+        fast = peak(read_dataset_csv, path)
+        monkeypatch.setattr(cli, "_read_plain_body", lambda *args: None)
+        assert fast <= peak(read_dataset_csv, path)
 
     @pytest.mark.parametrize("case", sorted(_REJECTED))
     def test_rejected(self, tmp_path, case):

@@ -23,6 +23,7 @@ from shrinkfit.evaluate import (
     _design_matrix,
     _group_slices,
     _rep_rng,
+    _rep_rngs,
     _simulate_gridpoint,
     adm_moments_equal,
     curve_rows,
@@ -56,6 +57,20 @@ class TestRng:
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
         assert not np.array_equal(a, e)
+
+    def test_reseated_streams_match_fresh_ones(self):
+        # each replication's draws are those of its own fresh Philox, even
+        # when the one before left a part-used buffer or a cached 32-bit half
+        def draws(rng, rep):
+            return np.concatenate([rng.standard_normal(rep % 5 + 1),
+                                   rng.integers(0, 2**32, rep % 3, dtype=np.uint32),
+                                   rng.random(rep % 4)])
+
+        for seed, g in [(7, 3), (2**64 - 1, 0)]:
+            reseated = [draws(rng, rep) for rep, rng in enumerate(_rep_rngs(seed, g, 12))]
+            fresh = [draws(_rep_rng(seed, g, rep), rep) for rep in range(12)]
+            for a, b in zip(reseated, fresh):
+                assert a.tobytes() == b.tobytes()
 
 
 class TestRunCoverage:
@@ -382,7 +397,8 @@ class TestSerialization:
             assert (cfg.k, cfg.r) == (k, r)
 
 
-_SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16])
+_SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5,
+                                   2.5e-6, 1e-9, 1e-10])
 _FLOATS = st.floats() | _SPECIAL_FLOATS
 _FLOAT_LISTS = st.lists(_FLOATS, max_size=6)
 _JSON_SCALARS = st.none() | st.booleans() | st.integers() | _FLOATS | st.text(max_size=8)
@@ -397,8 +413,8 @@ _JSON_VALUES = st.recursive(
 )
 
 _ANY_BITS = st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
-_IN_RANGE = (st.floats(1e-4, 1e16, exclude_max=True) | st.floats(-1e16, -1e-4, exclude_min=True)
-             | st.sampled_from([0.0, -0.0]))
+_ORJSON_FLOATS = st.floats(allow_nan=False, allow_infinity=False).filter(
+    lambda x: not 1e-5 <= abs(x) < 1e-4)
 
 
 @st.composite
@@ -406,7 +422,7 @@ def _float_arrays(draw):
     """One background value with a few elements of any kind scattered over
     it, so that blocks of either encoder sit side by side."""
     n = draw(st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]))
-    a = np.full(n, draw(_IN_RANGE | _FLOATS))
+    a = np.full(n, draw(_ORJSON_FLOATS | _FLOATS))
     for i, x in draw(st.lists(st.tuples(st.integers(0, n - 1), _FLOATS | _ANY_BITS), max_size=8)):
         a[i] = x
     return a
@@ -462,23 +478,41 @@ class TestJsonText:
         _assert_same_text(json_text({"k": [obj]}), want)
 
     def test_float_encoder_edges(self):
-        # 1e-4 and 1e16 bound the numbers both encoders spell alike
-        for x in _ulp_neighbours([1e-4, 1e16], 1):
-            for a in (np.array([x]), np.full(3, x), np.array([1.5] * (_BLOCK - 1) + [x, 2.5])):
+        # 1e-5 and 1e-4 bound the band orjson writes positionally, 1e-9 and
+        # 1e16 the one-digit negative and the positive exponents; each with
+        # its nextafter neighbours, both signs, alone, repeated, at the end
+        # of a full block, and next to a number of two-digit exponent
+        for x in _ulp_neighbours([1e-9, 1e-5, 1e-4, 1e16], 1):
+            for a in (np.array([x]), np.full(3, x), np.array([1.5] * (_BLOCK - 1) + [x, 2.5]),
+                      np.array([x, 2.5e-12, x]), np.array([3e-7, x, 3e20])):
                 want = json.dumps(a.tolist(), indent=1, sort_keys=True)
                 _assert_same_text(json_text(a), want)
                 _assert_same_text(json_text(np.repeat(a, 2)[::2]), want)
 
+    def test_orjson_takes_all_finite_floats_outside_the_band(self):
+        # one mask pass over the bits must place the band's edges exactly
+        below_1e5, below_1e4 = np.nextafter([1e-5, 1e-4], 0.0)
+        for x, takes in [(0.0, True), (5e-324, True), (below_1e5, True), (1e-5, False),
+                         (below_1e4, False), (1e-4, True), (1e16, True), (1.7976931348623157e308, True),
+                         (math.inf, False), (math.nan, False)]:
+            for block in (np.array([x]), np.array([-x]), np.array([0.5, x, 2e20])):
+                assert evaluate._orjson_takes(np.abs(block)) is takes, (x, block)
+
     def test_float_sweep_matches_repr(self):
         # random digits inside 6e-5 <= |x| < 2e16 (biased exponents 1009 to
-        # 1076), arbitrary bit patterns, and the floats around every decade
-        # from 1e-6 to 1e18; each split into its in- and out-of-range floats
+        # 1076), arbitrary bit patterns, subnormals of both signs, and the
+        # floats around every decade from 1e-323 to 1e308; each split into
+        # the finite floats outside 1e-5 <= |x| < 1e-4, which orjson
+        # writes, and the floats of that band
         rng = np.random.default_rng(20261019)
-        decades = _ulp_neighbours(10.0 ** np.arange(-6, 19), 64)
-        for a in (_bits(rng, 2**19, (1009, 1077)), _bits(rng, 2**14), decades):
+        decades = _ulp_neighbours(np.float64(10.0) ** np.arange(-323, 309), 64)
+        subnormals = _bits(rng, 2**14, (0, 1))
+        for a in (_bits(rng, 2**19, (1009, 1077)), _bits(rng, 2**14), subnormals, decades):
             mag = np.abs(a)
-            inside = (mag >= 1e-4) & (mag < 1e16)
-            for part in (a[inside], a[~inside & np.isfinite(a)]):
+            band = (mag >= 1e-5) & (mag < 1e-4)
+            for part in (a[~band & np.isfinite(a)], a[band]):
+                if not part.size:
+                    continue
                 want = "[\n " + ",\n ".join(map(repr, part.tolist())) + "\n]"
                 _assert_same_text(json_text(part), want)
 
