@@ -127,30 +127,38 @@ class AdjustedLogDensity:
             return float(known_means_rows([alpha], e2, self.data.V, self.prior.c)[0])
         return float(self.on_nodes(alpha)[0])
 
-    def on_nodes(self, alphas: np.ndarray) -> np.ndarray:
-        """l at every alpha of an array (or at one alpha), in blocks of about
-        BLOCK_ELEMENTS elements: a block of n nodes forms W = 1/(V + A) as an
-        (n, k) array, and for r >= 1 one call of the kernel _gls gives its n
-        regressions (and raises RankDeficientX as _gls does).
+    def on_nodes(self, alphas: np.ndarray, parts: bool = False) -> np.ndarray:
+        """l at every alpha of an array (or at one alpha); with `parts`, the
+        (3, n) rows l, S and Q of blocks()."""
+        alphas = np.asarray(alphas, dtype=float).ravel()
+        out = np.empty((3, alphas.size))
+        for start, W, values in self.blocks(alphas):
+            out[:, start : start + W.shape[0]] = values
+        return out if parts else out[0]
+
+    def blocks(self, alphas: np.ndarray):
+        """(start, W, (l, S, Q)) per block of about BLOCK_ELEMENTS elements of
+        a 1-d array of alphas: the block's n nodes from `start` form W = 1/(V
+        + A), (n, k), which the caller may overwrite, and per node S = sum
+        log(V_i + A) and Q = e'D^-1 e.  For r >= 1 one call of the kernel
+        _gls gives the n regressions (and raises RankDeficientX as _gls does).
         """
         data = self.data
-        alphas = np.asarray(alphas, dtype=float).ravel()
-        out = np.empty(alphas.size)
         step = max(1, BLOCK_ELEMENTS // data.k)
         for start in range(0, alphas.size, step):
             a = alphas[start : start + step]
             D = np.add.outer(np.exp(a), data.V)
             W = 1.0 / D
-            total = np.log(D, out=D).sum(axis=1)
+            S = np.log(D, out=D).sum(axis=1)
             if data.r == 0:
-                total += W @ self._e2
+                Q = W @ self._e2
             else:
                 _, L, _, resid = self._gls(W, out=D)
-                total += np.einsum("nk,nk,nk->n", resid, resid, W)
-                if self.restricted:
-                    total += 2.0 * np.log(L.diagonal(0, 1, 2)).sum(axis=1)
-            out[start : start + step] = self.prior.c * a - 0.5 * total
-        return out
+                Q = np.einsum("nk,nk,nk->n", resid, resid, W)
+            total = S + Q
+            if data.r and self.restricted:
+                total += 2.0 * np.log(L.diagonal(0, 1, 2)).sum(axis=1)
+            yield start, W, (self.prior.c * a - 0.5 * total, S, Q)
 
     def derivatives(self, alpha: float) -> tuple[float, float]:
         """(l'(alpha), l''(alpha)) in closed form.
@@ -166,7 +174,8 @@ class AdjustedLogDensity:
         become tr D^-1 and tr D^-2; u'P u keeps its correction, which comes
         from beta_A moving with A.  P is never formed: M and e come from the
         kernel _gls at one row, and the traces and u'P u from one r-by-r
-        solve of M against [X'D^-1 u, X'D^-2 X, X'D^-3 X].
+        solve of M against [X'D^-1 u, X'D^-2 X, X'D^-3 X], the last two
+        from the kernel's X (x) X columns.
         """
         data = self.data
         A = math.exp(alpha)
@@ -179,12 +188,12 @@ class AdjustedLogDensity:
         else:
             M, _, _, resid = self._gls(Dinv[None, :])
             u = resid[0] * Dinv
-            Xw = data.X * Dinv[:, None]
-            Xu = Xw.T @ u
-            rhs = np.column_stack([Xu, Xw.T @ Xw, Xw.T @ (Xw * Dinv[:, None])])
-            S = np.linalg.solve(M[0], rhs)
-            S2, S3 = np.hsplit(S[:, 1:], 2)  # M^-1 X'D^-2 X, M^-1 X'D^-3 X
-            uPu = float(u @ (u * Dinv)) - float(Xu @ S[:, 0])
+            uw, w2, r = u * Dinv, (Dinv * Dinv)[None, :], data.r
+            XX = np.concatenate([w2, w2 * Dinv]) @ self._cross[:, : r * r]  # X'D^-2 X, X'D^-3 X
+            Xu = self._XT @ uw
+            S = np.linalg.solve(M[0], np.concatenate([Xu[:, None], XX.reshape(2 * r, r).T], 1))
+            S2, S3 = S[:, 1 : r + 1], S[:, r + 1 :]  # M^-1 X'D^-2 X, M^-1 X'D^-3 X
+            uPu = float(u @ uw) - float(Xu @ S[:, 0])
             if self.restricted:
                 tr_P -= float(np.trace(S2))
                 tr_P2 += float(np.sum(S2 * S2.T)) - 2.0 * float(np.trace(S3))

@@ -528,24 +528,60 @@ def quadrature_moments(
     logpost, center: float, V: np.ndarray, inv_info: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance of each B_i = V_i / (V_i + exp(alpha))
-    under the unnormalized log-posterior `logpost` of alpha, by one fixed
-    composite Gauss-Legendre rule over center +- 40.
+    under the unnormalized log-posterior `logpost` of alpha, an
+    AdjustedLogDensity (c >= 0) or a function of a 1-d array of alphas, by
+    one fixed composite Gauss-Legendre rule over center +- 40 (_panels).
 
-    `logpost` maps a 1-d array of alphas to their log-densities.  `center`
-    is the mode, where the curvature of `logpost` is -inv_info.  The panels
+    `center` is the mode, where the curvature of `logpost` is -inv_info, and
+    the exponent is shifted by its value there.  Each kept node's W = 1/(V +
+    exp(alpha)) is formed once, in blocks of about BLOCK_ELEMENTS elements,
+    where its weighted moments are accumulated, normalized at the end.  With
+    W0 the value of W at the mode, they are taken in centred form, E[B_i] =
+    V_i (W0_i + E[W_i - W0_i]) and Var(B_i) = V_i^2 Var(W_i - W0_i), not as
+    E[B^2] - E[B]^2, which cancels when the posterior is narrow.  Raises
+    NonintegrablePosterior when the normalizer is not finite and positive.
+    """
+    a, b, shift = _panels(logpost, center, V, inv_info)
+    half = 0.5 * (b - a)
+    nodes = ((0.5 * (a + b))[:, None] + half[:, None] * _GL_X).ravel()
+    weights = (half[:, None] * _GL_W).ravel()
+    step = max(1, BLOCK_ELEMENTS // V.size)
+    blocks = logpost.blocks(nodes) if isinstance(logpost, AdjustedLogDensity) else (
+        (start, 1.0 / np.add.outer(np.exp(x), V), (logpost(x),))
+        for start in range(0, nodes.size, step) for x in [nodes[start : start + step]])
+    W0 = 1.0 / (V + math.exp(center))
+    Z, m1, m2 = 0.0, np.zeros(V.size), np.zeros(V.size)
+    for start, W, (ell, *_) in blocks:
+        w = weights[start : start + ell.size] * np.exp(ell - shift)
+        Z += float(w.sum())
+        W -= W0
+        m1 += np.einsum("n,nk->k", w, W)
+        m2 += np.einsum("n,nk,nk->k", w, W, W)
+    if not (math.isfinite(Z) and Z > 0.0):
+        raise NonintegrablePosterior(f"posterior normalizer is {Z} around alpha={center}")
+    m1, m2 = m1 / Z, m2 / Z
+    return V * (W0 + m1), V * V * np.maximum(m2 - m1 * m1, 0.0)
+
+
+def _panels(logpost, center: float, V: np.ndarray, inv_info: float):
+    """quadrature_moments' kept panels (a, b) and l at the mode.  The panels
     (_GL_NODES nodes each) start at the posterior sd either side of the mode
     and double outward, capped at width _MAX_WIDTH: the B_i sigmoids and the
-    slowly decaying A -> 0 tail need panels no wider than that, and a peak
-    much narrower than the interval is still sampled (at k = 1e5 it is ~0.01
-    wide).  A panel whose two edges both lie more than _SKIP_DROP below the
-    mode is skipped; this assumes no second mode hides inside a skipped
-    panel.  The exponent is shifted by its value at the mode before
-    exponentiating.  With W = 1/(V + exp(alpha)) and W0 its value at the
-    mode, the moments are taken in centred form, E[B_i] = V_i (W0_i +
-    E[W_i - W0_i]) and Var(B_i) = V_i^2 Var(W_i - W0_i), not as E[B^2] -
-    E[B]^2, which cancels when the posterior is narrow.  Every block pass
-    holds about BLOCK_ELEMENTS elements.  Raises NonintegrablePosterior when
-    the normalizer is not finite and positive.
+    slowly decaying A -> 0 tail need that, and a peak much narrower than the
+    interval is still sampled (~0.01 wide at k = 1e5).  A panel is skipped
+    when l at both its edges lies more than _SKIP_DROP below the mode, which
+    within the walked range assumes no second mode hides inside it.
+
+    A function is evaluated at every edge, and so is an AdjustedLogDensity
+    when all edges fit one block of BLOCK_ELEMENTS // k.  Otherwise its edges
+    are evaluated nearest-first from the mode, a block at a time, and a side
+    stops at the first edge alpha_j whose bound on l beyond it lies more than
+    _SKIP_DROP below the mode; with l = c alpha - [S + s log|X'D^-1 X| + Q]/2
+    (S rising, the rest falling in A) the bounds for c >= 0 are
+        left:  l(alpha_j) + [S(A_j) - sum log V_i]/2 for alpha <= alpha_j,
+        right: l(alpha_j) + c (alpha_end - alpha_j) + Q(A_j)/2
+               + (s r/2) log((V_min + A_end)/(V_min + A_j)) up to alpha_end,
+    so every edge left out is low and the same panels are kept.
     """
     h = 1.0 / math.sqrt(inv_info) if 0.0 < inv_info < math.inf else _MAX_WIDTH
     offsets = [0.0]
@@ -554,30 +590,31 @@ def quadrature_moments(
         offsets.append(min(offsets[-1] + h, _HALF_RANGE))
         h *= 2.0
     edges = center + np.concatenate([-np.array(offsets[:0:-1]), offsets])
-    at_edges = logpost(edges)
-    shift = float(at_edges[edges.size // 2])  # the mode is the middle edge
+    m, end = edges.size // 2, float(edges[-1])  # the mode is the middle edge
+    step = max(1, BLOCK_ELEMENTS // V.size)
+    if isinstance(logpost, AdjustedLogDensity) and step < edges.size:
+        at_edges = np.full(edges.size, -math.inf)
+        S0, log_vmin = float(np.log(V).sum()), math.log(float(V.min()))
+        slope = 0.5 * logpost.data.r * logpost.restricted
+        pending = [m] + [i for pair in zip(range(m - 1, -1, -1), range(m + 1, edges.size))
+                         for i in pair]
+        while pending:
+            idx, pending = np.sort(pending[:step]), pending[step:]
+            ell, S, Q = logpost.on_nodes(edges[idx], parts=True)
+            at_edges[idx] = ell
+            floor = at_edges[m] - _SKIP_DROP
+            if ((idx < m) & (ell + 0.5 * (S - S0) < floor)).any():
+                pending = [i for i in pending if i > m]
+            right = ell + logpost.prior.c * (end - edges[idx]) + 0.5 * Q + slope * (
+                np.logaddexp(log_vmin, end) - np.logaddexp(log_vmin, edges[idx]))
+            if ((idx > m) & (right < floor)).any():
+                pending = [i for i in pending if i < m]
+    else:
+        at_edges = getattr(logpost, "on_nodes", logpost)(edges)
+    shift = float(at_edges[m])
     low = at_edges < shift - _SKIP_DROP
     keep = ~(low[:-1] & low[1:])
-    a, b = edges[:-1][keep], edges[1:][keep]
-    half = 0.5 * (b - a)
-    nodes = (0.5 * (a + b))[:, None] + half[:, None] * _GL_X
-    w = (half[:, None] * _GL_W).ravel() * np.exp(logpost(nodes.ravel()) - shift)
-    Z = float(w.sum())
-    if not (math.isfinite(Z) and Z > 0.0):
-        raise NonintegrablePosterior(f"posterior normalizer is {Z} around alpha={center}")
-    A, w = np.exp(nodes.ravel()), w / Z
-    W0 = 1.0 / (V + math.exp(center))
-    m1 = np.zeros(V.size)
-    m2 = np.zeros(V.size)
-    step = max(1, BLOCK_ELEMENTS // V.size)
-    for start in range(0, A.size, step):
-        dW = np.add.outer(A[start : start + step], V)
-        np.divide(1.0, dW, out=dW)
-        dW -= W0
-        wc = w[start : start + step]
-        m1 += np.einsum("n,nk->k", wc, dW)
-        m2 += np.einsum("n,nk,nk->k", wc, dW, dW)
-    return V * (W0 + m1), V * V * np.maximum(m2 - m1 * m1, 0.0)
+    return edges[:-1][keep], edges[1:][keep], shift
 
 
 def fit_exact_quadrature(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
@@ -586,7 +623,7 @@ def fit_exact_quadrature(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePoste
     adjusted density): the mode is found by Newton on the closed-form
     derivatives (_newton_alpha), whose last call also gives the curvature
     there, then quadrature_moments integrates around the mode with the block
-    evaluation AdjustedLogDensity.on_nodes.
+    evaluation AdjustedLogDensity.blocks, walking the panel edges outward.
     """
     try:
         validate(data, prior, FitMethod.EXACT)
@@ -597,7 +634,7 @@ def fit_exact_quadrature(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePoste
     ell = AdjustedLogDensity(data, prior)
     (alpha0, lo, hi), = _search_range(data.V, [ell.residual_ss()], data.k - data.r)
     alpha_hat, _, d2 = _newton_alpha(ell.derivatives, alpha0, lo, hi)
-    EB, v = quadrature_moments(ell.on_nodes, alpha_hat, data.V, -d2)
+    EB, v = quadrature_moments(ell, alpha_hat, data.V, -d2)
     if data.equal_variances:
         # single shrinkage factor: report the A consistent with it
         A_hat = float(data.V[0]) * (1.0 - EB[0]) / EB[0]

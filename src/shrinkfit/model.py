@@ -188,18 +188,20 @@ class RandomEffectPosterior:
 
 
 def matrix_rank_pivoted(X: np.ndarray) -> int:
-    """Numerical column rank via column-pivoted QR.
-
-    A pivot is counted when |R_jj| exceeds 1e-10 times the largest column
-    norm, a scale-aware full-rank test.
+    """Numerical column rank via column-pivoted QR of X with each column
+    scaled to a largest |entry| of 1, so the verdict does not depend on
+    column scale and nothing overflows.  A pivot is counted when |R_jj|
+    exceeds 1e-10 times |R_11|, the largest scaled column norm; an all-zero
+    column stays zero and is never counted.
     """
     if X.shape[1] == 0:
         return 0
-    col_norms = np.sqrt((X * X).sum(axis=0))
-    tol = _RANK_TOL * float(col_norms.max())
-    _, R, _ = sla.qr(X, mode="economic", pivoting=True)
+    X = np.array(X, dtype=float, order="F")  # a copy: columns contiguous, scaled in place
+    scale = np.maximum(X.max(axis=0), -X.min(axis=0))
+    X /= np.where(scale > 0.0, scale, 1.0)
+    _, R, _ = sla.qr(X, mode="economic", pivoting=True, overwrite_a=True)
     diag = np.abs(np.diag(R))
-    return int((diag > tol).sum())
+    return int((diag > _RANK_TOL * diag[0]).sum())
 
 
 def check_c(c: float) -> None:

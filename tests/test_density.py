@@ -337,6 +337,31 @@ class TestInvariantInformation:
                 assert d1 == pytest.approx(fd1, abs=1e-6)
                 assert d2 == pytest.approx(fd5_second(ell, alpha), abs=1e-6)
 
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    @pytest.mark.parametrize("restricted", [True, False])
+    def test_hostile_designs_match_central_differences_of_on_nodes(self, restricted, c):
+        # V over 1, 4 or 12 decades, A = 10^+-3, y offset by 1e6, r = 0-3: l'
+        # and l'' within 1e-5 relative (of max(|difference|, 1)) of 5-point
+        # central differences of on_nodes, with steps 1e-2 and 5e-2, at the
+        # true log A and at log V's minimum, median and maximum
+        from test_fitters import HOSTILE_DESIGNS, hostile_design
+
+        stencil = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+        for design in HOSTILE_DESIGNS:
+            data, _ = hostile_design(*design)
+            ell = AdjustedLogDensity(data, PriorSpec(c=c), restricted)
+            log_V = np.log(np.quantile(data.V, [0.0, 0.5, 1.0]))
+            for alpha in [design[1] * math.log(10.0), *log_V]:
+                f1 = ell.on_nodes(alpha + 1e-2 * stencil)
+                f2 = ell.on_nodes(alpha + 5e-2 * stencil)
+                fd1 = (f1[0] - 8.0 * f1[1] + 8.0 * f1[3] - f1[4]) / (12.0 * 1e-2)
+                fd2 = (-f2[0] + 16.0 * f2[1] - 30.0 * f2[2] + 16.0 * f2[3] - f2[4]) / (
+                    12.0 * 5e-2**2
+                )
+                d1, d2 = ell.derivatives(alpha)
+                assert abs(d1 - fd1) <= 1e-5 * max(abs(fd1), 1.0), (design, alpha)
+                assert abs(d2 - fd2) <= 1e-5 * max(abs(fd2), 1.0), (design, alpha)
+
     def test_logit_coordinate_identity(self, unequal_dataset_factory):
         # curvature in logit(B_i) of the B_i-density equals curvature in
         # log A of the A-density, unit by unit

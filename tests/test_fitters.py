@@ -37,9 +37,12 @@ from shrinkfit.density import (
     residual_ss,
 )
 from shrinkfit.evaluate import exact_moments_equal_anyc
+from shrinkfit import fitters
 from shrinkfit.fitters import (
     _brent,
     _lockstep,
+    _newton_alpha,
+    _SKIP_DROP,
     _search_range,
     adm_beta_moments,
     adm_moments_equal,
@@ -687,6 +690,76 @@ class TestExactQuadrature:
         ))
         with pytest.raises(NonintegrablePosterior):
             fit_exact_quadrature(data, PriorSpec(c=1.0))
+
+
+def walk_and_every_edge(data: TwoLevelData, prior: PriorSpec, center=None):
+    """The quadrature's kept panels (a, b, l at the mode) at the exact fit's
+    mode (or at `center`, a local mode): walked outward on the
+    AdjustedLogDensity, and with every edge evaluated by the plain callable
+    on_nodes; and the sizes of the walk's on_nodes calls."""
+    ell = AdjustedLogDensity(data, prior)
+    if center is None:
+        (alpha0, lo, hi), = _search_range(data.V, [ell.residual_ss()], data.k - data.r)
+        center, _, d2 = _newton_alpha(ell.derivatives, alpha0, lo, hi)
+    else:
+        center, _, d2 = _newton_alpha(ell.derivatives, center, center - 3.0, center + 3.0)
+    every = fitters._panels(ell.on_nodes, center, data.V, -d2)
+    sizes = []
+
+    def counted(alphas, parts=False, on_nodes=ell.on_nodes):
+        sizes.append(np.size(alphas))
+        return on_nodes(alphas, parts)
+
+    ell.on_nodes = counted
+    return fitters._panels(ell, center, data.V, -d2), every, sizes
+
+
+def assert_same_panels(walk, every):
+    assert np.array_equal(walk[0], every[0]) and np.array_equal(walk[1], every[1])
+
+
+class TestEdgeWalk:
+    """quadrature_moments walks the panel edges of an AdjustedLogDensity
+    outward from the mode and stops a side at a proven bound; it must keep
+    exactly the panels that evaluating every edge keeps."""
+
+    @pytest.mark.parametrize("decades, log10_A, k, r", HOSTILE_DESIGNS)
+    def test_hostile_designs(self, decades, log10_A, k, r, monkeypatch):
+        # one edge a block, so that the walk stops wherever its bounds allow
+        monkeypatch.setattr(fitters, "BLOCK_ELEMENTS", k)
+        walk, every, sizes = walk_and_every_edge(*hostile_design(decades, log10_A, k, r))
+        assert_same_panels(walk, every)
+        assert max(sizes) == 1
+
+    @pytest.mark.parametrize("c", [0.5, 1.0])
+    @pytest.mark.parametrize("k, pool", [(10, 16), (100, 16), (10_000, 4), (100_000, 1)])
+    def test_cli_pool(self, k, pool, c):
+        for j in range(pool):
+            walk, every, sizes = walk_and_every_edge(cli_pool_dataset(k, j), PriorSpec(c))
+            assert_same_panels(walk, every)
+            if k <= 10_000:
+                assert len(sizes) == 1  # every edge at k <= 100, 13 of 91 at 1e4
+            else:
+                assert sum(sizes) <= 20  # of 93 edges
+
+    def test_walk_passes_a_second_mode(self, monkeypatch):
+        # forty units with V = 1e-4 and residuals of 0.1 prefer A ~ 0.01, six
+        # with V = 1e3 and residuals of 316 prefer A ~ 1e5: l has local maxima
+        # near alpha = -4.6 and 9.4, 23 apart in height, and between them a
+        # dip 129 below the lower one.  A walk that stopped at the first edge
+        # more than 50 below its mode would miss the other mode, from either.
+        V = np.array([1e-4] * 40 + [1e3] * 6)
+        data = TwoLevelData(np.array([0.1, -0.1] * 20 + [math.sqrt(1e5)] * 6), V)
+        ell = AdjustedLogDensity(data, PriorSpec(1.0))
+        modes = [_newton_alpha(ell.derivatives, a, a - 3.0, a + 3.0)[0] for a in (-4.6, 9.4)]
+        assert modes[1] - modes[0] > 5.0 and 0.0 < ell(modes[1]) - ell(modes[0]) < 50.0
+        assert ell(4.3) < ell(modes[0]) - 2.0 * _SKIP_DROP
+        monkeypatch.setattr(fitters, "BLOCK_ELEMENTS", data.k)  # one edge a block
+        for center in (None, modes[0]):  # from the global mode, then the lower one
+            walk, every, sizes = walk_and_every_edge(data, PriorSpec(1.0), center)
+            assert_same_panels(walk, every)
+            for mode in modes:  # the walk went past the dip to the other mode
+                assert np.any((walk[0] <= mode) & (mode <= walk[1]))
 
 
 def adm_loss_ratio(data: TwoLevelData) -> float:

@@ -92,6 +92,31 @@ def test_rank_tolerance_is_scale_aware():
     assert matrix_rank_pivoted(X_ok) == 2
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-10, 1.0, 1e9, 1e10, 1e155, 1e300])
+def test_rank_verdict_does_not_depend_on_column_scale(scale):
+    # a full-rank [1, x] stays full rank however x is scaled; entries past
+    # 1.34e154 would overflow a sum of squares (a RuntimeWarning, which the
+    # test configuration turns into an error)
+    x = np.arange(1.0, 6.0) * scale
+    assert matrix_rank_pivoted(np.column_stack([np.ones(5), x])) == 2
+    assert TwoLevelData(np.arange(5.0), np.ones(5), np.column_stack([np.ones(5), x])).r == 2
+    # and a collinear pair stays collinear at any scale
+    assert matrix_rank_pivoted(np.column_stack([x, 3.0 * x])) == 1
+
+
+def test_rank_verdicts_kept_for_zero_and_nearly_collinear_columns():
+    assert matrix_rank_pivoted(np.column_stack([np.ones(6), np.zeros(6)])) == 1
+    assert matrix_rank_pivoted(np.zeros((6, 2))) == 0
+    with pytest.raises(RankDeficientX):
+        TwoLevelData(np.arange(6.0), np.ones(6), np.column_stack([np.ones(6), np.zeros(6)]))
+    # X = [1, x, x + 1e-8 e] passes this test; the GLS kernel's pivot test
+    # rejects it at fit time
+    from test_fitters import nearly_collinear_data
+
+    for seed in range(5):
+        assert nearly_collinear_data(s=1e-8, seed=seed).r == 3
+
+
 def test_known_mu_rules():
     # known means: zeros by default, one finite entry per unit, r = 0 only
     np.testing.assert_array_equal(TwoLevelData(np.arange(6.0), np.ones(6)).mu, np.zeros(6))
