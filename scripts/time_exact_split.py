@@ -79,14 +79,7 @@ fitters._newton_alpha = timed("newton", fitters._newton_alpha)
 fitters.quadrature_moments = timed("total", fitters.quadrature_moments)
 walk = hasattr(fitters, "_panels")
 if walk:
-    panels = fitters._panels
-
-    def traced_panels(*args):
-        out = panels(*args)
-        now["panels"] = out[0].size
-        return out
-
-    fitters._panels = timed("edges", traced_panels)
+    fitters._panels = timed("edges", fitters._panels)
 AdjustedLogDensity.derivatives = counted(
     "derivatives", AdjustedLogDensity.derivatives, lambda a: 1)
 AdjustedLogDensity.on_nodes = counted("on_nodes", AdjustedLogDensity.on_nodes, np.size)
@@ -99,11 +92,9 @@ for path in sys.argv[1:]:
     for rep in range(4):  # the first fit warms up
         now.clear()
         fitters.fit_exact_quadrature(data, PriorSpec(1.0))
-        calls = now.get("on_nodes", [])
-        if walk:
-            edges, nodes = sum(n for n, _ in calls), 12 * now["panels"]
-        else:
-            edges, nodes = calls[0][0], calls[1][0]
+        calls = now["on_nodes"]  # the edges' calls, then the nodes' one
+        edges, nodes = sum(n for n, _ in calls[:-1]), calls[-1][0]
+        if not walk:
             now["edges"] = calls[0][1]
         rows.append({
             "newton": now["newton"],

@@ -128,22 +128,15 @@ class AdjustedLogDensity:
         return float(self.on_nodes(alpha)[0])
 
     def on_nodes(self, alphas: np.ndarray, parts: bool = False) -> np.ndarray:
-        """l at every alpha of an array (or at one alpha); with `parts`, the
-        (3, n) rows l, S and Q of blocks()."""
-        alphas = np.asarray(alphas, dtype=float).ravel()
-        out = np.empty((3, alphas.size))
-        for start, W, values in self.blocks(alphas):
-            out[:, start : start + W.shape[0]] = values
-        return out if parts else out[0]
-
-    def blocks(self, alphas: np.ndarray):
-        """(start, W, (l, S, Q)) per block of about BLOCK_ELEMENTS elements of
-        a 1-d array of alphas: the block's n nodes from `start` form W = 1/(V
-        + A), (n, k), which the caller may overwrite, and per node S = sum
-        log(V_i + A) and Q = e'D^-1 e.  For r >= 1 one call of the kernel
-        _gls gives the n regressions (and raises RankDeficientX as _gls does).
+        """l at every alpha of an array (or at one alpha), in blocks of about
+        BLOCK_ELEMENTS elements: a block of n nodes forms W = 1/(V + A) as an
+        (n, k) array, and for r >= 1 one call of the kernel _gls gives its n
+        regressions (and raises RankDeficientX as _gls does).  With `parts`,
+        the (3, n) rows l, S = sum log(V_i + A) and Q = e'D^-1 e.
         """
         data = self.data
+        alphas = np.asarray(alphas, dtype=float).ravel()
+        out = np.empty((3, alphas.size))
         step = max(1, BLOCK_ELEMENTS // data.k)
         for start in range(0, alphas.size, step):
             a = alphas[start : start + step]
@@ -158,7 +151,9 @@ class AdjustedLogDensity:
             total = S + Q
             if data.r and self.restricted:
                 total += 2.0 * np.log(L.diagonal(0, 1, 2)).sum(axis=1)
-            yield start, W, (self.prior.c * a - 0.5 * total, S, Q)
+            block = out[:, start : start + step]
+            block[0], block[1], block[2] = self.prior.c * a - 0.5 * total, S, Q
+        return out if parts else out[0]
 
     def derivatives(self, alpha: float) -> tuple[float, float]:
         """(l'(alpha), l''(alpha)) in closed form.
