@@ -10,10 +10,14 @@ k = 1e4 and 1e5, c = 1. It is split into three layers:
   of `AdjustedLogDensity.derivatives` calls;
 - edge walk: the panel edges at which l is evaluated to choose the kept
   panels, with the count of edges evaluated. In a checkout that has
-  `fitters._panels` this is that call; in an older one, the first
-  `AdjustedLogDensity.on_nodes` call of `quadrature_moments`;
+  `fitters._panels` this is that call and the `AdjustedLogDensity.on_nodes`
+  calls made inside it; in an older one, the first `on_nodes` call of
+  `quadrature_moments`;
 - node pass: the rest of `quadrature_moments` (l at the kept nodes and the
-  moments of B), with the count of nodes, 12 per kept panel.
+  moments of B), with the count of nodes, 12 per kept panel (in an older
+  checkout, the size of the last `on_nodes` call), and its path: power sums
+  with their number of terms J when `AdjustedLogDensity.power_sums` was
+  taken, blocks otherwise.
 
 Each round runs one fresh interpreter per checkout, through its own ``src/``,
 alternating between the two; an interpreter fits each k once to warm up and
@@ -66,11 +70,11 @@ def timed(name, fn):
 
 
 def counted(name, fn, size):
-    # records (size of the argument, seconds) per call
+    # records (size of the argument, seconds, inside _panels) per call
     def wrapper(self, alphas, *args, **kwargs):
         t = clock()
         out = fn(self, alphas, *args, **kwargs)
-        now.setdefault(name, []).append((size(alphas), clock() - t))
+        now.setdefault(name, []).append((size(alphas), clock() - t, "inside" in now))
         return out
     return wrapper
 
@@ -79,7 +83,27 @@ fitters._newton_alpha = timed("newton", fitters._newton_alpha)
 fitters.quadrature_moments = timed("total", fitters.quadrature_moments)
 walk = hasattr(fitters, "_panels")
 if walk:
-    fitters._panels = timed("edges", fitters._panels)
+    panels = fitters._panels
+
+    def edge_walk(*args):
+        now["inside"] = True  # marks the on_nodes calls made inside _panels
+        t = clock()
+        out = panels(*args)
+        now["edges"] = clock() - t
+        del now["inside"]
+        now["kept"] = out[0].size
+        return out
+
+    fitters._panels = edge_walk
+if hasattr(AdjustedLogDensity, "power_sums"):
+    power_sums = AdjustedLogDensity.power_sums
+
+    def recorded(self, *args):
+        out = power_sums(self, *args)
+        now["path"] = "blocks" if out is None else f"sums J={out[1]}"
+        return out
+
+    AdjustedLogDensity.power_sums = recorded
 AdjustedLogDensity.derivatives = counted(
     "derivatives", AdjustedLogDensity.derivatives, lambda a: 1)
 AdjustedLogDensity.on_nodes = counted("on_nodes", AdjustedLogDensity.on_nodes, np.size)
@@ -92,10 +116,13 @@ for path in sys.argv[1:]:
     for rep in range(4):  # the first fit warms up
         now.clear()
         fitters.fit_exact_quadrature(data, PriorSpec(1.0))
-        calls = now["on_nodes"]  # the edges' calls, then the nodes' one
-        edges, nodes = sum(n for n, _ in calls[:-1]), calls[-1][0]
-        if not walk:
+        calls = now["on_nodes"]
+        if walk:  # the edges' calls are those made inside _panels
+            edges = sum(n for n, _, inside in calls if inside)
+            nodes = fitters._GL_NODES * now["kept"]
+        else:  # an older tree: every edge in the first call, the nodes in the last
             now["edges"] = calls[0][1]
+            edges, nodes = calls[0][0], calls[-1][0]
         rows.append({
             "newton": now["newton"],
             "edges": now["edges"],
@@ -104,6 +131,7 @@ for path in sys.argv[1:]:
             "derivatives": len(now["derivatives"]),
             "edge_count": edges,
             "node_count": nodes,
+            "path": now.get("path", "blocks"),
         })
     best = dict(rows[-1])
     for layer in ("newton", "edges", "nodes", "total"):
@@ -143,13 +171,13 @@ def main(argv=None) -> int:
     print(f"exact fit, fit-cli pool dataset 0, r = 2, c = 1; best of {rounds} "
           "interleaved rounds (ms)")
     print(f"{'k':>7} {'tree':>5} {'newton':>8} {'edges':>8} {'nodes':>8} {'total':>8}"
-          f" {'derivs':>7} {'edges#':>7} {'nodes#':>7}")
+          f" {'derivs':>7} {'edges#':>7} {'nodes#':>7}  node path")
     for k in map(str, SIZES):
         for name in trees:
             row = best[name][k]
             times = " ".join(f"{1e3 * row[layer]:8.1f}" for layer in LAYERS)
             print(f"{k:>7} {name:>5} {times} {row['derivatives']:7d} {row['edge_count']:7d}"
-                  f" {row['node_count']:7d}")
+                  f" {row['node_count']:7d}  {row['path']}")
     for name, tree in trees.items():
         print(f"{name}: {tree}")
     return 0

@@ -14,7 +14,12 @@ of each shrinkage factor rather than its mode.
 
 For r >= 1 one kernel, AdjustedLogDensity._gls, runs the weighted regression
 at a block of A values; the log-density, its derivatives and
-beta_and_projection_diag all take beta_A and X'D^-1 X from it.
+beta_and_projection_diag all take beta_A and X'D^-1 X from it.  Near a mode
+A0, AdjustedLogDensity.power_sums takes only the residual e0 = y - X beta_A0
+from it and gets l at many A from power sums of 1/(V + A0): the truncated
+series is used only when rho = max|A - A0| / (V_min + A0) < 1 and at most
+SERIES_TERMS terms bound its error in l by SERIES_TOL.  Both test X'D^-1 X
+for rank by the same Cholesky pivot test (_cholesky).
 """
 
 from __future__ import annotations
@@ -30,6 +35,11 @@ from .model import PriorSpec, RankDeficientX, ShrinkfitError, TwoLevelData
 # 1 MB of floats, so a pass's few arrays stay in a 2 MB L2 cache
 BLOCK_ELEMENTS = 1 << 17
 
+# The power-sum pass (AdjustedLogDensity.power_sums) uses at most this many
+# terms, enough for a bound of SERIES_TOL on its truncation error in l
+SERIES_TERMS = 64
+SERIES_TOL = 1e-13
+
 # X'D^-1 X counts as singular when a squared Cholesky pivot L_jj^2 is at most
 # this fraction of its diagonal entry M_jj (about 1.1e-14)
 PIVOT_REL = 50 * np.finfo(float).eps
@@ -38,6 +48,19 @@ PIVOT_REL = 50 * np.finfo(float).eps
 class NonconcaveAtMax(ShrinkfitError):
     """The adjusted log-density has nonpositive curvature at the reported
     maximizer, so no Beta approximation can be formed."""
+
+
+def _cholesky(M: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a stack of X'D^-1 X, (n, r, r).  Raises
+    RankDeficientX when some L_jj^2 <= PIVOT_REL * M_jj or the Cholesky
+    fails."""
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:  # a pivot <= 0, which the test below rejects
+        L = np.zeros_like(M)
+    if (L.diagonal(0, 1, 2) ** 2 <= PIVOT_REL * M.diagonal(0, 1, 2)).any():
+        raise RankDeficientX("X'D^-1 X is numerically singular: X is nearly collinear")
+    return L
 
 
 def known_means_rows(alphas, e2: np.ndarray, V: np.ndarray, c: float = 0.0) -> np.ndarray:
@@ -94,19 +117,13 @@ class AdjustedLogDensity:
         beta_A, (n, r), and the residuals y - X beta_A, (n, k), into `out` if
         given.  M and X'D^-1 y are one product W @ [X (x) X, X y]; the
         residuals are taken directly (y'D^-1 y - b'beta cancels when |y| is
-        large).  Raises RankDeficientX when some L_jj^2 <= PIVOT_REL * M_jj or
-        the Cholesky fails: nearly collinear X can pass TwoLevelData's rank
-        test and still fail here.
+        large).  Raises RankDeficientX by _cholesky's pivot test: nearly
+        collinear X can pass TwoLevelData's rank test and still fail here.
         """
         r = self.data.r
         G = W @ self._cross
         M = G[:, : r * r].reshape(-1, r, r)
-        try:
-            L = np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:  # a pivot <= 0, which the test below rejects
-            L = np.zeros_like(M)
-        if (L.diagonal(0, 1, 2) ** 2 <= PIVOT_REL * M.diagonal(0, 1, 2)).any():
-            raise RankDeficientX("X'D^-1 X is numerically singular: X is nearly collinear")
+        L = _cholesky(M)
         beta = np.linalg.solve(M, G[:, r * r :, None])[:, :, 0]
         return M, L, beta, np.subtract(self.data.y, beta @ self._XT, out=out)
 
@@ -154,6 +171,86 @@ class AdjustedLogDensity:
             block = out[:, start : start + step]
             block[0], block[1], block[2] = self.prior.c * a - 0.5 * total, S, Q
         return out if parts else out[0]
+
+    def power_sums(self, center: float, alphas: np.ndarray) -> tuple[np.ndarray, int] | None:
+        """l(alpha) - l(center) at every alpha of an array, by power sums of
+        W0 = 1/(V + A0), A0 = exp(center), in O(J k) rather than the O(n k)
+        of on_nodes, and the number of terms J; None when the series would
+        need more than SERIES_TERMS terms.
+
+        With delta = A - A0 = A0 expm1(alpha - center), 1/(V_i + A) is
+        W0_i sum_j (-delta W0_i)^j.  The series is taken in u = -delta / scale
+        and omega = scale W0, with scale = V_min + A0, so that |u| < 1 and
+        omega <= 1 whatever the scale of V and A: 1/(V_i + A) =
+        W0_i sum_j u^j omega_i^j, and
+        S = sum log(V_i + A) moves by -sum_{j>=1} u^j sum_i omega_i^j / j.  With
+        e0 the residual y - X beta_A0 of _gls at center (y - mu when r = 0),
+        M = X'D^-1 X, g = X'D^-1 e0 and e0'D^-1 e0 are power series in u
+        whose coefficients are one product of the powers W0 omega^j with the
+        columns [1, X (x) X, X e0, e0^2], taken a chunk of about BLOCK_ELEMENTS
+        at a time.  Q = e0'D^-1 e0 - g'M^-1 g exactly, as Q does not change
+        when y is shifted by X b, and log|M| and RankDeficientX come from
+        _cholesky, as in _gls.
+
+        With rho = max|u| = max|delta| max W0 < 1, each truncated 1/(V_i + A)
+        is off by at most eta = rho^(J+1)/(1 - rho) relative, so S by
+        k eta/(J+1), Q by eta Q0/(1 - rho) (Q0 = e0'D0^-1 e0) and log|M| by
+        r eta to first order; J is the least for which half their sum is at
+        most SERIES_TOL.
+        """
+        data = self.data
+        A0 = math.exp(center)
+        scale = float(data.V.min()) + A0
+        alphas = np.asarray(alphas, dtype=float).ravel()
+        # |u| is largest at an end of the range
+        rho = A0 / scale * max(-math.expm1(alphas.min() - center),
+                               math.expm1(alphas.max() - center))
+        if not rho < 1.0:
+            return None
+        W0 = 1.0 / (data.V + A0)
+        r, s = data.r, float(data.r >= 1 and self.restricted)
+        e0 = self._gls(W0[None, :])[3][0] if r else self._resid0
+        Q0 = float(W0 @ (e0 * e0))
+        J = np.arange(2, SERIES_TERMS + 1)
+        eta = rho ** (J + 1) / (1.0 - rho)
+        fits = 0.5 * eta * (data.k / (J + 1) + s * r + Q0 / (1.0 - rho)) <= SERIES_TOL
+        if not fits.any():
+            return None
+        J = int(J[fits.argmax()])
+
+        # C[j] = sum_i W0_i omega_i^j [1, X (x) X, X e0, e0^2]_i for j = 0..J
+        C = np.zeros((J + 1, r * r + r + 2))
+        step = max(1, BLOCK_ELEMENTS // (J + 1))
+        for start in range(0, data.k, step):
+            W = W0[start : start + step]
+            e = e0[start : start + step]
+            omega = scale * W
+            T = np.empty((J + 1, W.size))
+            T[0] = W
+            for j in range(J):
+                np.multiply(T[j], omega, out=T[j + 1])
+            F = np.empty((C.shape[1], W.size))
+            F[0] = 1.0
+            if r:
+                F[1 : r * r + 1] = self._cross.T[: r * r, start : start + step]
+                np.multiply(self._XT[:, start : start + step], e, out=F[r * r + 1 : -1])
+            np.multiply(e, e, out=F[-1])
+            C += T @ F.T
+
+        # the series at each alpha and, in the last row, at center
+        u = -(A0 / scale) * np.expm1(alphas - center)
+        P = np.vander(np.append(u, 0.0), J + 1, increasing=True)
+        G = P @ C
+        dS = -scale * (P[:-1, 1:] @ (C[:-1, 0] / np.arange(1, J + 1)))
+        rest = G[:, -1]  # s log|M| + Q
+        if r:
+            M = G[:, 1 : r * r + 1].reshape(-1, r, r)
+            L, g = _cholesky(M), G[:, r * r + 1 : -1]
+            rest = rest - np.einsum("nj,nj->n", g, np.linalg.solve(M, g[:, :, None])[:, :, 0])
+            if self.restricted:
+                rest += 2.0 * np.log(L.diagonal(0, 1, 2)).sum(axis=1)
+        ell = self.prior.c * (alphas - center) - 0.5 * (dS + rest[:-1] - rest[-1])
+        return ell, J
 
     def derivatives(self, alpha: float) -> tuple[float, float]:
         """(l'(alpha), l''(alpha)) in closed form.

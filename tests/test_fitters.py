@@ -37,7 +37,7 @@ from shrinkfit.density import (
     residual_ss,
 )
 from shrinkfit.evaluate import exact_moments_equal_anyc
-from shrinkfit import fitters
+from shrinkfit import density, fitters
 from shrinkfit.fitters import (
     _brent,
     _lockstep,
@@ -720,8 +720,9 @@ def assert_same_panels(walk, every):
 
 class TestEdgeWalk:
     """quadrature_moments walks the panel edges of an AdjustedLogDensity
-    outward from the mode and stops a side at a proven bound; it must keep
-    exactly the panels that evaluating every edge keeps."""
+    outward from the mode and stops a side at a proven bound (unless every
+    edge fits one block, k below about 1300); it must keep exactly the
+    panels that evaluating every edge keeps."""
 
     @pytest.mark.parametrize("decades, log10_A, k, r", HOSTILE_DESIGNS)
     def test_hostile_designs(self, decades, log10_A, k, r, monkeypatch):
@@ -760,6 +761,101 @@ class TestEdgeWalk:
             assert_same_panels(walk, every)
             for mode in modes:  # the walk went past the dip to the other mode
                 assert np.any((walk[0] <= mode) & (mode <= walk[1]))
+
+
+def exact_fit_paths(data: TwoLevelData, prior: PriorSpec, monkeypatch):
+    """The exact fit with its node pass by power sums and by blocks (forced
+    by a zero term cap), and what the first did: the J that power_sums
+    returned (None when it declined) and the sizes of its on_nodes calls."""
+    terms, sizes = [], []
+    power_sums, on_nodes = AdjustedLogDensity.power_sums, AdjustedLogDensity.on_nodes
+
+    def counted_sums(self, center, alphas):
+        out = power_sums(self, center, alphas)
+        terms.append(None if out is None else out[1])
+        return out
+
+    def counted_nodes(self, alphas, parts=False):
+        sizes.append(np.size(alphas))
+        return on_nodes(self, alphas, parts)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(AdjustedLogDensity, "power_sums", counted_sums)
+        patch.setattr(AdjustedLogDensity, "on_nodes", counted_nodes)
+        sums = fit_exact_quadrature(data, prior)
+    with monkeypatch.context() as patch:
+        patch.setattr(density, "SERIES_TERMS", 0)
+        blocks = fit_exact_quadrature(data, prior)
+    return sums, blocks, terms, sizes
+
+
+def assert_close_to_blocks(sums, blocks):
+    # bounds fixed before the first run; the worst seen is 1.4e-11 (B_hat)
+    # and 1.4e-9 (v), at r = 3 with X beta offset by 1e6
+    assert np.max(np.abs(sums.B_hat - blocks.B_hat) / blocks.B_hat) <= 1e-10
+    assert np.max(np.abs(sums.v - blocks.v) / blocks.v) <= 1e-8
+
+
+class TestPowerSums:
+    """Near the mode quadrature_moments evaluates l and the moments of B at
+    the kept nodes by power sums of W0 = 1/(V + A_hat); the block pass is
+    the reference."""
+
+    @pytest.mark.parametrize("c", [0.5, 1.0])
+    @pytest.mark.parametrize("k, pool", [(10_000, 4), (100_000, 1)])
+    def test_cli_pool(self, k, pool, c, monkeypatch):
+        for j in range(pool):
+            sums, blocks, terms, sizes = exact_fit_paths(
+                cli_pool_dataset(k, j), PriorSpec(c), monkeypatch)
+            assert_close_to_blocks(sums, blocks)
+            assert terms[0] is not None  # the nodes made no on_nodes call
+            assert sum(sizes) <= 20  # the edge walk's (of 91 or 93 edges)
+
+    @pytest.mark.parametrize("decades, k, r, c", [
+        (1, 20_000, 0, 1.0),  # known means offset by 1e6
+        (0, 40_000, 1, 0.5),  # equal V, so c = 0.5 goes to the quadrature
+        (1, 60_000, 3, 1.0),  # X beta offset by 1e6
+    ])
+    def test_designs(self, decades, k, r, c, monkeypatch):
+        data, _ = hostile_design(decades, 0, k, r)
+        sums, blocks, terms, _ = exact_fit_paths(data, PriorSpec(c), monkeypatch)
+        assert terms[0] is not None
+        assert_close_to_blocks(sums, blocks)
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e9])
+    def test_scaled_cli_pool(self, scale, monkeypatch):
+        # y times scale and V times scale^2 leave B as it is; A_hat near 1e18
+        # or 1e-18 must not overflow or underflow the powers of delta or W0
+        data = cli_pool_dataset(10_000, 0)
+        scaled = TwoLevelData(data.y * scale, data.V * scale**2, data.X)
+        sums, blocks, terms, _ = exact_fit_paths(scaled, PriorSpec(1.0), monkeypatch)
+        assert terms[0] is not None
+        assert_close_to_blocks(sums, blocks)
+
+    @pytest.mark.parametrize("k", [10, 100])
+    def test_small_k_keeps_the_block_pass(self, k, monkeypatch):
+        for j in range(4):
+            sums, blocks, terms, sizes = exact_fit_paths(
+                cli_pool_dataset(k, j), PriorSpec(1.0), monkeypatch)
+            # the edges' one call and the nodes' one call
+            assert terms == [None] and len(sizes) == 2 and sizes[1] % fitters._GL_NODES == 0
+            assert np.array_equal(sums.B_hat, blocks.B_hat) and np.array_equal(sums.v, blocks.v)
+
+    def test_pivot_test_raises_rank_deficient(self, monkeypatch):
+        # _gls at the mode is let through without its pivot test, so that only
+        # the series' own test on the X'D^-1 X it sums can raise
+        data = nearly_collinear_data(k=20_000)
+        gls = AdjustedLogDensity._gls
+
+        def gls_without_pivot_test(self, W, out=None):
+            with monkeypatch.context() as patch:
+                patch.setattr(density, "PIVOT_REL", -1.0)
+                return gls(self, W, out)
+
+        monkeypatch.setattr(AdjustedLogDensity, "_gls", gls_without_pivot_test)
+        ell = AdjustedLogDensity(data, PriorSpec(1.0))
+        with pytest.raises(RankDeficientX):
+            ell.power_sums(0.0, np.linspace(-0.05, 0.05, 12))
 
 
 def adm_loss_ratio(data: TwoLevelData) -> float:
