@@ -16,17 +16,20 @@ For r >= 1 one kernel, AdjustedLogDensity._gls, runs the weighted regression
 at a block of A values; the log-density, its derivatives and
 beta_and_projection_diag all take beta_A and X'D^-1 X from it.  Near a mode
 A0, AdjustedLogDensity.power_sums takes only the residual e0 = y - X beta_A0
-from it and gets l at many A from power sums of 1/(V + A0): the truncated
-series is used only when rho = max|A - A0| / (V_min + A0) < 1 and at most
-SERIES_TERMS terms bound its error in l by SERIES_TOL.  Both test X'D^-1 X
-for rank by the same Cholesky pivot test (_cholesky).
+from it and gets l at many A, and the moments of 1/(V + A) under weights on
+them, from power sums of 1/(V + A0): the truncated series is used only when
+rho = max|A - A0| / (V_min + A0) < 1 and at most SERIES_TERMS terms bound
+its error in l by SERIES_TOL.  Both test X'D^-1 X for rank by the same
+Cholesky pivot test (_cholesky).
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .model import PriorSpec, RankDeficientX, ShrinkfitError, TwoLevelData
 
@@ -43,6 +46,16 @@ SERIES_TOL = 1e-13
 # X'D^-1 X counts as singular when a squared Cholesky pivot L_jj^2 is at most
 # this fraction of its diagonal entry M_jj (about 1.1e-14)
 PIVOT_REL = 50 * np.finfo(float).eps
+
+
+class PowerSums(NamedTuple):
+    """AdjustedLogDensity.power_sums at a set of alphas around a mode."""
+
+    ell: np.ndarray  # l(alpha) - l(center) at each alpha
+    terms: int  # J, the terms of the truncated series
+    # normalized weights w on the alphas -> E[W - W0] and E[(W - W0)^2] per
+    # unit, with W = 1/(V + exp(alpha)) and W0 its value at center
+    moments: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 class NonconcaveAtMax(ShrinkfitError):
@@ -172,11 +185,12 @@ class AdjustedLogDensity:
             block[0], block[1], block[2] = self.prior.c * a - 0.5 * total, S, Q
         return out if parts else out[0]
 
-    def power_sums(self, center: float, alphas: np.ndarray) -> tuple[np.ndarray, int] | None:
+    def power_sums(self, center: float, alphas: np.ndarray) -> PowerSums | None:
         """l(alpha) - l(center) at every alpha of an array, by power sums of
         W0 = 1/(V + A0), A0 = exp(center), in O(J k) rather than the O(n k)
-        of on_nodes, and the number of terms J; None when the series would
-        need more than SERIES_TERMS terms.
+        of on_nodes, with the number of terms J and the moments of W under
+        weights on the alphas; None when the series would need more than
+        SERIES_TERMS terms.
 
         With delta = A - A0 = A0 expm1(alpha - center), 1/(V_i + A) is
         W0_i sum_j (-delta W0_i)^j.  The series is taken in u = -delta / scale
@@ -197,6 +211,11 @@ class AdjustedLogDensity:
         k eta/(J+1), Q by eta Q0/(1 - rho) (Q0 = e0'D0^-1 e0) and log|M| by
         r eta to first order; J is the least for which half their sum is at
         most SERIES_TOL.
+
+        With mu_j = E[u^j] under the weights, W - W0 = W0 sum_{j>=1}
+        u^j omega^j gives E[W - W0] = W0 sum_{j>=1} mu_j omega^j and
+        E[(W - W0)^2] = W0^2 sum_{j>=2} (j - 1) mu_j omega^j, each summed by
+        Horner's rule in omega.
         """
         data = self.data
         A0 = math.exp(center)
@@ -250,7 +269,15 @@ class AdjustedLogDensity:
             if self.restricted:
                 rest += 2.0 * np.log(L.diagonal(0, 1, 2)).sum(axis=1)
         ell = self.prior.c * (alphas - center) - 0.5 * (dS + rest[:-1] - rest[-1])
-        return ell, J
+
+        def moments(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            mu = w @ P[:-1]
+            omega = scale * W0
+            lead = W0 * omega
+            return (lead * polyval(omega, mu[1:]),
+                    lead**2 * polyval(omega, np.arange(1, J) * mu[2:]))
+
+        return PowerSums(ell, J, moments)
 
     def derivatives(self, alpha: float) -> tuple[float, float]:
         """(l'(alpha), l''(alpha)) in closed form.

@@ -540,17 +540,14 @@ def quadrature_moments(
     posterior is narrow.
 
     The nodes are evaluated in one of two ways.  When the kept range is
-    narrow around the mode, an AdjustedLogDensity gives l there by power sums
-    of W0 (AdjustedLogDensity.power_sums): with delta = A - A0 and
-    rho = max|delta| max W0 < 1 over the nodes, W = W0 sum_j (-delta W0)^j
-    is truncated after J terms, off by at most rho^(J+1)/(1 - rho) relative,
-    with J the least (at most density.SERIES_TERMS) that bounds the error in
-    l by density.SERIES_TOL.  The moments then follow from
-    mu_j = E[(-delta)^j] as E[W - W0] = sum_{j>=1} mu_j W0^(j+1) and
-    E[(W - W0)^2] = sum_{j>=2} (j - 1) mu_j W0^(j+2), by Horner's rule, with
-    delta and W0 scaled by V_min + A0 so that no power overflows.  That is
-    O(J k) work rather than O(n k) for n nodes.  Otherwise (rho >= 1, more
-    terms than the cap, or a plain function, as from `curves`) l is
+    narrow around the mode, an AdjustedLogDensity gives l and the moments
+    there by power sums of W0 (AdjustedLogDensity.power_sums): with
+    delta = A - A0 and rho = max|delta| max W0 < 1 over the nodes,
+    W = W0 sum_j (-delta W0)^j is truncated after J terms, off by at most
+    rho^(J+1)/(1 - rho) relative, with J the least (at most
+    density.SERIES_TERMS) that bounds the error in l by density.SERIES_TOL.
+    That is O(J k) work rather than O(n k) for n nodes.  Otherwise (rho >= 1,
+    more terms than the cap, or a plain function, as from `curves`) l is
     evaluated at the nodes and the moments accumulated a block of about
     BLOCK_ELEMENTS elements at a time.  Raises NonintegrablePosterior when
     the normalizer is not finite and positive.
@@ -564,25 +561,13 @@ def quadrature_moments(
         values = logpost.on_nodes
     else:
         sums, values = None, logpost
-    w *= np.exp(values(nodes) - shift if sums is None else sums[0])
+    w *= np.exp(values(nodes) - shift if sums is None else sums.ell)
     Z = float(w.sum())
     if not (math.isfinite(Z) and Z > 0.0):
         raise NonintegrablePosterior(f"posterior normalizer is {Z} around alpha={center}")
     w /= Z
-    A0 = math.exp(center)
-    W0 = 1.0 / (V + A0)
-    if sums is None:
-        m1, m2 = _block_moments(np.exp(nodes), w, V, W0)
-    else:
-        # W - W0 = W0 sum_{j>=1} u^j omega^j with u = (A0 - A)/scale and
-        # omega = scale W0 <= 1 for scale = V_min + A0, so with mu_j = E[u^j],
-        # E[W - W0] = W0 sum_{j>=1} mu_j omega^j and
-        # E[(W - W0)^2] = W0^2 sum_{j>=2} (j - 1) mu_j omega^j
-        J, scale = sums[1], float(V.min()) + A0
-        mu = w @ np.vander(-(A0 / scale) * np.expm1(nodes - center), J + 1, increasing=True)
-        omega = scale * W0
-        m1 = W0 * omega * _horner(mu[1:], omega)
-        m2 = (W0 * omega) ** 2 * _horner(np.arange(1, J) * mu[2:], omega)
+    W0 = 1.0 / (V + math.exp(center))
+    m1, m2 = _block_moments(np.exp(nodes), w, V, W0) if sums is None else sums.moments(w)
     return V * (W0 + m1), V * V * np.maximum(m2 - m1 * m1, 0.0)
 
 
@@ -602,15 +587,6 @@ def _block_moments(A: np.ndarray, w: np.ndarray, V: np.ndarray, W0: np.ndarray):
     return m1, m2
 
 
-def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_j coef[j] x^j by Horner's rule, in place on one array."""
-    out = np.full(x.shape, coef[-1])
-    for c in coef[-2::-1].tolist():
-        out *= x
-        out += c
-    return out
-
-
 def _panels(logpost, center: float, V: np.ndarray, inv_info: float):
     """quadrature_moments' kept panels (a, b) and l at the mode.  The panels
     (_GL_NODES nodes each) start at the posterior sd either side of the mode
@@ -620,20 +596,19 @@ def _panels(logpost, center: float, V: np.ndarray, inv_info: float):
     when l at both its edges lies more than _SKIP_DROP below the mode, which
     within the walked range assumes no second mode hides inside it.
 
-    A function is evaluated at every edge, and so is an AdjustedLogDensity
-    whose edges all fit one block of BLOCK_ELEMENTS // k (k below about
-    1300), in one on_nodes call.  Otherwise its edges are evaluated
-    nearest-first from the mode, a block at a time, and a side stops at the
-    first edge alpha_j whose bound on l beyond it lies more than _SKIP_DROP
-    below the mode; with l = c alpha - [S + s log|X'D^-1 X| + Q]/2 (S rising,
-    the rest falling in A) the bounds for c >= 0 are
+    A function is evaluated at every edge.  An AdjustedLogDensity's edges are
+    evaluated nearest-first from the mode, a block of BLOCK_ELEMENTS // k at
+    a time (all of them at once for k below about 1300), and a side stops at
+    the first edge alpha_j whose bound on l beyond it lies more than
+    _SKIP_DROP below the mode; with l = c alpha - [S + s log|X'D^-1 X| + Q]/2
+    (S rising, the rest falling in A) the bounds for c >= 0 are
         left:  l(alpha_j) + [S(A_j) - sum log V_i]/2 for alpha <= alpha_j,
         right: l(alpha_j) + c (alpha_end - alpha_j) + Q(A_j)/2
                + (s r/2) log((V_min + A_end)/(V_min + A_j)) up to alpha_end,
     so every edge left out is low and the same panels are kept.  On the
     benchmark's r = 2 data that is about 17 of 93 edges at k = 1e5.  The
-    edges are always evaluated by on_nodes; the kept panels' nodes may then
-    be evaluated by power sums (quadrature_moments).
+    edges always go through on_nodes, even where quadrature_moments then
+    evaluates the kept nodes by power sums.
     """
     h = 1.0 / math.sqrt(inv_info) if 0.0 < inv_info < math.inf else _MAX_WIDTH
     offsets = [0.0]
@@ -644,11 +619,7 @@ def _panels(logpost, center: float, V: np.ndarray, inv_info: float):
     edges = center + np.concatenate([-np.array(offsets[:0:-1]), offsets])
     m, end = edges.size // 2, float(edges[-1])  # the mode is the middle edge
     step = max(1, BLOCK_ELEMENTS // V.size)
-    if not isinstance(logpost, AdjustedLogDensity):
-        at_edges = logpost(edges)
-    elif step >= edges.size:  # every edge in one block (k below about 1300)
-        at_edges = logpost.on_nodes(edges)
-    else:
+    if isinstance(logpost, AdjustedLogDensity):
         at_edges = np.full(edges.size, -math.inf)
         S0, log_vmin = float(np.log(V).sum()), math.log(float(V.min()))
         slope = 0.5 * logpost.data.r * logpost.restricted
@@ -657,6 +628,8 @@ def _panels(logpost, center: float, V: np.ndarray, inv_info: float):
             idx, pending = np.sort(pending[:step]), pending[step:]
             ell, S, Q = logpost.on_nodes(edges[idx], parts=True)
             at_edges[idx] = ell
+            if not pending.size:  # every edge evaluated (k below about 1300)
+                break
             floor = at_edges[m] - _SKIP_DROP
             if ((idx < m) & (ell + 0.5 * (S - S0) < floor)).any():
                 pending = pending[pending > m]
@@ -664,6 +637,8 @@ def _panels(logpost, center: float, V: np.ndarray, inv_info: float):
                 np.logaddexp(log_vmin, end) - np.logaddexp(log_vmin, edges[idx]))
             if ((idx > m) & (right < floor)).any():
                 pending = pending[pending < m]
+    else:
+        at_edges = logpost(edges)
     shift = float(at_edges[m])
     low = at_edges < shift - _SKIP_DROP
     keep = ~(low[:-1] & low[1:])
@@ -675,8 +650,10 @@ def fit_exact_quadrature(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePoste
     posterior of alpha = log A (which, including the Jacobian, is the
     adjusted density): the mode is found by Newton on the closed-form
     derivatives (_newton_alpha), whose last call also gives the curvature
-    there, then quadrature_moments integrates around the mode with the block
-    evaluation AdjustedLogDensity.on_nodes, walking the panel edges outward.
+    there, then quadrature_moments integrates around the mode: it walks the
+    panel edges outward with the block evaluation AdjustedLogDensity.on_nodes,
+    and evaluates the kept nodes by AdjustedLogDensity.power_sums where its
+    rho guard allows, by on_nodes blocks otherwise.
     """
     try:
         validate(data, prior, FitMethod.EXACT)

@@ -720,9 +720,8 @@ def assert_same_panels(walk, every):
 
 class TestEdgeWalk:
     """quadrature_moments walks the panel edges of an AdjustedLogDensity
-    outward from the mode and stops a side at a proven bound (unless every
-    edge fits one block, k below about 1300); it must keep exactly the
-    panels that evaluating every edge keeps."""
+    outward from the mode and stops a side at a proven bound; it must keep
+    exactly the panels that evaluating every edge keeps."""
 
     @pytest.mark.parametrize("decades, log10_A, k, r", HOSTILE_DESIGNS)
     def test_hostile_designs(self, decades, log10_A, k, r, monkeypatch):
@@ -772,7 +771,7 @@ def exact_fit_paths(data: TwoLevelData, prior: PriorSpec, monkeypatch):
 
     def counted_sums(self, center, alphas):
         out = power_sums(self, center, alphas)
-        terms.append(None if out is None else out[1])
+        terms.append(None if out is None else out.terms)
         return out
 
     def counted_nodes(self, alphas, parts=False):
