@@ -23,9 +23,10 @@ Each checkout runs, through its own ``src/`` in a fresh interpreter:
   with its middle row's V spaced, its last row's y quoted, or its last
   row's x2 written as the integer -0 (each sends the reader back to
   np.loadtxt, the last two after it has parsed most of the file); then one
-  two-method call (ADM and REML on the k = 100 pool dataset 0) and one ADM
-  call written to stdout (k = 1e4 pool dataset 0, stdout redirected into
-  the output file);
+  two-method call (ADM and REML on the k = 100 pool dataset 0), exact Bayes
+  at c = 0.5 and 0.25 on the k = 10 pool dataset 0 (the quadrature's slow
+  A -> 0 tail), and one ADM call written to stdout (k = 1e4 pool dataset 0,
+  stdout redirected into the output file);
 - a small seeded ``simulate --preset equal`` and ``simulate --preset
   two-group``, each with its default methods and with all four;
   ``simulate --preset equal --c 0.5`` with all four; two explicit
@@ -85,6 +86,9 @@ calls = [
 ]
 calls.append(("fit-k100-0-adm-reml.json",
               ["fit", str(data / "k100-0.csv"), "--method", "adm", "--method", "reml"]))
+calls += [(f"fit-k10-0-exact-c{c}.json",
+           ["fit", str(data / "k10-0.csv"), "--method", "exact", "--c", c])
+          for c in ("0.5", "0.25")]
 equal = ["simulate", "--preset", "equal", "--k", "4", "--k", "10", "--reps", "20",
          "--grid-points", "5", "--seed", "7"]
 two_group = ["simulate", "--preset", "two-group", "--reps", "10", "--grid-points", "5",

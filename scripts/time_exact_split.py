@@ -4,7 +4,7 @@
 
 The fit is `fitters.fit_exact_quadrature` on the benchmark's fit-cli pool
 dataset 0 (``bench/workloads.cli_dataset``, r = 2, V over a decade) at
-k = 1e4 and 1e5, c = 1. It is split into three layers:
+k = 10, 100, 1e4 and 1e5, c = 1. It is split into three layers:
 
 - Newton: `fitters._newton_alpha`, the search for the mode, with its count
   of `AdjustedLogDensity.derivatives` calls;
@@ -14,10 +14,15 @@ k = 1e4 and 1e5, c = 1. It is split into three layers:
   calls made inside it; in an older one, the first `on_nodes` call of
   `quadrature_moments`;
 - node pass: the rest of `quadrature_moments` (l at the kept nodes and the
-  moments of B), with the count of nodes, 12 per kept panel (in an older
-  checkout, the size of the last `on_nodes` call), and its path: power sums
-  with their number of terms J when `AdjustedLogDensity.power_sums` was
-  taken, blocks otherwise.
+  moments of B), with the count of nodes on each kind of panel: Gauss-
+  Legendre (12 per kept panel; in an older checkout, the size of the last
+  `on_nodes` call) and Gauss-Jacobi tails (`fitters._TAIL_NODES` per tail
+  panel, where the checkout has them), and the path that evaluated them:
+  power sums with their number of terms J when
+  `AdjustedLogDensity.power_sums` was taken, blocks otherwise.
+
+For k <= 100 it also gives the range of the node count (both kinds) over
+every pool dataset of that size, one fit each.
 
 Each round runs one fresh interpreter per checkout, through its own ``src/``,
 alternating between the two; an interpreter fits each k once to warm up and
@@ -41,15 +46,18 @@ sys.path.insert(0, str(ROOT / "bench"))
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
-SIZES = (10_000, 100_000)
+SIZES = (10, 100, 10_000, 100_000)
+POOLED = (10, 100)  # sizes whose whole pool is fitted for its node counts
 LAYERS = ("newton", "edges", "nodes", "total")
 
-# Runs inside each checkout: argv = the .npy dataset files.  Prints one JSON
-# object: per k, the fastest seconds per layer and the counts.
+# Runs inside each checkout: argv = the .npy dataset files, k<k>-<j>.npy.
+# Prints one JSON object: per k, the fastest seconds per layer and the
+# counts on dataset 0, and under "pool" the node counts of every dataset.
 DRIVER = """
 import json
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -92,6 +100,7 @@ if walk:
         now["edges"] = clock() - t
         del now["inside"]
         now["kept"] = out[0].size
+        now["tails"] = len(out[3]) if len(out) > 3 else 0
         return out
 
     fitters._panels = edge_walk
@@ -108,18 +117,20 @@ AdjustedLogDensity.derivatives = counted(
     "derivatives", AdjustedLogDensity.derivatives, lambda a: 1)
 AdjustedLogDensity.on_nodes = counted("on_nodes", AdjustedLogDensity.on_nodes, np.size)
 
-result = {}
+result = {"pool": {}}
 for path in sys.argv[1:]:
     table = np.load(path)
     data = TwoLevelData(table[:, 0], table[:, 1], table[:, 2:])
     rows = []
-    for rep in range(4):  # the first fit warms up
+    for rep in range(4 if Path(path).stem.endswith("-0") else 1):  # the first fit warms up
         now.clear()
         fitters.fit_exact_quadrature(data, PriorSpec(1.0))
         calls = now["on_nodes"]
+        tails = 0
         if walk:  # the edges' calls are those made inside _panels
             edges = sum(n for n, _, inside in calls if inside)
             nodes = fitters._GL_NODES * now["kept"]
+            tails = getattr(fitters, "_TAIL_NODES", 0) * now["tails"]
         else:  # an older tree: every edge in the first call, the nodes in the last
             now["edges"] = calls[0][1]
             edges, nodes = calls[0][0], calls[-1][0]
@@ -131,8 +142,12 @@ for path in sys.argv[1:]:
             "derivatives": len(now["derivatives"]),
             "edge_count": edges,
             "node_count": nodes,
+            "tail_count": tails,
             "path": now.get("path", "blocks"),
         })
+    result["pool"].setdefault(str(data.k), []).append([nodes, tails])
+    if len(rows) == 1:
+        continue
     best = dict(rows[-1])
     for layer in ("newton", "edges", "nodes", "total"):
         best[layer] = min(row[layer] for row in rows[1:])
@@ -159,25 +174,36 @@ def main(argv=None) -> int:
     best: dict[str, dict] = {name: {} for name in trees}
     with tempfile.TemporaryDirectory() as tmp:
         files = []
-        for k in SIZES:
-            files.append(Path(tmp) / f"k{k}.npy")
-            np.save(files[-1], workloads.cli_dataset(k, 0))
+        for k, _, pool in workloads.CLI_SIZES:
+            for j in range(pool if k in POOLED else 1):
+                files.append(Path(tmp) / f"k{k}-{j}.npy")
+                np.save(files[-1], workloads.cli_dataset(k, j))
         for _ in range(rounds):
             for name, tree in trees.items():
                 for k, row in run_tree(tree, files).items():
+                    if k == "pool":
+                        best[name][k] = row
+                        continue
                     old = best[name].setdefault(k, row)
                     for layer in LAYERS:
                         old[layer] = min(old[layer], row[layer])
     print(f"exact fit, fit-cli pool dataset 0, r = 2, c = 1; best of {rounds} "
           "interleaved rounds (ms)")
     print(f"{'k':>7} {'tree':>5} {'newton':>8} {'edges':>8} {'nodes':>8} {'total':>8}"
-          f" {'derivs':>7} {'edges#':>7} {'nodes#':>7}  node path")
+          f" {'derivs':>7} {'edges#':>7} {'GL#':>5} {'tails#':>6}  node path")
     for k in map(str, SIZES):
         for name in trees:
             row = best[name][k]
-            times = " ".join(f"{1e3 * row[layer]:8.1f}" for layer in LAYERS)
+            times = " ".join(f"{1e3 * row[layer]:8.2f}" for layer in LAYERS)
             print(f"{k:>7} {name:>5} {times} {row['derivatives']:7d} {row['edge_count']:7d}"
-                  f" {row['node_count']:7d}  {row['path']}")
+                  f" {row['node_count']:5d} {row.get('tail_count', 0):6d}  {row['path']}")
+    print("nodes per exact fit over each pool (GL + tails): min-max")
+    for k in map(str, POOLED):
+        for name in trees:
+            counts = best[name]["pool"][k]
+            total = [sum(c) for c in counts]
+            print(f"{k:>7} {name:>5} {min(total)}-{max(total)} over {len(total)} datasets"
+                  f" (tails {min(c[1] for c in counts)}-{max(c[1] for c in counts)})")
     for name, tree in trees.items():
         print(f"{name}: {tree}")
     return 0

@@ -124,6 +124,13 @@ class AdjustedLogDensity:
             np.multiply(XT, data.y, out=cross[r * r :])
             self._cross = cross.T
 
+    @property
+    def tail_exponents(self) -> tuple[float, float]:
+        """(c, (k - s r)/2 - c): l(alpha) - c alpha tends to a constant as
+        A -> 0, and l(alpha) + ((k - s r)/2 - c) alpha as A -> infinity."""
+        data = self.data
+        return self.prior.c, 0.5 * (data.k - data.r * self.restricted) - self.prior.c
+
     def _gls(self, W: np.ndarray, out: np.ndarray | None = None):
         """The weighted regression (r >= 1) at each row of W = 1/(V + A), an
         (n, k) array: M = X'D^-1 X and its lower Cholesky factor L, (n, r, r),

@@ -271,12 +271,17 @@ def _repr_exponents(text: bytes, mag: np.ndarray) -> bytes:
 
 def _float_list_chunks(a: np.ndarray, nl: str):
     """A non-empty 1-d float64 array as json.dumps writes its list, one chunk
-    per block of _BLOCK elements, each encoded in one call and re-split on
-    its commas, which float text never contains. A block that _orjson_takes
-    goes to orjson, with its exponents rewritten by _repr_exponents; the
-    others (NaN, inf or a number of the positional band) go to json's C
-    encoder."""
+    per block of _BLOCK elements, each re-split on its commas, which float
+    text never contains. A block that _orjson_takes goes to orjson in one
+    call, with its exponents rewritten by _repr_exponents. In any other
+    block the odd elements (NaN, inf and the numbers of the positional band)
+    go to json's C encoder and the rest to orjson, merged by position; a
+    block that is mostly odd goes to the C encoder whole."""
     import orjson
+
+    def orjson_text(x: np.ndarray, mag: np.ndarray) -> bytes:
+        text = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY)
+        return _repr_exponents(text, mag) if b"e" in text else text
 
     inner = nl + " "
     comma = ("," + inner).encode()
@@ -285,13 +290,18 @@ def _float_list_chunks(a: np.ndarray, nl: str):
         block = np.ascontiguousarray(a[i:i + _BLOCK])
         mag = np.abs(block)
         if _orjson_takes(mag):
-            text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
-            if b"e" in text:
-                text = _repr_exponents(text, mag)
+            body = orjson_text(block, mag)[1:-1]
         else:
-            text = _C_JSON.encode(block.tolist()).encode()
+            odd = ~(mag < math.inf) | ((mag.view(np.uint64) - _BAND_LO) < _BAND_WIDTH)
+            if 2 * np.count_nonzero(odd) > block.size:
+                body = _C_JSON.encode(block.tolist())[1:-1].encode()
+            else:
+                parts = np.empty(block.size, dtype=object)
+                parts[~odd] = orjson_text(block[~odd], mag[~odd])[1:-1].split(b",")
+                parts[odd] = _C_JSON.encode(block[odd].tolist())[1:-1].encode().split(b",")
+                body = b",".join(parts)
         end = nl + "]" if i + _BLOCK >= a.size else ""
-        yield sep + text[1:-1].replace(b",", comma).decode() + end
+        yield sep + body.replace(b",", comma).decode() + end
         sep = "," + inner
 
 
@@ -615,7 +625,9 @@ class CurveRow:
 
 def exact_moments_equal_anyc(T: float, m: float, c: float) -> tuple[float, float]:
     """Posterior mean and variance of B for equal variances and general c,
-    by quadrature of the alpha-posterior (closed form exists only at c = 1)."""
+    by quadrature of the alpha-posterior (closed form exists only at c = 1),
+    whose log falls as c alpha toward A = 0 and as (c - m - 1) alpha toward
+    A = infinity."""
     if m + 1.0 <= c:
         raise ValueError("posterior is improper: need m + 1 > c")
     if c == 1.0:
@@ -627,7 +639,7 @@ def exact_moments_equal_anyc(T: float, m: float, c: float) -> tuple[float, float
         A = np.exp(alpha)
         return c * alpha - (m + 1.0) * np.log1p(A) - T / (1.0 + A)
 
-    EB, v = quadrature_moments(log_post, a_center, np.ones(1), inv_info)
+    EB, v = quadrature_moments(log_post, a_center, np.ones(1), inv_info, (c, m + 1.0 - c))
     return float(EB[0]), float(v[0])
 
 

@@ -7,6 +7,7 @@ ShrinkagePosterior; they can run concurrently on different datasets.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -56,7 +57,7 @@ _T_LIMIT = 1e-8  # below this, use the T -> 0 limits of the exact moments
 # The fixed quadrature rule of quadrature_moments
 _GL_NODES = 12  # Gauss-Legendre nodes per panel
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
-_HALF_RANGE = 40.0  # the rule covers the mode +- this, in alpha
+_TAIL_NODES = 12  # Gauss-Jacobi nodes per tail panel
 _MAX_WIDTH = 1.0  # widest panel, in alpha
 _SKIP_DROP = 50.0  # skip panels whose edges both lie this far below the mode
 
@@ -525,12 +526,17 @@ def fit_exact_equal(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
 
 
 def quadrature_moments(
-    logpost, center: float, V: np.ndarray, inv_info: float
+    logpost, center: float, V: np.ndarray, inv_info: float, tails=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance of each B_i = V_i / (V_i + exp(alpha))
     under the unnormalized log-posterior `logpost` of alpha, an
-    AdjustedLogDensity (c >= 0) or a function of a 1-d array of alphas, by
-    one fixed composite Gauss-Legendre rule over center +- 40 (_panels).
+    AdjustedLogDensity (c > 0) or a function of a 1-d array of alphas, by
+    one fixed rule (_panels): composite Gauss-Legendre panels over a middle
+    range around the mode and, on each side where l falls as exp(a alpha)
+    toward A = 0 or A = infinity, one Gauss-Jacobi panel out to that end.
+    `tails` gives the two exponents (a_left, a_right) for a function (none
+    when omitted, so the rule stops at the middle's ends); an
+    AdjustedLogDensity gives its own, (c, (k - s r)/2 - c).
 
     `center` is the mode, where the curvature of `logpost` is -inv_info.
     The exponent is shifted by its value at the mode before exponentiating.
@@ -547,21 +553,28 @@ def quadrature_moments(
     rho^(J+1)/(1 - rho) relative, with J the least (at most
     density.SERIES_TERMS) that bounds the error in l by density.SERIES_TOL.
     That is O(J k) work rather than O(n k) for n nodes.  Otherwise (rho >= 1,
-    more terms than the cap, or a plain function, as from `curves`) l is
-    evaluated at the nodes and the moments accumulated a block of about
-    BLOCK_ELEMENTS elements at a time.  Raises NonintegrablePosterior when
+    as wherever the A -> infinity tail is kept, more terms than the cap, or
+    a plain function, as from `curves`) l is evaluated at the nodes and the
+    moments accumulated a block of about BLOCK_ELEMENTS elements at a time.
+    Raises NonintegrablePosterior when a tail exponent is not positive or
     the normalizer is not finite and positive.
     """
-    a, b, shift = _panels(logpost, center, V, inv_info)
+    a, b, shift, ends = _panels(logpost, center, V, inv_info, tails)
     half = 0.5 * (b - a)
-    nodes = ((0.5 * (a + b))[:, None] + half[:, None] * _GL_X).ravel()
-    w = (half[:, None] * _GL_W).ravel()
+    parts = [(((0.5 * (a + b))[:, None] + half[:, None] * _GL_X).ravel(),
+              (half[:, None] * _GL_W).ravel(), np.zeros(a.size * _GL_NODES))]
+    for start, outward, exponent in ends:
+        # at alpha = start - outward log t, exp(l) dalpha is t^(a-1) times
+        # the smooth exp(l) t^-a, so a node's weight is omega exp(l - a log t)
+        log_t, omega = _tail_rule(exponent)
+        parts.append((start - outward * log_t, omega, -exponent * log_t))
+    nodes, w, lift = (np.concatenate(x) for x in zip(*parts))
     if isinstance(logpost, AdjustedLogDensity):
         sums = logpost.power_sums(center, nodes)
         values = logpost.on_nodes
     else:
         sums, values = None, logpost
-    w *= np.exp(values(nodes) - shift if sums is None else sums.ell)
+    w *= np.exp((values(nodes) - shift if sums is None else sums.ell) + lift)
     Z = float(w.sum())
     if not (math.isfinite(Z) and Z > 0.0):
         raise NonintegrablePosterior(f"posterior normalizer is {Z} around alpha={center}")
@@ -587,62 +600,118 @@ def _block_moments(A: np.ndarray, w: np.ndarray, V: np.ndarray, W0: np.ndarray):
     return m1, m2
 
 
-def _panels(logpost, center: float, V: np.ndarray, inv_info: float):
-    """quadrature_moments' kept panels (a, b) and l at the mode.  The panels
-    (_GL_NODES nodes each) start at the posterior sd either side of the mode
-    and double outward, capped at width _MAX_WIDTH: the B_i sigmoids and the
-    slowly decaying A -> 0 tail need that, and a peak much narrower than the
-    interval is still sampled (~0.01 wide at k = 1e5).  A panel is skipped
-    when l at both its edges lies more than _SKIP_DROP below the mode, which
-    within the walked range assumes no second mode hides inside it.
+@functools.lru_cache(maxsize=64)
+def _tail_rule(a: float) -> tuple[np.ndarray, np.ndarray]:
+    """The _TAIL_NODES-node Gauss-Jacobi rule for the integral of
+    t^(a-1) f(t) over 0 < t < 1 (a > 0): log t at its nodes, and its
+    weights.  Golub-Welsch on the recurrence of the Jacobi polynomials
+    P^(0, a-1)(2t - 1), whose normalizer 1/a, unlike scipy's roots_jacobi,
+    does not overflow at large a.  The arrays are shared: read-only."""
+    b = a - 1.0
+    n = np.arange(1.0, _TAIL_NODES)
+    s = 2.0 * n + b
+    diag = np.concatenate([[a / (a + 1.0)], 0.5 + 0.5 * b * b / (s * (s + 2.0))])
+    off = n * (n + b) / (s * np.sqrt(s * s - 1.0))
+    t, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    rule = np.log(t), vectors[0] ** 2 / a
+    for x in rule:
+        x.flags.writeable = False
+    return rule
 
-    A function is evaluated at every edge.  An AdjustedLogDensity's edges are
-    evaluated nearest-first from the mode, a block of BLOCK_ELEMENTS // k at
-    a time (all of them at once for k below about 1300), and a side stops at
-    the first edge alpha_j whose bound on l beyond it lies more than
-    _SKIP_DROP below the mode; with l = c alpha - [S + s log|X'D^-1 X| + Q]/2
-    (S rising, the rest falling in A) the bounds for c >= 0 are
-        left:  l(alpha_j) + [S(A_j) - sum log V_i]/2 for alpha <= alpha_j,
-        right: l(alpha_j) + c (alpha_end - alpha_j) + Q(A_j)/2
-               + (s r/2) log((V_min + A_end)/(V_min + A_j)) up to alpha_end,
-    so every edge left out is low and the same panels are kept.  On the
-    benchmark's r = 2 data that is about 17 of 93 edges at k = 1e5.  The
-    edges always go through on_nodes, even where quadrature_moments then
-    evaluates the kept nodes by power sums.
+
+def _panels(logpost, center: float, V: np.ndarray, inv_info: float, tails=None):
+    """quadrature_moments' kept panels (a, b), l at the mode, and its tail
+    panels, a list of (start, outward, exponent) with outward -1 for the
+    A -> 0 tail and +1 for the A -> infinity one.
+
+    The panels (_GL_NODES nodes each) start at the posterior sd either side
+    of the mode and double outward, capped at width _MAX_WIDTH: the B_i
+    sigmoids need that, and a peak much narrower than the range is still
+    sampled (~0.01 wide at k = 1e5).  They stop at the first edge past the
+    middle range, where l is close to its asymptotes: with n = 2 (a_left +
+    a_right) (k - s r for an AdjustedLogDensity; the size of V without
+    tails), the range runs from the mode - max(0, log((A_hat/V_min)(1 +
+    A_hat/V_min))) - log n to the mode + log(1 + V_max/A_hat) + log n.
+    Past each end l(alpha) - a alpha is analytic in A (in u = 1/A on the
+    right), and over the tail S, Q and log|X'D^-1 X| move by about 1 or
+    less (after their linear parts in alpha on the right) for residuals of
+    the size of V + A_hat, while the singularities at A = -V_i (u = -1/V_i)
+    lie far from it; so one Gauss-Jacobi panel of weight t^(a-1), t the
+    fraction of the end's A (or u), integrates the tail.  A panel is skipped
+    when l at both its edges lies more than _SKIP_DROP below the mode, which
+    within the middle range assumes no second mode hides inside it.
+
+    A function is evaluated at every edge and gets both tail panels.  An
+    AdjustedLogDensity's edges are evaluated nearest-first from the mode, a
+    block of BLOCK_ELEMENTS // k at a time (all of them at once for k below
+    about 1300), and a side stops, with no tail panel, at the first edge
+    alpha_j past which both l and the mass of exp(l) are proven to stay
+    more than _SKIP_DROP below the mode (in log).  With l = c alpha
+    - [S + s log|X'D^-1 X| + Q]/2 (S rising, the rest falling in A), the
+    bounds for alpha beyond alpha_j are
+        left:  l <= L_j + c (alpha - alpha_j), L_j = l(alpha_j)
+               + [S(A_j) - sum log V_i]/2, so the mass is at most e^L_j / c;
+        right: l <= R_j - lam_j (alpha - alpha_j), R_j = l(alpha_j) + Q(A_j)/2
+               and lam_j = (k/2) A_j/(V_max + A_j) - c - s r/2, so for
+               lam_j > 0 the mass is at most e^R_j / lam_j,
+    so every edge left out is low and the same panels are kept.  A side
+    that reaches its last edge keeps its tail panel unless the bound there
+    shows the tail is negligible.  On the benchmark's r = 2 data the walk
+    stops within a few units of the mode at k >= 1e4 (about 17 edges at
+    k = 1e5), far inside the middle range, so no tail panel is formed
+    there.  The edges always go through on_nodes, even where
+    quadrature_moments then evaluates the kept nodes by power sums.
     """
+    if isinstance(logpost, AdjustedLogDensity):
+        tails = logpost.tail_exponents
+    if tails is not None and not min(tails) > 0.0:
+        raise NonintegrablePosterior(
+            f"posterior of alpha is improper: tail exponents {tuple(tails)}")
     h = 1.0 / math.sqrt(inv_info) if 0.0 < inv_info < math.inf else _MAX_WIDTH
+    pad = math.log(2.0 * sum(tails) if tails else V.size)
+    x_min = math.log(float(V.min())) - center
+    x_max = math.log(float(V.max())) - center
+    reach = (max(0.0, float(np.logaddexp(0.0, -x_min)) - x_min) + pad,
+             float(np.logaddexp(0.0, x_max)) + pad)
     offsets = [0.0]
-    while offsets[-1] < _HALF_RANGE:
+    while offsets[-1] < max(reach):
         h = min(h, _MAX_WIDTH)
-        offsets.append(min(offsets[-1] + h, _HALF_RANGE))
+        offsets.append(offsets[-1] + h)
         h *= 2.0
-    edges = center + np.concatenate([-np.array(offsets[:0:-1]), offsets])
-    m, end = edges.size // 2, float(edges[-1])  # the mode is the middle edge
+    offsets = np.array(offsets)
+    m, last = np.searchsorted(offsets, reach)  # the mode is edge m
+    edges = np.concatenate([center - offsets[m:0:-1], center + offsets[: last + 1]])
+    ends = [(float(edges[0]), -1.0, tails[0]), (float(edges[-1]), 1.0, tails[1])] if tails else []
     step = max(1, BLOCK_ELEMENTS // V.size)
     if isinstance(logpost, AdjustedLogDensity):
         at_edges = np.full(edges.size, -math.inf)
-        S0, log_vmin = float(np.log(V).sum()), math.log(float(V.min()))
-        slope = 0.5 * logpost.data.r * logpost.restricted
+        c, k = logpost.prior.c, logpost.data.k
+        S0, log_vmax = float(np.log(V).sum()), math.log(float(V.max()))
+        slope = c + 0.5 * logpost.data.r * logpost.restricted
         pending = np.argsort(abs(np.arange(edges.size) - m + 0.25))  # m, m - 1, m + 1, ...
         while pending.size:
             idx, pending = np.sort(pending[:step]), pending[step:]
-            ell, S, Q = logpost.on_nodes(edges[idx], parts=True)
+            alphas = edges[idx]
+            ell, S, Q = logpost.on_nodes(alphas, parts=True)
             at_edges[idx] = ell
-            if not pending.size:  # every edge evaluated (k below about 1300)
-                break
             floor = at_edges[m] - _SKIP_DROP
-            if ((idx < m) & (ell + 0.5 * (S - S0) < floor)).any():
+            # the larger of the bound on l and on its mass, on each side
+            left = ell + 0.5 * (S - S0) - min(0.0, math.log(c))
+            lam = 0.5 * k * np.exp(-np.logaddexp(0.0, log_vmax - alphas)) - slope
+            with np.errstate(divide="ignore"):
+                right = ell + 0.5 * Q - np.log(np.clip(lam, 0.0, 1.0))
+            if ((idx < m) & (left < floor)).any():
                 pending = pending[pending > m]
-            right = ell + logpost.prior.c * (end - edges[idx]) + 0.5 * Q + slope * (
-                np.logaddexp(log_vmin, end) - np.logaddexp(log_vmin, edges[idx]))
+                ends = [end for end in ends if end[1] > 0.0]
             if ((idx > m) & (right < floor)).any():
                 pending = pending[pending < m]
+                ends = [end for end in ends if end[1] < 0.0]
     else:
         at_edges = logpost(edges)
     shift = float(at_edges[m])
     low = at_edges < shift - _SKIP_DROP
     keep = ~(low[:-1] & low[1:])
-    return edges[:-1][keep], edges[1:][keep], shift
+    return edges[:-1][keep], edges[1:][keep], shift, ends
 
 
 def fit_exact_quadrature(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
@@ -650,10 +719,12 @@ def fit_exact_quadrature(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePoste
     posterior of alpha = log A (which, including the Jacobian, is the
     adjusted density): the mode is found by Newton on the closed-form
     derivatives (_newton_alpha), whose last call also gives the curvature
-    there, then quadrature_moments integrates around the mode: it walks the
-    panel edges outward with the block evaluation AdjustedLogDensity.on_nodes,
-    and evaluates the kept nodes by AdjustedLogDensity.power_sums where its
-    rho guard allows, by on_nodes blocks otherwise.
+    there, then quadrature_moments integrates over all of A: Gauss-Legendre
+    panels around the mode and a Gauss-Jacobi panel for each tail that
+    matters, out to A = 0 and A = infinity.  It walks the panel edges
+    outward with the block evaluation AdjustedLogDensity.on_nodes, and
+    evaluates the kept nodes by AdjustedLogDensity.power_sums where its rho
+    guard allows, by on_nodes blocks otherwise.
     """
     try:
         validate(data, prior, FitMethod.EXACT)

@@ -526,6 +526,27 @@ class TestJsonText:
         assert chunks[-2].endswith("\n ]") and chunks[-1] == "\n}"
         assert "".join(chunks) == json.dumps({"a": a.tolist()}, indent=1)
 
+    def test_only_odd_elements_go_to_the_c_encoder(self, monkeypatch):
+        # a block with a few NaN, inf or band numbers sends only those to
+        # json's C encoder and the rest to orjson; a block that is mostly
+        # band numbers goes to the C encoder whole
+        sizes = []
+
+        class Recording(json.JSONEncoder):
+            def encode(self, o):
+                sizes.append(len(o))
+                return super().encode(o)
+
+        monkeypatch.setattr(evaluate, "_C_JSON", Recording(separators=(",", ":")))
+        mixed = np.linspace(0.5, 3e4, 2 * _BLOCK)
+        mixed[[3, 700, _BLOCK + 5]] = [math.nan, -2.5e-5, -math.inf]
+        band = np.full(_BLOCK, 4e-5)
+        band[::3] = 0.25
+        for a, want in ((mixed, [2, 1]), (band, [_BLOCK])):
+            sizes.clear()
+            _assert_same_text(json_text(a), json.dumps(a.tolist(), indent=1))
+            assert sizes == want
+
     def test_one_chunk_per_key_and_float_array(self):
         chunks = list(json_chunks({"b": np.arange(3.0), "a": [None, 2]}))
         assert chunks == ['{\n "a": ', "[\n  ", "null", ",\n  ", "2", "\n ]",
@@ -605,6 +626,17 @@ class TestCurves:
             B_c, v_c = exact_moments_equal(T, m)
             assert B_q == pytest.approx(B_c, abs=1e-7)
             assert v_q == pytest.approx(v_c, abs=1e-7)
+
+    @pytest.mark.parametrize("k, c", [(4, 0.25), (4, 0.1), (6, 0.5), (3, 1.4), (4, 1.9)])
+    def test_T0_exact_is_the_beta_mean_at_any_c(self, k, c):
+        # at T = 0 the posterior of B is Beta(m - c + 1, c), m = (k - 2)/2,
+        # whose tails toward A = 0 (B -> 1) and A -> infinity (B -> 0) fall
+        # as slowly as c and m + 1 - c; a rule cut at a finite range of
+        # alpha gave 0.8749958 for 0.875 at k = 4, c = 0.25
+        (row,) = [row for row in curve_rows((k,), (0.0,), c=c) if row.method == "exact"]
+        a, b = 0.5 * k - c, c
+        assert row.B_hat == pytest.approx(a / (a + b), rel=1e-12)
+        assert row.v == pytest.approx(a * b / ((a + b) ** 2 * (a + b + 1.0)), rel=1e-12)
 
     def test_c_half_shrinks_harder_than_c1(self):
         # smaller c concentrates the prior near A = 0, raising shrinkage

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import mpmath
 from scipy import integrate, optimize
+from scipy.special import hyp1f1
 
 import shrinkfit
 from shrinkfit import (
@@ -39,6 +41,8 @@ from shrinkfit.density import (
 from shrinkfit.evaluate import exact_moments_equal_anyc
 from shrinkfit import density, fitters
 from shrinkfit.fitters import (
+    _GL_NODES,
+    _TAIL_NODES,
     _brent,
     _lockstep,
     _newton_alpha,
@@ -690,6 +694,103 @@ class TestExactQuadrature:
         ))
         with pytest.raises(NonintegrablePosterior):
             fit_exact_quadrature(data, PriorSpec(c=1.0))
+        # c = 0: the A -> 0 tail of exp(l) has infinite mass
+        data = TwoLevelData(np.arange(6.0), np.ones(6))
+        with pytest.raises(NonintegrablePosterior):
+            quadrature_moments(AdjustedLogDensity(data, PriorSpec(0.0)), 1.0, data.V, 1.0)
+
+    @pytest.mark.parametrize("a", [0.1, 0.5, 1.0, 3.0, 48.0, 5e4])
+    def test_tail_rule_is_gaussian(self, a):
+        # the n-node rule for t^(a-1) on (0, 1) integrates t^j exactly for
+        # j < 2n: the integral is 1/(a + j)
+        log_t, omega = fitters._tail_rule(a)
+        j = np.arange(2 * _TAIL_NODES)
+        assert np.all(np.diff(log_t) > 0.0) and log_t[-1] < 0.0
+        assert np.max(np.abs(np.exp(np.outer(j, log_t)) @ omega * (a + j) - 1.0)) <= 1e-13
+
+
+# Designs whose posterior of alpha has a slow tail (ROADMAP item 10): toward
+# A = 0 it falls as exp(c alpha), toward A = infinity as exp(-(m - c) alpha)
+# with m = (k - r)/2.  Small c: k = 8; small m - c = 0.1, 0.2, 0.3: k - r = 4.
+SLOW_TAILS = [(8, r, c) for c in (0.1, 0.25, 0.5) for r in (0, 1)] + [
+    (4 + r, r, 2.0 - d) for d in (0.1, 0.2, 0.3) for r in (0, 1)]
+
+
+def slow_tail_data(k: int, r: int, equal: bool) -> TwoLevelData:
+    """V log-spaced over 0.3 to 3 (all 1.3 when `equal`), an intercept when
+    r = 1, y drawn with A = 1 from default_rng([k, r, equal])."""
+    rng = np.random.default_rng([k, r, int(equal)])
+    V = np.full(k, 1.3) if equal else np.geomspace(0.3, 3.0, k)
+    return TwoLevelData(rng.normal(0.0, np.sqrt(V + 1.0)), V, np.ones((k, 1)) if r else None)
+
+
+def reference_moments(ell: AdjustedLogDensity, center: float):
+    """E[B_i] and Var(B_i) under exp(l) by mpmath's tanh-sinh quadrature
+    over all of A: alpha over [lo, hi] (the range of log V and the mode,
+    widened by 8), A = exp(lo) s^(1/c) below it and A = exp(hi) s^(-1/a)
+    above it (a = m - c), s in (0, 1], which make the two tails smooth
+    in s.  l is evaluated once per node and reused for every moment."""
+    c, a = ell.tail_exponents
+    V = ell.data.V
+    l0 = ell(center)
+    lo = min(math.log(V.min()), center) - 8.0
+    hi = max(math.log(V.max()), center) + 8.0
+    pieces = [  # (alpha of the variable, dalpha/dvariable, the variable's range)
+        (lambda s: lo + math.log(s) / c, lambda s: 1.0 / (c * s), [0, 1]),
+        (lambda x: x, lambda x: 1.0, np.linspace(lo, hi, 9).tolist()),
+        (lambda s: hi - math.log(s) / a, lambda s: 1.0 / (a * s), [0, 1]),
+    ]
+    cache = {}
+
+    def integral(f):
+        total = 0.0
+        for i, (alpha, jacobian, ends) in enumerate(pieces):
+            def integrand(s):
+                s = float(s)
+                if s == 0.0 and i != 1:  # l is -inf at either end of A
+                    return 0.0
+                if (i, s) not in cache:
+                    x = alpha(s)
+                    cache[i, s] = math.exp(ell(x) - l0) * jacobian(s), math.exp(x)
+                weight, A = cache[i, s]
+                return weight * f(A)
+            total += mpmath.quad(integrand, ends)
+        return total
+
+    Z = integral(lambda A: 1.0)
+    m1 = np.array([float(integral(lambda A: v / (v + A)) / Z) for v in V])
+    m2 = np.array([float(integral(lambda A: (v / (v + A)) ** 2) / Z) for v in V])
+    return m1, m2 - m1 * m1
+
+
+class TestSlowTails:
+    """Exact Bayes integrates both tails of alpha to A = 0 and A = infinity,
+    so slow tails lose no mass.  Bounds stated before the first run: B_hat
+    within 1e-9 and v within 1e-8 relative of each oracle (a rule cut at the
+    mode +- 40 was off by up to 7e-3 at c = 0.1 and 2.6e-4 at m - c = 0.2)."""
+
+    @pytest.mark.parametrize("k, r, c", SLOW_TAILS)
+    def test_unequal_variances_against_a_reference_integral(self, k, r, c):
+        data, prior = slow_tail_data(k, r, equal=False), PriorSpec(c)
+        shr = fit_exact_quadrature(data, prior)
+        B, v = reference_moments(AdjustedLogDensity(data, prior), math.log(shr.A_hat))
+        assert np.max(np.abs(shr.B_hat - B) / B) <= 1e-9
+        assert np.max(np.abs(shr.v - v) / v) <= 1e-8
+
+    @pytest.mark.parametrize("k, r, c", SLOW_TAILS)
+    def test_equal_variances_against_the_kummer_form(self, k, r, c):
+        # the posterior of B is proportional to B^(a-1) (1 - B)^(c-1) e^(-TB),
+        # a = m - c, so E[B^j] is a ratio of Kummer functions 1F1
+        data = slow_tail_data(k, r, equal=True)
+        shr = fit_exact_quadrature(data, PriorSpec(c))
+        T = residual_ss(data) / (2.0 * 1.3)
+        a, n = 0.5 * (k - r) - c, 0.5 * (k - r)
+        M0 = hyp1f1(a, n, -T)
+        B = a / n * hyp1f1(a + 1.0, n + 1.0, -T) / M0
+        B2 = a * (a + 1.0) / (n * (n + 1.0)) * hyp1f1(a + 2.0, n + 2.0, -T) / M0
+        assert 1.0 < T < 20.0
+        assert np.max(np.abs(shr.B_hat - B)) <= 1e-9 * B
+        assert np.max(np.abs(shr.v - (B2 - B * B))) <= 1e-8 * (B2 - B * B)
 
 
 def walk_and_every_edge(data: TwoLevelData, prior: PriorSpec, center=None):
@@ -703,7 +804,7 @@ def walk_and_every_edge(data: TwoLevelData, prior: PriorSpec, center=None):
         center, _, d2 = _newton_alpha(ell.derivatives, alpha0, lo, hi)
     else:
         center, _, d2 = _newton_alpha(ell.derivatives, center, center - 3.0, center + 3.0)
-    every = fitters._panels(ell.on_nodes, center, data.V, -d2)
+    every = fitters._panels(ell.on_nodes, center, data.V, -d2, ell.tail_exponents)
     sizes = []
 
     def counted(alphas, parts=False, on_nodes=ell.on_nodes):
@@ -738,9 +839,32 @@ class TestEdgeWalk:
             walk, every, sizes = walk_and_every_edge(cli_pool_dataset(k, j), PriorSpec(c))
             assert_same_panels(walk, every)
             if k <= 10_000:
-                assert len(sizes) == 1  # every edge at k <= 100, 13 of 91 at 1e4
+                assert len(sizes) == 1  # every edge at k <= 100, 13 at 1e4
             else:
-                assert sum(sizes) <= 20  # of 93 edges
+                assert sum(sizes) <= 20
+            if k <= 100:  # the middle panels and the tails that matter
+                assert _GL_NODES * walk[0].size + _TAIL_NODES * len(walk[3]) <= 200
+            else:  # the walk stops far inside the middle range
+                assert walk[3] == []
+
+    @pytest.mark.parametrize("c", [0.5, 1.0])
+    @pytest.mark.parametrize("k", [10, 100])
+    def test_dropped_tails_are_negligible(self, k, c):
+        # a function gets both tail panels; the walk drops a tail only where
+        # its bound puts the tail's mass e^50 below the mode's
+        dropped = 0
+        for j in range(16):
+            data, prior = cli_pool_dataset(k, j), PriorSpec(c)
+            ell = AdjustedLogDensity(data, prior)
+            (alpha0, lo, hi), = _search_range(data.V, [ell.residual_ss()], data.k - data.r)
+            center, _, d2 = _newton_alpha(ell.derivatives, alpha0, lo, hi)
+            dropped += 2 - len(fitters._panels(ell, center, data.V, -d2)[3])
+            B, v = quadrature_moments(ell, center, data.V, -d2)
+            B_all, v_all = quadrature_moments(ell.on_nodes, center, data.V, -d2,
+                                              ell.tail_exponents)
+            assert np.max(np.abs(B - B_all) / B) <= 1e-13
+            assert np.max(np.abs(v - v_all) / v) <= 1e-11
+        assert dropped > 0 if k == 100 else dropped == 0
 
     def test_walk_passes_a_second_mode(self, monkeypatch):
         # forty units with V = 1e-4 and residuals of 0.1 prefer A ~ 0.01, six
