@@ -15,13 +15,11 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields
 from functools import partial
 from itertools import chain
 
 import numpy as np
-from scipy.special import ndtr
 
 from .fitters import (
     FitMethod,
@@ -447,6 +445,7 @@ def _simulate_gridpoint(cfg: SimConfig, g: int) -> list[SimRow]:
     """Rows of gridpoint g: every replication is drawn from its own stream
     into (reps, k) arrays, each method is fitted to all of them by
     _fit_replications, and intervals are scored in one array pass."""
+    from scipy.special import ndtr  # imported here, so that `import shrinkfit` skips SciPy
     b0 = cfg.grid[g]
     A = cfg.V0 * (1.0 - b0) / b0
     V = np.asarray(cfg.V, dtype=float)
@@ -533,6 +532,7 @@ def run_coverage(cfg: SimConfig, threads: int | None = None) -> SimResult:
     indices = range(len(cfg.grid))
     workers = 1 if threads is None else max(1, min(int(threads), len(cfg.grid)))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(partial(_simulate_gridpoint, cfg), indices))
     else:

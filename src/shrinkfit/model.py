@@ -6,11 +6,11 @@ instances can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy import linalg as sla
 
 
 class ShrinkfitError(Exception):
@@ -44,9 +44,6 @@ class FitMethod(Enum):
     EXACT = "exact"
 
 
-_RANK_TOL = 1e-10
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
@@ -63,8 +60,8 @@ class TwoLevelData:
     Every check that depends on the data alone runs here, so an instance
     is valid: at least one unit (TooFewUnits); y finite; V finite and
     positive (NonpositiveVariance); X finite and of full column rank by
-    pivoted QR (RankDeficientX); mu finite, one entry per unit, and only
-    when r = 0.  Other shape and value errors raise ValueError.
+    matrix_rank_pivoted, in numpy (RankDeficientX); mu finite, one entry per
+    unit, and only when r = 0.  Other shape and value errors raise ValueError.
     """
 
     y: np.ndarray
@@ -90,7 +87,7 @@ class TwoLevelData:
         if self.X is None:
             X = np.empty((y.size, 0))
         else:
-            X = np.array(self.X, dtype=float)
+            X = np.array(self.X, dtype=float)  # a copy, kept as the read-only X
             if X.ndim == 1:
                 X = X[:, None]
             if X.shape[0] != y.size:
@@ -110,7 +107,8 @@ class TwoLevelData:
             raise ValueError("known means mu are only meaningful when r = 0")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "V", V)
-        object.__setattr__(self, "X", _readonly(X))
+        X.setflags(write=False)
+        object.__setattr__(self, "X", X)
         object.__setattr__(self, "mu", mu)
 
     @property
@@ -188,20 +186,34 @@ class RandomEffectPosterior:
 
 
 def matrix_rank_pivoted(X: np.ndarray) -> int:
-    """Numerical column rank via column-pivoted QR of X with each column
-    scaled to a largest |entry| of 1, so the verdict does not depend on
-    column scale and nothing overflows.  A pivot is counted when |R_jj|
-    exceeds 1e-10 times |R_11|, the largest scaled column norm; an all-zero
-    column stays zero and is never counted.
-    """
-    if X.shape[1] == 0:
-        return 0
-    X = np.array(X, dtype=float, order="F")  # a copy: columns contiguous, scaled in place
-    scale = np.maximum(X.max(axis=0), -X.min(axis=0))
-    X /= np.where(scale > 0.0, scale, 1.0)
-    _, R, _ = sla.qr(X, mode="economic", pivoting=True, overwrite_a=True)
-    diag = np.abs(np.diag(R))
-    return int((diag > _RANK_TOL * diag[0]).sum())
+    """Numerical column rank: the count of pivots |R_jj| of pivoted_r_diag
+    above 1e-10 |R_11|, the largest scaled column norm."""
+    diag = pivoted_r_diag(X) if X.shape[1] else []
+    return sum(d > 1e-10 * diag[0] for d in diag)
+
+
+def pivoted_r_diag(X: np.ndarray) -> list[float]:
+    """|R_jj| of the Householder QR of X with each column scaled to a largest
+    |entry| of 1 (so the verdict does not depend on column scale and nothing
+    overflows), pivoting as LAPACK's dgeqp3 does on the largest remaining
+    column norm, summed afresh at each step; an all-zero column stays zero."""
+    Xt = np.array(X.T, dtype=float, order="C")  # a copy: X's columns as rows, scaled in place
+    scale = np.maximum(Xt.max(axis=1), -Xt.min(axis=1))
+    Xt /= np.where(scale > 0.0, scale, 1.0)[:, None]
+    cols, diag = list(Xt), []
+    for _ in range(min(Xt.shape)):
+        norms = [float(c @ c) for c in cols]
+        u = cols.pop(norms.index(max(norms)))
+        diag.append(norm := math.sqrt(max(norms)))
+        if norm > 0.0 and cols:  # reflect u onto norm * e_1, and the other columns with it
+            h = norm * (norm + abs(u[0]))
+            u[0] += math.copysign(norm, u[0])
+            for c in cols[:-1]:
+                c -= (float(u @ c) / h) * u
+            u *= float(u @ cols[-1]) / h  # u's last use: scaled in place, no temporary
+            cols[-1] -= u
+        cols = [c[1:] for c in cols]
+    return diag
 
 
 def check_c(c: float) -> None:

@@ -3,9 +3,14 @@ block of the exact-Bayes shrinkage formula for equal variances."""
 
 from __future__ import annotations
 
+import functools
+import importlib
 import math
 
-from scipy import special
+
+@functools.cache
+def _special():  # scipy.special on first use: `import shrinkfit` loads no SciPy
+    return importlib.import_module("scipy.special")
 
 
 def log_lower_regularized_gamma(a: float, x: float) -> float:
@@ -21,6 +26,6 @@ def log_lower_regularized_gamma(a: float, x: float) -> float:
     if x == 0.0:
         return -math.inf
     if x < a + 1.0:
-        log_series = math.log(special.hyp1f1(1.0, a + 1.0, x))
+        log_series = math.log(_special().hyp1f1(1.0, a + 1.0, x))
         return a * math.log(x) - x - math.lgamma(a + 1.0) + log_series
-    return math.log(special.gammainc(a, x))
+    return math.log(_special().gammainc(a, x))

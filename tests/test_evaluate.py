@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import io
@@ -191,7 +192,8 @@ class TestRunCoverage:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(evaluate, "ProcessPoolExecutor", no_pool)
+        # run_coverage imports the pool class from here when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         cfg = equal_variance_config(2, seed=1, reps=50, grid=(0.5, 0.6))
         with pytest.raises(TooFewUnits):
             run_coverage(cfg, threads=2)

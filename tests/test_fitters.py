@@ -387,24 +387,67 @@ class TestKnownMeansBatch:
                 assert brent_by_lockstep(ell, bracket) == want
 
 
+def _fresh_interpreter(code: str) -> str:
+    """stdout of `code` run in a fresh interpreter that finds the shrinkfit
+    under test first."""
+    src = str(Path(shrinkfit.__file__).resolve().parent.parent)
+    code = f"import sys; sys.path.insert(0, {src!r})\n{code}"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return out.stdout
+
+
+SCIPY_LOADED = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
 @functools.cache
 def _modules_after_import() -> list[str]:
-    # a fresh interpreter that finds the shrinkfit under test first
-    src = str(Path(shrinkfit.__file__).resolve().parent.parent)
-    code = f"import sys; sys.path.insert(0, {src!r}); import shrinkfit; print(*sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    return out.stdout.split()
+    return _fresh_interpreter("import shrinkfit; print(*sys.modules)").split()
 
 
-def test_import_does_not_load_scipy_optimize():
+def test_import_does_not_load_scipy():
     modules = _modules_after_import()
-    assert "shrinkfit.fitters" in modules and "scipy.optimize" not in modules
+    assert "shrinkfit.fitters" in modules and "shrinkfit.evaluate" in modules
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
 
 
 def test_import_does_not_load_orjson():
     # the JSON writer imports it when it first writes a float array
     modules = _modules_after_import()
     assert "shrinkfit.evaluate" in modules and "orjson" not in modules
+
+
+@pytest.mark.parametrize("method", ["adm", "mle", "reml", "exact"])
+def test_unequal_variance_cli_fit_loads_no_scipy(tmp_path, method):
+    from shrinkfit.cli import write_dataset_csv
+
+    path, out = tmp_path / "in.csv", tmp_path / "out.json"
+    write_dataset_csv(path, cli_pool_dataset(10, 0))  # unequal V, r = 2
+    argv = ["fit", str(path), "--method", method, "--out", str(out)]
+    code = f"from shrinkfit import cli; assert cli.main({argv!r}) == 0; {SCIPY_LOADED}"
+    assert _fresh_interpreter(code) == "\n"
+    assert out.stat().st_size > 0
+
+
+def test_scipy_special_is_loaded_on_first_use():
+    # equal-variance exact Bayes (the chi-square CDF ratio) and a simulation
+    # gridpoint (the Normal CDF of the scoring) load scipy.special when they
+    # first need it, and give what they give in a process that had it loaded
+    data = TwoLevelData(np.linspace(-2.0, 3.0, 10), np.ones(10))
+    shr = fit_exact_equal(data, PriorSpec())
+    code = (
+        f"from shrinkfit import *; import numpy as np; {SCIPY_LOADED}\n"
+        "shr = fit_exact_equal(TwoLevelData(np.linspace(-2.0, 3.0, 10), np.ones(10)), PriorSpec())\n"
+        f"print(*shr.B_hat.tolist(), *shr.v.tolist()); {SCIPY_LOADED}"
+    )
+    before, values, after = _fresh_interpreter(code).split("\n")[:3]
+    assert before == "" and "scipy.special" in after.split()
+    assert [float(x) for x in values.split()] == [*shr.B_hat.tolist(), *shr.v.tolist()]
+
+    cfg = "equal_variance_config(6, seed=5, reps=30, grid=(0.4,))"
+    result = shrinkfit.run_coverage(shrinkfit.equal_variance_config(6, seed=5, reps=30, grid=(0.4,)))
+    code = f"from shrinkfit import *; print(repr(run_coverage({cfg}).rows)); {SCIPY_LOADED}"
+    got, after = _fresh_interpreter(code).split("\n")[:2]
+    assert got == repr(result.rows) and "scipy.special" in after.split()
 
 
 def exact_mean_by_posterior_integral(T: float, m: float) -> float:

@@ -11,7 +11,7 @@ from shrinkfit import (
     TwoLevelData,
     validate,
 )
-from shrinkfit.model import matrix_rank_pivoted
+from shrinkfit.model import matrix_rank_pivoted, pivoted_r_diag
 
 
 def test_named_errors_share_one_base():
@@ -115,6 +115,54 @@ def test_rank_verdicts_kept_for_zero_and_nearly_collinear_columns():
 
     for seed in range(5):
         assert nearly_collinear_data(s=1e-8, seed=seed).r == 3
+
+
+def rank_test_designs(n: int = 3000) -> list[np.ndarray]:
+    """Seeded designs for the pivoted-QR equivalence test: k from 3 to 60
+    and r from 1 to 6 (wide ones included), each column scaled by 10^U(-8, 8).
+    Every third design has a last column equal to a multiple of its first
+    plus noise of relative size eps = 10^U(-14, -6), which straddles the
+    1e-10 rank tolerance; every third, one or more all-zero columns."""
+    rng = np.random.default_rng(20261020)
+    designs = []
+    for i in range(n):
+        k, r = int(rng.integers(3, 61)), int(rng.integers(1, 7))
+        X = rng.standard_normal((k, r)) * 10.0 ** rng.uniform(-8.0, 8.0, r)
+        if i % 3 == 1 and r >= 2:
+            multiple = rng.uniform(-1e3, 1e3)
+            eps = 10.0 ** rng.uniform(-14.0, -6.0)
+            X[:, -1] = multiple * (X[:, 0] + eps * np.abs(X[:, 0]).max() * rng.standard_normal(k))
+        elif i % 3 == 2:
+            X[:, rng.choice(r, size=int(rng.integers(1, r + 1)), replace=False)] = 0.0
+        designs.append(X)
+    return designs
+
+
+def test_rank_verdicts_and_pivots_match_scipy_pivoted_qr():
+    # the test the rank check made with scipy.linalg.qr(pivoting=True)
+    # (LAPACK dgeqp3) on the column-scaled X; |R_jj| may differ by rounding,
+    # at most 1e-13 |R_11| (about 4e-16 |R_11| is seen on the random columns)
+    from scipy import linalg as sla
+    from test_fitters import HOSTILE_DESIGNS, hostile_design
+
+    designs = rank_test_designs()
+    designs += [hostile_design(*d)[0].X for d in HOSTILE_DESIGNS if d[3] >= 1]
+    for s, j in np.ndindex(2, 5):  # X = [1, x, x + s e] at s = 1e-8 (full rank) and 1e-12
+        x, e = np.random.default_rng(j).normal(size=(2, 30))
+        designs.append(np.column_stack([np.ones(30), x, x + 10.0 ** (-8 - 4 * s) * e]))
+    verdicts = []
+    for X in designs:
+        scale = np.abs(X).max(axis=0)
+        scaled = X / np.where(scale > 0.0, scale, 1.0)
+        want = np.abs(np.diag(sla.qr(scaled, mode="economic", pivoting=True)[1]))
+        got = np.array(pivoted_r_diag(X))
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * want[0])
+        verdict = int((want > 1e-10 * want[0]).sum())
+        assert matrix_rank_pivoted(X) == verdict
+        verdicts.append(verdict == min(X.shape))
+    # both verdicts occur: zero columns, and eps or s below the tolerance
+    assert 0 < verdicts.count(False) < len(verdicts)
 
 
 def test_known_mu_rules():

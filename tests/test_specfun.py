@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
+from scipy.special import ndtr  # the Normal CDF the coverage scoring imports
 
 from shrinkfit import specfun
-from shrinkfit.evaluate import ndtr  # the Normal CDF the coverage scoring uses
 
 
 def chi2_pdf(x: float, dof: float) -> float:
