@@ -10,8 +10,10 @@ Each checkout runs, through its own ``src/`` in a fresh interpreter:
   with known means (``y,V,mu`` from pool dataset 0 at k = 10, 100 and 1e4,
   mu its Level-2 mean 0.5 + x2), on a nearly collinear r = 3 file (X =
   [1, x, x + 1e-8 e], k = 30, V over one decade: every method exits 2 with
-  RankDeficientX) and on an equal-variance r = 1 file (k = 10, an
-  intercept: the equal-variance closed forms with a fitted mean), and on
+  RankDeficientX), on an equal-variance r = 1 file (k = 10, an
+  intercept: the equal-variance closed forms with a fitted mean) and on an
+  equal-variance r = 0 file (k = 1e4, V = 1, y standard Normal from
+  default_rng(10_000), so T is near m + 1), and on
   three scaled copies of the k = 1e4 pool dataset 0, y·1e9 with V·1e18
   (every s2 lies above 1e16, at 2e17 to 8e17), y·1e-2 with V·1e-4 (every
   s2 lies in 1e-5 to 1e-4, the band orjson writes positionally, as v does
@@ -25,7 +27,8 @@ Each checkout runs, through its own ``src/`` in a fresh interpreter:
   np.loadtxt, the last two after it has parsed most of the file); then one
   two-method call (ADM and REML on the k = 100 pool dataset 0), exact Bayes
   at c = 0.5 and 0.25 on the k = 10 pool dataset 0 (the quadrature's slow
-  A -> 0 tail), and one ADM call written to stdout (k = 1e4 pool dataset 0,
+  A -> 0 tail), exact Bayes at c = 0.5 on the equal-variance k = 1e4 file
+  (the closed form at c != 1), and one ADM call written to stdout (k = 1e4 pool dataset 0,
   stdout redirected into the output file);
 - a small seeded ``simulate --preset equal`` and ``simulate --preset
   two-group``, each with its default methods and with all four;
@@ -38,7 +41,8 @@ Each checkout runs, through its own ``src/`` in a fresh interpreter:
   lockstep MLE/REML batch at r = 0 (equal and unequal variances, batches
   of 1 to 400 rows) and the scalar fit per replication (every method at
   r = 1, ADM and exact with unequal variances, exact at c = 0.5);
-- ``curves`` with its defaults.
+- ``curves`` with its defaults, with ``--c 0.5``, and with ``--k 5 --k 11
+  --r 1 --c 1.5``.
 
 Prints how many outputs are byte-identical per command, names every file
 that differs or exists in only one checkout, and exits 1 on any difference.
@@ -89,6 +93,8 @@ calls.append(("fit-k100-0-adm-reml.json",
 calls += [(f"fit-k10-0-exact-c{c}.json",
            ["fit", str(data / "k10-0.csv"), "--method", "exact", "--c", c])
           for c in ("0.5", "0.25")]
+calls.append(("fit-equal-k10000-exact-c0.5.json",
+              ["fit", str(data / "equal-k10000.csv"), "--method", "exact", "--c", "0.5"]))
 equal = ["simulate", "--preset", "equal", "--k", "4", "--k", "10", "--reps", "20",
          "--grid-points", "5", "--seed", "7"]
 two_group = ["simulate", "--preset", "two-group", "--reps", "10", "--grid-points", "5",
@@ -110,6 +116,8 @@ calls += [
                                      "400", "--grid-points", "3", "--seed", "7", "--method",
                                      "mle", "--method", "reml"]),
     ("curves.csv", ["curves"]),
+    ("curves-c0.5.csv", ["curves", "--c", "0.5"]),
+    ("curves-k5-k11-r1-c1.5.csv", ["curves", "--k", "5", "--k", "11", "--r", "1", "--c", "1.5"]),
 ]
 codes = []
 for name, argv in calls:
@@ -131,7 +139,7 @@ def write_mu_csv(path: Path, k: int) -> None:
 
 
 def write_design_csvs(data: Path) -> None:
-    """The nearly collinear and the equal-variance r = 1 files."""
+    """The nearly collinear and the two equal-variance files."""
     k = 30
     rng = np.random.default_rng(41)
     x = rng.normal(size=k)
@@ -144,6 +152,9 @@ def write_design_csvs(data: Path) -> None:
     table = np.column_stack([rng.normal(1.0, 1.5, 10), np.full(10, 0.8), np.ones(10)])
     np.savetxt(data / "equal-r1-k10.csv", table, fmt="%.17g", delimiter=",",
                header="y,V,x1", comments="")
+    table = np.column_stack([np.random.default_rng(10_000).normal(size=10_000), np.ones(10_000)])
+    np.savetxt(data / "equal-k10000.csv", table, fmt="%.17g", delimiter=",",
+               header="y,V", comments="")
 
 
 def write_scaled_csvs(data: Path) -> None:

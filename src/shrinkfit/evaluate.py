@@ -23,12 +23,12 @@ import numpy as np
 
 from .fitters import (
     FitMethod,
+    _newton_alpha,
     adm_moments_equal,
     exact_moments_equal,
     fit,
     mle_known_means,
     mle_shrinkage_equal,
-    quadrature_moments,
 )
 from .density import beta_and_projection_diag
 from .inference import shrunken_moments
@@ -406,10 +406,10 @@ def _fit_replications(cfg: SimConfig, method: FitMethod, y: np.ndarray):
 
     At r = 0 no per-replication dataset or posterior is built (run_coverage
     validated the design and prior before any draw): with equal variances
-    ADM for any c and exact Bayes at c = 1 are closed forms in each
-    replication's T = S/2V, and MLE and REML run on all replications at
-    once (mle_known_means).  Any other pair runs the scalar `fit` on each
-    replication, with beta_hat and p_ii at A_hat from
+    ADM and exact Bayes are closed forms in each replication's T = S/2V,
+    exact Bayes for all replications in one call, and MLE and REML run on
+    all replications at once (mle_known_means).  Any other pair runs the
+    scalar `fit` on each replication, with beta_hat and p_ii at A_hat from
     beta_and_projection_diag when r >= 1.
     """
     prior = PriorSpec(c=cfg.c)
@@ -417,15 +417,11 @@ def _fit_replications(cfg: SimConfig, method: FitMethod, y: np.ndarray):
     X = _design_matrix(cfg)
     reps, k = y.shape
     B, v = np.empty((reps, k)), np.empty((reps, k))
-    closed = method is FitMethod.ADM or (method is FitMethod.EXACT and prior.c == 1.0)
-    if closed and X is None and V.max() == V.min():
-        m = 0.5 * (k - 2.0)
-        for i in range(reps):
-            T = float(y[i] @ y[i]) / (2.0 * float(V[0]))
-            if method is FitMethod.ADM:
-                B[i], v[i], _ = adm_moments_equal(T, m, prior.c)
-            else:
-                B[i], v[i] = exact_moments_equal(T, m)
+    if method in (FitMethod.ADM, FitMethod.EXACT) and X is None and V.max() == V.min():
+        m, T = 0.5 * (k - 2.0), [float(row @ row) / (2.0 * float(V[0])) for row in y]
+        moments = (exact_moments_equal(np.array(T), m, prior.c) if method is FitMethod.EXACT
+                   else np.array([adm_moments_equal(t, m, prior.c)[:2] for t in T]).T)
+        B[:], v[:] = (x[:, None] for x in moments)
         return B, v, 0.0, 0.0
     if X is None and method in (FitMethod.MLE, FitMethod.REML):
         A_hat = mle_known_means(y, V)[:, None]
@@ -561,10 +557,14 @@ class AccuracyResult:
 
 
 def _solve_T_for_exact_shrinkage(b: float, m: float) -> float:
-    """Invert the (monotone decreasing) exact shrinkage curve B(T) = b."""
-    from scipy import optimize  # imported here, so that `import shrinkfit` skips it
-    f = lambda log_t: exact_moments_equal(math.exp(log_t), m)[0] - b
-    return math.exp(optimize.brentq(f, -25.0, 25.0, xtol=1e-13))
+    """Invert the decreasing exact shrinkage curve B(T) = b by Newton in x =
+    log T from T = m/b, on the score B(e^x) - b of slope -v e^x."""
+
+    def score(x: float) -> tuple[float, float]:
+        B, v = exact_moments_equal(math.exp(x), m)
+        return float(B) - b, -float(v) * math.exp(x)
+
+    return math.exp(_newton_alpha(score, math.log(m / b), -25.0, 25.0)[0])
 
 
 def run_accuracy(
@@ -592,7 +592,7 @@ def run_accuracy(
                 continue
             T = _solve_T_for_exact_shrinkage(float(b), m)
             s_plus = 2.0 * T * V
-            B_e, v_e = exact_moments_equal(T, m)
+            B_e, v_e = (float(x) for x in exact_moments_equal(T, m))
             B_a, _, _ = adm_moments_equal(T, m, 1.0)
             ratio = (B_a - B_e) ** 2 * s_plus / (k * V * (1.0 - B_e) + v_e * s_plus)
             row = AccuracyRow(k=int(k), exact_shrinkage=float(b), T=T, ratio=ratio)
@@ -623,26 +623,6 @@ class CurveRow:
     v: float
 
 
-def exact_moments_equal_anyc(T: float, m: float, c: float) -> tuple[float, float]:
-    """Posterior mean and variance of B for equal variances and general c,
-    by quadrature of the alpha-posterior (closed form exists only at c = 1),
-    whose log falls as c alpha toward A = 0 and as (c - m - 1) alpha toward
-    A = infinity."""
-    if m + 1.0 <= c:
-        raise ValueError("posterior is improper: need m + 1 > c")
-    if c == 1.0:
-        return exact_moments_equal(T, m)
-    B_center, _, inv_info = adm_moments_equal(T, m, c)
-    a_center = math.log((1.0 - B_center) / B_center)
-
-    def log_post(alpha: np.ndarray) -> np.ndarray:
-        A = np.exp(alpha)
-        return c * alpha - (m + 1.0) * np.log1p(A) - T / (1.0 + A)
-
-    EB, v = quadrature_moments(log_post, a_center, np.ones(1), inv_info, (c, m + 1.0 - c))
-    return float(EB[0]), float(v[0])
-
-
 def curve_rows(k_values, t_grid, r: int = 0, c: float = 1.0) -> tuple[CurveRow, ...]:
     """Shrinkage B(T) and variance v tables for the exact, ADM, and MLE rules
     (equal variances, T the residual sum of squares over 2V); these
@@ -650,15 +630,15 @@ def curve_rows(k_values, t_grid, r: int = 0, c: float = 1.0) -> tuple[CurveRow, 
     positive (NonpositiveC), as for a fit."""
     check_c(c)
     rows = []
+    t_grid = [float(T) for T in t_grid]
+    if not all(0.0 <= T < math.inf for T in t_grid):
+        raise ValueError("T must be finite and nonnegative")
     for k in k_values:
         m = 0.5 * (k - r - 2.0)
         if m + 1.0 <= c:
             raise ValueError(f"k={k}, r={r} too small for c={c}")
-        for T in t_grid:
-            T = float(T)
-            if T < 0.0:
-                raise ValueError("T must be nonnegative")
-            B_e, v_e = exact_moments_equal_anyc(T, m, c)
+        exact = zip(*(x.tolist() for x in exact_moments_equal(np.array(t_grid), m, c)))
+        for T, (B_e, v_e) in zip(t_grid, exact):
             B_a, v_a, _ = adm_moments_equal(T, m, c)
             B_m = mle_shrinkage_equal(T, k)
             rows.append(CurveRow(k, r, c, m, T, "exact", B_e, v_e))

@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 
-from . import specfun
 from .density import BLOCK_ELEMENTS, AdjustedLogDensity, NonconcaveAtMax, residual_ss
 from .density import known_means_rows
 from .model import (
@@ -52,7 +51,6 @@ _NEWTON_ITERS = 100
 _BRENT_XTOL = 1e-10
 _BOUNDARY_REL = 1e-10
 _FLOOR_REL = 1e-12
-_T_LIMIT = 1e-8  # below this, use the T -> 0 limits of the exact moments
 
 # The fixed quadrature rule of quadrature_moments
 _GL_NODES = 12  # Gauss-Legendre nodes per panel
@@ -109,7 +107,7 @@ def _walk_bracket(x0: float, lo: float, hi: float, step: float = 1.0):
 
 def _brent(bracket: tuple[float, float, float]):
     """Maximizer of l from a bracketing triple (a search generator, see
-    _lockstep): scipy.optimize.Brent (scipy 1.17, 500 iterations at most)
+    _lockstep): the Brent minimizer of scipy 1.17 (500 iterations at most)
     on -l at xtol _BRENT_XTOL, with every float operation and comparison
     kept, the re-evaluation of the three bracket points included.  Raises
     ValueError, as scipy does, unless the triple is strictly ordered with
@@ -339,24 +337,65 @@ def adm_moments_equal(T: float, m: float, c: float = 1.0) -> tuple[float, float,
     return B, v, inv_info
 
 
-def exact_moments_equal(T: float, m: float) -> tuple[float, float]:
+def exact_moments_equal(T, m: float, c: float = 1.0):
     """Exact posterior mean and variance of B for equal variances under the
-    flat prior on A (c = 1).
+    prior A^(c-1), at each T (a float or an array of them): with n = m + 1
+    and a = n - c, p(B) ~ B^(a-1) (1 - B)^(c-1) e^(-TB) on [0, 1].
 
-    B_hat is the James-Stein factor m/T times a ratio of chi-square CDFs,
-    evaluated in log space so small T never underflows; v comes from the
-    James-Stein identity with the T -> 0 limit m/((m+1)^2 (m+2)) spliced in
-    below T = 1e-8.
+    Below top = n + 9 sqrt(n) + 40, Kummer's transformation makes B a
+    mixture over J >= 0 of Beta(a, c + J) with weights ~ (c)_J T^J /
+    ((n)_J J!): E[B] = a E[x], x = 1/(n + J), and Var B = E[Var(B | J)] +
+    a^2 Var x.  From top on, sigma_j = 1 - E[B^(j+1)]/E[B^j] = (c + T
+    sigma_(j+1)) / D_j, D_j = n + j + T sigma_(j+1), so E[B] = a/D_0, and
+    tau_j = d(T sigma_j)/dT = sigma_j + T (a + j) tau_(j+1) / D_j^2 gives
+    Var B = -dE[B]/dT = a tau_1 / D_0^2.  The fraction starts at level K
+    from sigma_K = 1 - (a + K)/T, tau_K = 1: exact at c = 1 (but for e^-T
+    T^(n-1) / Gamma(n) < 1e-17), otherwise off by min(1, |c - 1|) at most,
+    an error each level shrinks by (a + j)/T or less.  All terms are
+    positive, so v never cancels, and a T's moments do not depend on the
+    other T's.
     """
-    if T < _T_LIMIT:
-        return m / (m + 1.0), m / ((m + 1.0) ** 2 * (m + 2.0))
-    log_ratio = specfun.log_lower_regularized_gamma(
-        m + 1.0, T
-    ) - specfun.log_lower_regularized_gamma(m, T)
-    B = (m / T) * math.exp(log_ratio)
-    b_js = m / T
-    v = B * B / m - (b_js - B) * (1.0 - (m + 1.0) / m * B)
-    return B, v
+    if not m + 1.0 > c:
+        raise NonintegrablePosterior(f"posterior of B is improper: need m + 1 > c, got m={m}, c={c}")
+    T = np.asarray(T, dtype=float)
+    flat, n, a = T.ravel(), m + 1.0, m + 1.0 - c
+    top, J, log_w, x, within, levels = _equal_terms(n, c)
+    lw = log_w + np.log(np.maximum(np.minimum(flat, top), np.finfo(float).tiny))[:, None] * J
+    w = np.exp(lw - lw.max(axis=1, keepdims=True))
+    w /= w.sum(axis=1, keepdims=True)
+    mean_x = (w * x).sum(axis=1)
+    mixture = a * mean_x, (w * (within + a * a * (x - mean_x[:, None]) ** 2)).sum(axis=1)
+    T_top = np.maximum(flat, top)
+    sigma, tau = 1.0 - (a + levels) / T_top, 1.0
+    for j in range(levels - 1, 0, -1):
+        D = n + j + T_top * sigma
+        sigma = (c + T_top * sigma) / D
+        tau = sigma + T_top * (a + j) * tau / (D * D)
+    D = n + T_top * sigma
+    B, v = np.where(flat < top, mixture, (a / D, a * tau / (D * D)))
+    return B.reshape(T.shape)[()], v.reshape(T.shape)[()]
+
+
+@functools.lru_cache(maxsize=16)
+def _equal_terms(n: float, c: float):
+    """exact_moments_equal's top; the mixture's J, up to the last whose
+    weight at T = top lies within e^40 of its peak, with log (c)_J / ((n)_J
+    J!), x and Var(B | J); and the least K at which the bounds (a + j)/top,
+    j < K, bring the fraction's start below 1e-17.  Arrays read-only."""
+    a, top = n - c, n + 9.0 * math.sqrt(n) + 40.0
+    J = np.arange(math.ceil(top + 10.0 * math.sqrt(top) + 50.0))
+    log_w = np.concatenate(([0.0], np.cumsum(np.log((c + J[:-1]) / ((n + J[:-1]) * (J[:-1] + 1.0))))))
+    at_top = log_w + J * math.log(top)
+    J = J[: np.flatnonzero(at_top >= at_top.max() - 40.0)[-1] + 1]
+    x = 1.0 / (n + J)
+    K, gain, target = 1, 0.0, math.log(1e17 * min(1.0, abs(c - 1.0)) + 1.0)
+    while gain < target:
+        gain += math.log(top / (a + K))
+        K += 1
+    arrays = J, log_w[: J.size], x, a * (c + J) * x * x / (n + J + 1.0)
+    for arr in arrays:
+        arr.flags.writeable = False
+    return top, *arrays, K
 
 
 def mle_shrinkage_equal(T: float, k: int) -> float:
@@ -507,13 +546,11 @@ def fit_reml(data: TwoLevelData) -> ShrinkagePosterior:
 
 
 def fit_exact_equal(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
-    """Exact posterior moments of B for equal variances under the flat prior
-    (c = 1), via the chi-square CDF ratio."""
+    """Exact posterior moments of B for equal variances at any c, in closed
+    form (exact_moments_equal)."""
     validate(data, prior, FitMethod.EXACT)
-    if prior.c != 1.0:
-        raise ValueError("closed-form exact moments exist only for c = 1")
     V, T, m = _equal_var_stats(data)
-    B, v = exact_moments_equal(T, m)
+    B, v = (float(x) for x in exact_moments_equal(T, m, prior.c))
     k = data.k
     return ShrinkagePosterior(
         A_hat=V * (1.0 - B) / B,
@@ -526,19 +563,16 @@ def fit_exact_equal(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
 
 
 def quadrature_moments(
-    logpost, center: float, V: np.ndarray, inv_info: float, tails=None
+    ell: AdjustedLogDensity, center: float, inv_info: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance of each B_i = V_i / (V_i + exp(alpha))
-    under the unnormalized log-posterior `logpost` of alpha, an
-    AdjustedLogDensity (c > 0) or a function of a 1-d array of alphas, by
-    one fixed rule (_panels): composite Gauss-Legendre panels over a middle
-    range around the mode and, on each side where l falls as exp(a alpha)
-    toward A = 0 or A = infinity, one Gauss-Jacobi panel out to that end.
-    `tails` gives the two exponents (a_left, a_right) for a function (none
-    when omitted, so the rule stops at the middle's ends); an
-    AdjustedLogDensity gives its own, (c, (k - s r)/2 - c).
+    under the log-posterior of alpha, the AdjustedLogDensity `ell` (c > 0),
+    by one fixed rule (_panels): Gauss-Legendre panels over a middle range
+    around the mode and, on each side where l falls as exp(a alpha) toward
+    A = 0 or A = infinity, one Gauss-Jacobi panel out to that end (a from
+    `ell.tail_exponents`).
 
-    `center` is the mode, where the curvature of `logpost` is -inv_info.
+    `center` is the mode, where the curvature of `ell` is -inv_info.
     The exponent is shifted by its value at the mode before exponentiating.
     With W = 1/(V + exp(alpha)) and W0 its value at the mode, the moments are
     taken in centred form, E[B_i] = V_i (W0_i + E[W_i - W0_i]) and Var(B_i) =
@@ -546,20 +580,21 @@ def quadrature_moments(
     posterior is narrow.
 
     The nodes are evaluated in one of two ways.  When the kept range is
-    narrow around the mode, an AdjustedLogDensity gives l and the moments
-    there by power sums of W0 (AdjustedLogDensity.power_sums): with
+    narrow around the mode, l and the moments there come from power sums of
+    W0 (AdjustedLogDensity.power_sums): with
     delta = A - A0 and rho = max|delta| max W0 < 1 over the nodes,
     W = W0 sum_j (-delta W0)^j is truncated after J terms, off by at most
     rho^(J+1)/(1 - rho) relative, with J the least (at most
     density.SERIES_TERMS) that bounds the error in l by density.SERIES_TOL.
     That is O(J k) work rather than O(n k) for n nodes.  Otherwise (rho >= 1,
-    as wherever the A -> infinity tail is kept, more terms than the cap, or
-    a plain function, as from `curves`) l is evaluated at the nodes and the
+    as wherever the A -> infinity tail is kept, or more terms than the cap)
+    l is evaluated at the nodes (AdjustedLogDensity.on_nodes) and the
     moments accumulated a block of about BLOCK_ELEMENTS elements at a time.
     Raises NonintegrablePosterior when a tail exponent is not positive or
     the normalizer is not finite and positive.
     """
-    a, b, shift, ends = _panels(logpost, center, V, inv_info, tails)
+    V = ell.data.V
+    a, b, shift, ends = _panels(ell, center, inv_info)
     half = 0.5 * (b - a)
     parts = [(((0.5 * (a + b))[:, None] + half[:, None] * _GL_X).ravel(),
               (half[:, None] * _GL_W).ravel(), np.zeros(a.size * _GL_NODES))]
@@ -569,12 +604,8 @@ def quadrature_moments(
         log_t, omega = _tail_rule(exponent)
         parts.append((start - outward * log_t, omega, -exponent * log_t))
     nodes, w, lift = (np.concatenate(x) for x in zip(*parts))
-    if isinstance(logpost, AdjustedLogDensity):
-        sums = logpost.power_sums(center, nodes)
-        values = logpost.on_nodes
-    else:
-        sums, values = None, logpost
-    w *= np.exp((values(nodes) - shift if sums is None else sums.ell) + lift)
+    sums = ell.power_sums(center, nodes)
+    w *= np.exp((ell.on_nodes(nodes) - shift if sums is None else sums.ell) + lift)
     Z = float(w.sum())
     if not (math.isfinite(Z) and Z > 0.0):
         raise NonintegrablePosterior(f"posterior normalizer is {Z} around alpha={center}")
@@ -619,7 +650,7 @@ def _tail_rule(a: float) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _panels(logpost, center: float, V: np.ndarray, inv_info: float, tails=None):
+def _panels(ell: AdjustedLogDensity, center: float, inv_info: float):
     """quadrature_moments' kept panels (a, b), l at the mode, and its tail
     panels, a list of (start, outward, exponent) with outward -1 for the
     A -> 0 tail and +1 for the A -> infinity one.
@@ -629,9 +660,9 @@ def _panels(logpost, center: float, V: np.ndarray, inv_info: float, tails=None):
     sigmoids need that, and a peak much narrower than the range is still
     sampled (~0.01 wide at k = 1e5).  They stop at the first edge past the
     middle range, where l is close to its asymptotes: with n = 2 (a_left +
-    a_right) (k - s r for an AdjustedLogDensity; the size of V without
-    tails), the range runs from the mode - max(0, log((A_hat/V_min)(1 +
-    A_hat/V_min))) - log n to the mode + log(1 + V_max/A_hat) + log n.
+    a_right) = k - s r, the range runs from the mode - max(0,
+    log((A_hat/V_min)(1 + A_hat/V_min))) - log n to the mode + log(1 +
+    V_max/A_hat) + log n.
     Past each end l(alpha) - a alpha is analytic in A (in u = 1/A on the
     right), and over the tail S, Q and log|X'D^-1 X| move by about 1 or
     less (after their linear parts in alpha on the right) for residuals of
@@ -641,10 +672,9 @@ def _panels(logpost, center: float, V: np.ndarray, inv_info: float, tails=None):
     when l at both its edges lies more than _SKIP_DROP below the mode, which
     within the middle range assumes no second mode hides inside it.
 
-    A function is evaluated at every edge and gets both tail panels.  An
-    AdjustedLogDensity's edges are evaluated nearest-first from the mode, a
-    block of BLOCK_ELEMENTS // k at a time (all of them at once for k below
-    about 1300), and a side stops, with no tail panel, at the first edge
+    The edges are evaluated nearest-first from the mode, a block of
+    BLOCK_ELEMENTS // k at a time (all of them at once for k below about
+    1300), and a side stops, with no tail panel, at the first edge
     alpha_j past which both l and the mass of exp(l) are proven to stay
     more than _SKIP_DROP below the mode (in log).  With l = c alpha
     - [S + s log|X'D^-1 X| + Q]/2 (S rising, the rest falling in A), the
@@ -662,13 +692,12 @@ def _panels(logpost, center: float, V: np.ndarray, inv_info: float, tails=None):
     there.  The edges always go through on_nodes, even where
     quadrature_moments then evaluates the kept nodes by power sums.
     """
-    if isinstance(logpost, AdjustedLogDensity):
-        tails = logpost.tail_exponents
-    if tails is not None and not min(tails) > 0.0:
+    tails, V = ell.tail_exponents, ell.data.V
+    if not min(tails) > 0.0:
         raise NonintegrablePosterior(
             f"posterior of alpha is improper: tail exponents {tuple(tails)}")
     h = 1.0 / math.sqrt(inv_info) if 0.0 < inv_info < math.inf else _MAX_WIDTH
-    pad = math.log(2.0 * sum(tails) if tails else V.size)
+    pad = math.log(2.0 * sum(tails))
     x_min = math.log(float(V.min())) - center
     x_max = math.log(float(V.max())) - center
     reach = (max(0.0, float(np.logaddexp(0.0, -x_min)) - x_min) + pad,
@@ -681,33 +710,30 @@ def _panels(logpost, center: float, V: np.ndarray, inv_info: float, tails=None):
     offsets = np.array(offsets)
     m, last = np.searchsorted(offsets, reach)  # the mode is edge m
     edges = np.concatenate([center - offsets[m:0:-1], center + offsets[: last + 1]])
-    ends = [(float(edges[0]), -1.0, tails[0]), (float(edges[-1]), 1.0, tails[1])] if tails else []
+    ends = [(float(edges[0]), -1.0, tails[0]), (float(edges[-1]), 1.0, tails[1])]
     step = max(1, BLOCK_ELEMENTS // V.size)
-    if isinstance(logpost, AdjustedLogDensity):
-        at_edges = np.full(edges.size, -math.inf)
-        c, k = logpost.prior.c, logpost.data.k
-        S0, log_vmax = float(np.log(V).sum()), math.log(float(V.max()))
-        slope = c + 0.5 * logpost.data.r * logpost.restricted
-        pending = np.argsort(abs(np.arange(edges.size) - m + 0.25))  # m, m - 1, m + 1, ...
-        while pending.size:
-            idx, pending = np.sort(pending[:step]), pending[step:]
-            alphas = edges[idx]
-            ell, S, Q = logpost.on_nodes(alphas, parts=True)
-            at_edges[idx] = ell
-            floor = at_edges[m] - _SKIP_DROP
-            # the larger of the bound on l and on its mass, on each side
-            left = ell + 0.5 * (S - S0) - min(0.0, math.log(c))
-            lam = 0.5 * k * np.exp(-np.logaddexp(0.0, log_vmax - alphas)) - slope
-            with np.errstate(divide="ignore"):
-                right = ell + 0.5 * Q - np.log(np.clip(lam, 0.0, 1.0))
-            if ((idx < m) & (left < floor)).any():
-                pending = pending[pending > m]
-                ends = [end for end in ends if end[1] > 0.0]
-            if ((idx > m) & (right < floor)).any():
-                pending = pending[pending < m]
-                ends = [end for end in ends if end[1] < 0.0]
-    else:
-        at_edges = logpost(edges)
+    at_edges = np.full(edges.size, -math.inf)
+    c, k = ell.prior.c, ell.data.k
+    S0, log_vmax = float(np.log(V).sum()), math.log(float(V.max()))
+    slope = c + 0.5 * ell.data.r * ell.restricted
+    pending = np.argsort(abs(np.arange(edges.size) - m + 0.25))  # m, m - 1, m + 1, ...
+    while pending.size:
+        idx, pending = np.sort(pending[:step]), pending[step:]
+        alphas = edges[idx]
+        values, S, Q = ell.on_nodes(alphas, parts=True)
+        at_edges[idx] = values
+        floor = at_edges[m] - _SKIP_DROP
+        # the larger of the bound on l and on its mass, on each side
+        left = values + 0.5 * (S - S0) - min(0.0, math.log(c))
+        lam = 0.5 * k * np.exp(-np.logaddexp(0.0, log_vmax - alphas)) - slope
+        with np.errstate(divide="ignore"):
+            right = values + 0.5 * Q - np.log(np.clip(lam, 0.0, 1.0))
+        if ((idx < m) & (left < floor)).any():
+            pending = pending[pending > m]
+            ends = [end for end in ends if end[1] > 0.0]
+        if ((idx > m) & (right < floor)).any():
+            pending = pending[pending < m]
+            ends = [end for end in ends if end[1] < 0.0]
     shift = float(at_edges[m])
     low = at_edges < shift - _SKIP_DROP
     keep = ~(low[:-1] & low[1:])
@@ -735,7 +761,7 @@ def fit_exact_quadrature(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePoste
     ell = AdjustedLogDensity(data, prior)
     (alpha0, lo, hi), = _search_range(data.V, [ell.residual_ss()], data.k - data.r)
     alpha_hat, _, d2 = _newton_alpha(ell.derivatives, alpha0, lo, hi)
-    EB, v = quadrature_moments(ell, alpha_hat, data.V, -d2)
+    EB, v = quadrature_moments(ell, alpha_hat, -d2)
     if data.equal_variances:
         # single shrinkage factor: report the A consistent with it
         A_hat = float(data.V[0]) * (1.0 - EB[0]) / EB[0]
@@ -752,8 +778,8 @@ def fit_exact_quadrature(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePoste
 
 
 def fit(data: TwoLevelData, prior: PriorSpec, method: FitMethod) -> ShrinkagePosterior:
-    """Dispatch to the appropriate fitter, preferring closed forms where they
-    exist (equal variances; c = 1 for the exact method)."""
+    """Dispatch to the appropriate fitter, preferring the closed forms for
+    equal variances (ADM and exact Bayes, at any c)."""
     if method is FitMethod.ADM:
         if data.equal_variances:
             return fit_adm_equal(data, prior)
@@ -763,7 +789,7 @@ def fit(data: TwoLevelData, prior: PriorSpec, method: FitMethod) -> ShrinkagePos
     if method is FitMethod.REML:
         return fit_reml(data)
     if method is FitMethod.EXACT:
-        if data.equal_variances and prior.c == 1.0:
+        if data.equal_variances:
             return fit_exact_equal(data, prior)
         return fit_exact_quadrature(data, prior)
     raise TypeError(f"unknown method {method!r}")

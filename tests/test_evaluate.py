@@ -31,7 +31,6 @@ from shrinkfit.evaluate import (
     equal_variance_config,
     equal_variance_grid,
     exact_moments_equal,
-    exact_moments_equal_anyc,
     json_chunks,
     json_text,
     run_accuracy,
@@ -624,7 +623,7 @@ class TestCurves:
 
     def test_general_c_curve_matches_closed_form_at_c1(self):
         for m, T in [(1.0, 0.5), (4.0, 3.0), (9.0, 12.0)]:
-            B_q, v_q = exact_moments_equal_anyc(T, m, 0.999999999)
+            B_q, v_q = exact_moments_equal(T, m, 0.999999999)
             B_c, v_c = exact_moments_equal(T, m)
             assert B_q == pytest.approx(B_c, abs=1e-7)
             assert v_q == pytest.approx(v_c, abs=1e-7)
@@ -643,6 +642,6 @@ class TestCurves:
     def test_c_half_shrinks_harder_than_c1(self):
         # smaller c concentrates the prior near A = 0, raising shrinkage
         for T in (0.5, 2.0, 10.0):
-            B_half, _ = exact_moments_equal_anyc(T, 4.0, 0.5)
-            B_one, _ = exact_moments_equal_anyc(T, 4.0, 1.0)
+            B_half, _ = exact_moments_equal(T, 4.0, 0.5)
+            B_one, _ = exact_moments_equal(T, 4.0, 1.0)
             assert B_half > B_one

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import subprocess
 import sys
@@ -38,7 +39,6 @@ from shrinkfit.density import (
     known_means_rows,
     residual_ss,
 )
-from shrinkfit.evaluate import exact_moments_equal_anyc
 from shrinkfit import density, fitters
 from shrinkfit.fitters import (
     _GL_NODES,
@@ -428,26 +428,34 @@ def test_unequal_variance_cli_fit_loads_no_scipy(tmp_path, method):
     assert out.stat().st_size > 0
 
 
-def test_scipy_special_is_loaded_on_first_use():
-    # equal-variance exact Bayes (the chi-square CDF ratio) and a simulation
-    # gridpoint (the Normal CDF of the scoring) load scipy.special when they
-    # first need it, and give what they give in a process that had it loaded
+@pytest.mark.parametrize("c", [0.5, 1.0])
+def test_equal_variance_exact_and_curves_load_no_scipy(c, tmp_path):
     data = TwoLevelData(np.linspace(-2.0, 3.0, 10), np.ones(10))
-    shr = fit_exact_equal(data, PriorSpec())
+    shr = fit_exact_equal(data, PriorSpec(c))
+    argv = ["curves", "--c", str(c), "--out", str(tmp_path / "curves.csv")]
     code = (
-        f"from shrinkfit import *; import numpy as np; {SCIPY_LOADED}\n"
-        "shr = fit_exact_equal(TwoLevelData(np.linspace(-2.0, 3.0, 10), np.ones(10)), PriorSpec())\n"
+        "from shrinkfit import *; from shrinkfit import cli; import numpy as np\n"
+        f"shr = fit_exact_equal(TwoLevelData(np.linspace(-2.0, 3.0, 10), np.ones(10)), PriorSpec({c}))\n"
+        f"assert cli.main({argv!r}) == 0\n"
         f"print(*shr.B_hat.tolist(), *shr.v.tolist()); {SCIPY_LOADED}"
     )
-    before, values, after = _fresh_interpreter(code).split("\n")[:3]
-    assert before == "" and "scipy.special" in after.split()
+    values, after = _fresh_interpreter(code).split("\n")[:2]
+    assert after == ""
     assert [float(x) for x in values.split()] == [*shr.B_hat.tolist(), *shr.v.tolist()]
 
+
+def test_scipy_special_is_loaded_on_first_use():
+    # a simulation gridpoint (the Normal CDF of the scoring) loads
+    # scipy.special when it first needs it, and gives what it gives in a
+    # process that had it loaded
     cfg = "equal_variance_config(6, seed=5, reps=30, grid=(0.4,))"
     result = shrinkfit.run_coverage(shrinkfit.equal_variance_config(6, seed=5, reps=30, grid=(0.4,)))
     code = f"from shrinkfit import *; print(repr(run_coverage({cfg}).rows)); {SCIPY_LOADED}"
     got, after = _fresh_interpreter(code).split("\n")[:2]
     assert got == repr(result.rows) and "scipy.special" in after.split()
+
+
+EQUAL_EXACT_REFERENCE = Path(__file__).parent / "equal_exact_reference.json"
 
 
 def exact_mean_by_posterior_integral(T: float, m: float) -> float:
@@ -468,8 +476,7 @@ class TestExactEqual:
         assert shr.v[0] == pytest.approx(m / ((m + 1) ** 2 * (m + 2)), rel=1e-14)
 
     def test_small_T_large_m_against_posterior_integral(self):
-        # P(m, T) underflows here, so the chi-square ratio must be formed in
-        # log space (the 1F1 branch of log_lower_regularized_gamma)
+        # P(m, T) underflows here, so the moments must be formed in log space
         B, _ = exact_moments_equal(1e-3, 499.0)
         assert B == pytest.approx(exact_mean_by_posterior_integral(1e-3, 499.0), rel=1e-12)
 
@@ -511,9 +518,41 @@ class TestExactEqual:
             assert B == pytest.approx(raw_moment(1), rel=1e-11)
             assert v == pytest.approx(raw_moment(2) - raw_moment(1) ** 2, rel=1e-9)
 
-    def test_requires_c1(self, fig1_data):
-        with pytest.raises(ValueError):
-            fit_exact_equal(fig1_data, PriorSpec(c=0.5))
+    def test_against_the_mpmath_reference(self):
+        # scripts/make_equal_exact_reference.py: 50-digit values on a grid
+        # of m up to 49999, c in 0.1 .. 1.5 and T from 0 to 10 (m + 1);
+        # bounds fixed before the first run
+        rows = np.array(json.loads(EQUAL_EXACT_REFERENCE.read_text())["rows"])
+        for m, c in sorted({(row[0], row[1]) for row in rows}):
+            T, B_ref, v_ref = rows[(rows[:, 0] == m) & (rows[:, 1] == c)][:, 2:].T
+            B, v = exact_moments_equal(T, m, c)
+            assert np.all(v > 0.0)
+            assert np.max(np.abs(B - B_ref) / B_ref) <= 1e-12
+            assert np.max(np.abs(v - v_ref) / v_ref) <= 1e-10
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 100_000), st.floats(0.0, 1.0),
+           st.one_of(st.just(0.0), st.floats(0.0, 1e12)))
+    def test_variance_is_positive_and_below_its_beta_bound(self, k, share, T):
+        # any distribution on [0, 1] has Var B <= E[B] (1 - E[B])
+        m = 0.5 * (k - 2.0)
+        c = 1e-3 + share * (m - 1e-3)
+        B, v = exact_moments_equal(T, m, c)
+        assert 0.0 < B < 1.0 and 0.0 < v <= B * (1.0 - B)
+
+    @pytest.mark.parametrize("c", [0.5, 1.0])
+    @pytest.mark.parametrize("k", [10_000, 100_000])
+    def test_large_k_matches_quadrature(self, k, c):
+        # v by the James-Stein identity on a chi-square CDF ratio cancels
+        # here: at k = 1e4 it reads -9.1e-9 at T = 1 against 4.0e-8 and is
+        # 3.6e-5 off at T = (m + 1)/2, at k = 1e5 2.6e-5 off at
+        # T = 0.9 (m + 1).  Bounds: TestSlowTails'.
+        m = 0.5 * (k - 2.0)
+        for T in (1.0, 49.9, 0.5 * (m + 1.0), 0.9 * (m + 1.0), m + 1.0):
+            data = TwoLevelData(np.full(k, math.sqrt(2.0 * T / k)), np.ones(k))
+            shr, quad = fit(data, PriorSpec(c), FitMethod.EXACT), fit_exact_quadrature(data, PriorSpec(c))
+            assert np.max(np.abs(shr.B_hat - quad.B_hat) / quad.B_hat) <= 1e-9
+            assert np.max(np.abs(shr.v - quad.v) / quad.v) <= 1e-8
 
 
 def large_k_unequal_data() -> TwoLevelData:
@@ -684,7 +723,7 @@ class TestExactQuadrature:
         T, k = 3.0, 10
         data = TwoLevelData(np.full(k, math.sqrt(2.0 * T / k)), np.ones(k))
         shr = fit_exact_quadrature(data, PriorSpec(c=0.5))
-        B, v = exact_moments_equal_anyc(T, 0.5 * (k - 2.0), 0.5)
+        B, v = exact_moments_equal(T, 0.5 * (k - 2.0), 0.5)
         assert shr.B_hat[0] == pytest.approx(B, abs=1e-9)
         assert shr.v[0] == pytest.approx(v, abs=1e-9)
 
@@ -725,11 +764,11 @@ class TestExactQuadrature:
         # a peak of width ~1e-5 at 0: with no curvature to place breakpoints
         # the rule misses it and the normalizer vanishes, which must raise
         # rather than return 0/0
-        logpost = lambda a: -1e10 * a * a
-        EB, _ = quadrature_moments(logpost, 0.0, np.ones(1), 2e10)
+        logpost = NarrowPeak(TwoLevelData(np.zeros(3), np.ones(3)), PriorSpec())
+        EB, _ = quadrature_moments(logpost, 0.0, 2e10)
         assert EB[0] == pytest.approx(0.5, abs=1e-6)
         with pytest.raises(NonintegrablePosterior):
-            quadrature_moments(logpost, 0.0, np.ones(1), 0.0)
+            quadrature_moments(logpost, 0.0, 0.0)
 
     def test_improper_posterior_raises(self):
         data = TwoLevelData(np.arange(4.0), np.ones(4), np.column_stack(
@@ -740,7 +779,7 @@ class TestExactQuadrature:
         # c = 0: the A -> 0 tail of exp(l) has infinite mass
         data = TwoLevelData(np.arange(6.0), np.ones(6))
         with pytest.raises(NonintegrablePosterior):
-            quadrature_moments(AdjustedLogDensity(data, PriorSpec(0.0)), 1.0, data.V, 1.0)
+            quadrature_moments(AdjustedLogDensity(data, PriorSpec(0.0)), 1.0, 1.0)
 
     @pytest.mark.parametrize("a", [0.1, 0.5, 1.0, 3.0, 48.0, 5e4])
     def test_tail_rule_is_gaussian(self, a):
@@ -836,18 +875,40 @@ class TestSlowTails:
         assert np.max(np.abs(shr.v - (B2 - B * B))) <= 1e-8 * (B2 - B * B)
 
 
+class EveryEdge(AdjustedLogDensity):
+    """An AdjustedLogDensity that the quadrature evaluates plainly: no bound
+    on l stops the edge walk (S and Q read +inf), so l is evaluated at
+    every panel edge and both tail panels are kept, and power_sums declines,
+    so the nodes go through on_nodes."""
+
+    def on_nodes(self, alphas, parts=False):
+        values = super().on_nodes(alphas)
+        return np.stack([values, np.full_like(values, np.inf), np.full_like(values, np.inf)]) if parts else values
+
+    def power_sums(self, center, alphas):
+        return None
+
+
+class NarrowPeak(EveryEdge):
+    """l(alpha) = -1e10 alpha^2, a peak of width ~1e-5 at alpha = 0."""
+
+    def on_nodes(self, alphas, parts=False):
+        values = -1e10 * np.square(np.asarray(alphas, dtype=float).ravel())
+        return np.stack([values, np.full_like(values, np.inf), np.full_like(values, np.inf)]) if parts else values
+
+
 def walk_and_every_edge(data: TwoLevelData, prior: PriorSpec, center=None):
     """The quadrature's kept panels (a, b, l at the mode) at the exact fit's
     mode (or at `center`, a local mode): walked outward on the
-    AdjustedLogDensity, and with every edge evaluated by the plain callable
-    on_nodes; and the sizes of the walk's on_nodes calls."""
+    AdjustedLogDensity, and with every edge evaluated (EveryEdge); and the
+    sizes of the walk's on_nodes calls."""
     ell = AdjustedLogDensity(data, prior)
     if center is None:
         (alpha0, lo, hi), = _search_range(data.V, [ell.residual_ss()], data.k - data.r)
         center, _, d2 = _newton_alpha(ell.derivatives, alpha0, lo, hi)
     else:
         center, _, d2 = _newton_alpha(ell.derivatives, center, center - 3.0, center + 3.0)
-    every = fitters._panels(ell.on_nodes, center, data.V, -d2, ell.tail_exponents)
+    every = fitters._panels(EveryEdge(data, prior), center, -d2)
     sizes = []
 
     def counted(alphas, parts=False, on_nodes=ell.on_nodes):
@@ -855,7 +916,7 @@ def walk_and_every_edge(data: TwoLevelData, prior: PriorSpec, center=None):
         return on_nodes(alphas, parts)
 
     ell.on_nodes = counted
-    return fitters._panels(ell, center, data.V, -d2), every, sizes
+    return fitters._panels(ell, center, -d2), every, sizes
 
 
 def assert_same_panels(walk, every):
@@ -893,7 +954,7 @@ class TestEdgeWalk:
     @pytest.mark.parametrize("c", [0.5, 1.0])
     @pytest.mark.parametrize("k", [10, 100])
     def test_dropped_tails_are_negligible(self, k, c):
-        # a function gets both tail panels; the walk drops a tail only where
+        # EveryEdge gets both tail panels; the walk drops a tail only where
         # its bound puts the tail's mass e^50 below the mode's
         dropped = 0
         for j in range(16):
@@ -901,10 +962,9 @@ class TestEdgeWalk:
             ell = AdjustedLogDensity(data, prior)
             (alpha0, lo, hi), = _search_range(data.V, [ell.residual_ss()], data.k - data.r)
             center, _, d2 = _newton_alpha(ell.derivatives, alpha0, lo, hi)
-            dropped += 2 - len(fitters._panels(ell, center, data.V, -d2)[3])
-            B, v = quadrature_moments(ell, center, data.V, -d2)
-            B_all, v_all = quadrature_moments(ell.on_nodes, center, data.V, -d2,
-                                              ell.tail_exponents)
+            dropped += 2 - len(fitters._panels(ell, center, -d2)[3])
+            B, v = quadrature_moments(ell, center, -d2)
+            B_all, v_all = quadrature_moments(EveryEdge(data, prior), center, -d2)
             assert np.max(np.abs(B - B_all) / B) <= 1e-13
             assert np.max(np.abs(v - v_all) / v) <= 1e-11
         assert dropped > 0 if k == 100 else dropped == 0
