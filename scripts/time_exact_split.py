@@ -2,7 +2,8 @@
 
     python3 scripts/time_exact_split.py OTHER_TREE [ROUNDS]
 
-The fit is `fitters.fit_exact_quadrature` on the benchmark's fit-cli pool
+The fit is `fitters._fit_exact` (`fit_exact_quadrature` in a checkout
+older than `fit` as the one public fitter) on the benchmark's fit-cli pool
 dataset 0 (``bench/workloads.cli_dataset``, r = 2, V over a decade) at
 k = 10, 100, 1e4 and 1e5, c = 1. It is split into three layers:
 
@@ -87,6 +88,7 @@ def counted(name, fn, size):
     return wrapper
 
 
+fit_exact = getattr(fitters, "_fit_exact", None) or fitters.fit_exact_quadrature
 fitters._newton_alpha = timed("newton", fitters._newton_alpha)
 fitters.quadrature_moments = timed("total", fitters.quadrature_moments)
 walk = hasattr(fitters, "_panels")
@@ -124,7 +126,7 @@ for path in sys.argv[1:]:
     rows = []
     for rep in range(4 if Path(path).stem.endswith("-0") else 1):  # the first fit warms up
         now.clear()
-        fitters.fit_exact_quadrature(data, PriorSpec(1.0))
+        fit_exact(data, PriorSpec(1.0))
         calls = now["on_nodes"]
         tails = 0
         if walk:  # the edges' calls are those made inside _panels

@@ -22,17 +22,7 @@ from .model import (
     validate,
 )
 from .density import AdjustedLogDensity, NonconcaveAtMax
-from .fitters import (
-    NonintegrablePosterior,
-    OptimizerNoBracket,
-    fit,
-    fit_adm_equal,
-    fit_adm_general,
-    fit_exact_equal,
-    fit_exact_quadrature,
-    fit_mle,
-    fit_reml,
-)
+from .fitters import NonintegrablePosterior, OptimizerNoBracket, fit
 from .inference import random_effects
 from .evaluate import (
     SimConfig,
@@ -65,12 +55,6 @@ __all__ = [
     "TwoLevelData",
     "equal_variance_config",
     "fit",
-    "fit_adm_equal",
-    "fit_adm_general",
-    "fit_exact_equal",
-    "fit_exact_quadrature",
-    "fit_mle",
-    "fit_reml",
     "random_effects",
     "run_accuracy",
     "run_coverage",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import codecs
 import csv
+import json
 import os
 import re
 import sys
@@ -28,7 +29,6 @@ from .evaluate import (
     SimResult,
     curve_rows,
     json_chunks,
-    json_text,
     run_coverage,
     write_csv,
 )
@@ -325,7 +325,8 @@ def _write_simulation_outputs(results: list[SimResult], outdir: Path) -> None:
     rows = [astuple(row) for res in results for row in res.rows]
     write_csv(outdir / "simulation.csv", evaluate._CSV_COLUMNS, rows)
     payload = {"schema": 1, "results": [res.json_payload() for res in results]}
-    (outdir / "simulation.json").write_bytes((json_text(payload) + "\n").encode())
+    text = json.dumps(payload, indent=1, sort_keys=True)
+    (outdir / "simulation.json").write_bytes((text + "\n").encode())
 
 
 def _emit_plotdata(results: list[SimResult], outdir: Path) -> None:

@@ -219,7 +219,7 @@ class SimResult:
         return {"schema": 1, "config": cfg, "rows": [asdict(row) for row in self.rows]}
 
     def to_json_bytes(self) -> bytes:
-        return (json_text(self.json_payload()) + "\n").encode()
+        return (json.dumps(self.json_payload(), indent=1, sort_keys=True) + "\n").encode()
 
 
 def csv_text(header, rows) -> str:
@@ -307,43 +307,24 @@ def json_chunks(obj, nl: str = "\n"):
     """The text ``json.dumps`` writes for ``obj`` with an indent of 1 and
     sorted keys, yielded in pieces: one per scalar, per dict key and per
     block of a float array, so that a writer holds the text of one block at
-    a time. Every float array (an all-float list or tuple, or a 1-d float64
-    ndarray) goes through _float_list_chunks, every scalar through json's C
-    encoder. Other ndarrays are written as their ``tolist()``. Dict keys
-    must be strings."""
-    inner = nl + " "
+    a time. ``obj`` is a fit document: dicts with string keys, scalars,
+    None and 1-d float64 ndarrays. A non-empty array goes through
+    _float_list_chunks, everything else through json's C encoder."""
     if isinstance(obj, np.ndarray):
-        if obj.ndim == 1 and obj.dtype == np.float64 and obj.size:
+        if obj.size:
             yield from _float_list_chunks(obj, nl)
             return
         obj = obj.tolist()
     if isinstance(obj, dict) and obj:
-        if not all(isinstance(k, str) for k in obj):
-            raise TypeError("json_chunks takes string keys only")
+        inner = nl + " "
         sep = "{" + inner
         for k in sorted(obj):
             yield sep + _C_JSON.encode(k) + ": "
             yield from json_chunks(obj[k], inner)
             sep = "," + inner
         yield nl + "}"
-    elif isinstance(obj, (list, tuple)) and obj:
-        if all(isinstance(x, float) for x in obj):
-            yield from _float_list_chunks(np.array(obj, dtype=float), nl)
-            return
-        sep = "[" + inner
-        for x in obj:
-            yield sep
-            yield from json_chunks(x, inner)
-            sep = "," + inner
-        yield nl + "]"
     else:
         yield _C_JSON.encode(obj)
-
-
-def json_text(obj) -> str:
-    """The whole text of json_chunks(obj), for documents small enough to
-    hold in one string."""
-    return "".join(json_chunks(obj))
 
 
 def write_csv(path, header, rows) -> None:
@@ -570,7 +551,6 @@ def _solve_T_for_exact_shrinkage(b: float, m: float) -> float:
 def run_accuracy(
     k_values=range(3, 61),
     shrinkage_grid=None,
-    V: float = 1.0,
 ) -> AccuracyResult:
     """Worst-case relative loss of the ADM random-effect estimates against
     the exact ones (equal variances, r = 0, c = 1):
@@ -579,7 +559,7 @@ def run_accuracy(
         = (B_adm - B_exact)^2 S+ / (k V (1 - B_exact) + v_exact S+),
 
     swept over k and a grid of exact-shrinkage levels (each level is realized
-    by solving for the S+ that produces it)."""
+    by solving for the S+ = 2 T V that produces it); V cancels, so V = 1."""
     if shrinkage_grid is None:
         shrinkage_grid = [round(0.05 + 0.01 * j, 10) for j in range(91)]
     rows = []
@@ -591,10 +571,10 @@ def run_accuracy(
             if b >= b_max - 1e-9:
                 continue
             T = _solve_T_for_exact_shrinkage(float(b), m)
-            s_plus = 2.0 * T * V
+            s_plus = 2.0 * T  # at V = 1
             B_e, v_e = (float(x) for x in exact_moments_equal(T, m))
             B_a, _, _ = adm_moments_equal(T, m, 1.0)
-            ratio = (B_a - B_e) ** 2 * s_plus / (k * V * (1.0 - B_e) + v_e * s_plus)
+            ratio = (B_a - B_e) ** 2 * s_plus / (k * (1.0 - B_e) + v_e * s_plus)
             row = AccuracyRow(k=int(k), exact_shrinkage=float(b), T=T, ratio=ratio)
             rows.append(row)
             if best is None or ratio > best.ratio:

@@ -1,8 +1,10 @@
 """The four estimation methods for the Level-2 variance and the shrinkage
 factors: ADM (adjusted density maximization), MLE, REML, and exact Bayes.
 
-All fitters are pure functions of (data, prior) and return a
-ShrinkagePosterior; they can run concurrently on different datasets.
+fit is the one fitting entry point: it validates (data, prior, method) once
+and picks the algorithm from the method and the data, a closed form at equal
+variances, a Newton search, or a quadrature.  It is a pure function and can
+run concurrently on different datasets.
 """
 
 from __future__ import annotations
@@ -29,13 +31,7 @@ __all__ = [
     "OptimizerNoBracket",
     "NonintegrablePosterior",
     "fit",
-    "fit_adm_equal",
-    "fit_adm_general",
-    "fit_mle",
     "mle_known_means",
-    "fit_reml",
-    "fit_exact_equal",
-    "fit_exact_quadrature",
     "adm_beta_moments",
     "adm_moments_equal",
     "exact_moments_equal",
@@ -230,7 +226,8 @@ def _newton_alpha(derivatives, alpha0: float, lo: float, hi: float):
     which starts as the whole range (its ends count as bracketing until they
     are evaluated).  A step is -l'/l'' where l'' < 0 and _MAX_STEP uphill
     otherwise, clipped to +-_MAX_STEP and to [lo, hi]; a step that leaves
-    the bracket is replaced by bisection.  Stops when the step or the bracket
+    the bracket, or lands on an end already evaluated (where it would
+    cycle), is replaced by bisection.  Stops when the step or the bracket
     is at most _NEWTON_XTOL, or when a step below _NOISE_STEP is not at
     least halved by the next (Newton has reached the rounding noise of l'),
     and returns (alpha, l', l'') of the last evaluation, so the curvature at
@@ -241,8 +238,10 @@ def _newton_alpha(derivatives, alpha0: float, lo: float, hi: float):
     a, b = lo, hi
     x = min(max(alpha0, lo), hi)
     last = math.inf  # the previous Newton step
+    seen = set()
     for _ in range(_NEWTON_ITERS):
         d1, d2 = derivatives(x)
+        seen.add(x)
         if d1 > 0.0:
             if x >= hi:
                 raise OptimizerNoBracket(
@@ -265,7 +264,7 @@ def _newton_alpha(derivatives, alpha0: float, lo: float, hi: float):
             return x, d1, d2
         last = step
         x_new = min(max(x + step, lo), hi)
-        x = x_new if a <= x_new <= b else 0.5 * (a + b)
+        x = x_new if a <= x_new <= b and x_new not in seen else 0.5 * (a + b)
     raise OptimizerNoBracket(f"Newton did not converge in {_NEWTON_ITERS} steps")
 
 
@@ -407,26 +406,19 @@ def mle_shrinkage_equal(T: float, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Fitters
-
-
-def _require_equal_variances(data: TwoLevelData) -> float:
-    if not data.equal_variances:
-        raise ValueError("this fitter requires all V_i equal")
-    return float(data.V[0])
+# Fitters: fit validates, the helpers it dispatches to check nothing
 
 
 def _equal_var_stats(data: TwoLevelData) -> tuple[float, float, float]:
-    V = _require_equal_variances(data)
+    V = float(data.V[0])
     ss = residual_ss(data)
     T = ss / (2.0 * V)
     m = 0.5 * (data.k - data.r - 2.0)
     return V, T, m
 
 
-def fit_adm_equal(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
+def _fit_adm_equal(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
     """Equal-variance ADM fit by the closed-form quadratic root."""
-    validate(data, prior, FitMethod.ADM)
     V, T, m = _equal_var_stats(data)
     B, v, inv_info = adm_moments_equal(T, m, prior.c)
     A_hat = V * (1.0 - B) / B
@@ -443,10 +435,9 @@ def fit_adm_equal(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
     )
 
 
-def fit_adm_general(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
+def _fit_adm(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
     """ADM fit by numerical maximization of the adjusted log-density over
     alpha = log A; handles any r >= 0 and unequal variances."""
-    validate(data, prior, FitMethod.ADM)
     ell = AdjustedLogDensity(data, prior)
     (alpha0, lo, hi), = _search_range(data.V, [ell.residual_ss()], data.k - data.r)
     B, v, alpha_hat, inv_info = adm_beta_moments(ell.derivatives, alpha0, V=data.V, lo=lo, hi=hi)
@@ -511,7 +502,6 @@ def _fit_plugin(data: TwoLevelData, method: FitMethod) -> ShrinkagePosterior:
     (v = 0 convention).  At r >= 1 both find alpha by Newton on the A-score
     (_plugin_alpha); at r = 0, where they are one objective, by bracket,
     Brent and polish as a batch of one row (mle_known_means)."""
-    validate(data, PriorSpec(), method)  # c only matters to ADM/exact
     if data.r == 0:
         A_hat = float(mle_known_means((data.y - data.mu)[None, :], data.V)[0])
     else:
@@ -528,27 +518,9 @@ def _fit_plugin(data: TwoLevelData, method: FitMethod) -> ShrinkagePosterior:
     )
 
 
-def fit_mle(data: TwoLevelData) -> ShrinkagePosterior:
-    """Maximum likelihood for A: the likelihood of the known-means model when
-    r = 0, the profile likelihood (beta maximized out) when r >= 1.
-
-    The boundary estimate A_hat = 0 is reported exactly, with B_hat = 1 and
-    the plug-in convention v = 0.
-    """
-    return _fit_plugin(data, FitMethod.MLE)
-
-
-def fit_reml(data: TwoLevelData) -> ShrinkagePosterior:
-    """REML: maximize the marginal density of A after integrating beta
-    against a flat prior (no A-adjustment).  Coincides with fit_mle when
-    r = 0."""
-    return _fit_plugin(data, FitMethod.REML)
-
-
-def fit_exact_equal(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
+def _fit_exact_equal(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
     """Exact posterior moments of B for equal variances at any c, in closed
     form (exact_moments_equal)."""
-    validate(data, prior, FitMethod.EXACT)
     V, T, m = _equal_var_stats(data)
     B, v = (float(x) for x in exact_moments_equal(T, m, prior.c))
     k = data.k
@@ -740,7 +712,7 @@ def _panels(ell: AdjustedLogDensity, center: float, inv_info: float):
     return edges[:-1][keep], edges[1:][keep], shift, ends
 
 
-def fit_exact_quadrature(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
+def _fit_exact(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
     """Exact posterior mean and variance of each B_i by quadrature of the
     posterior of alpha = log A (which, including the Jacobian, is the
     adjusted density): the mode is found by Newton on the closed-form
@@ -750,25 +722,14 @@ def fit_exact_quadrature(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePoste
     matters, out to A = 0 and A = infinity.  It walks the panel edges
     outward with the block evaluation AdjustedLogDensity.on_nodes, and
     evaluates the kept nodes by AdjustedLogDensity.power_sums where its rho
-    guard allows, by on_nodes blocks otherwise.
+    guard allows, by on_nodes blocks otherwise.  A_hat is the mode.
     """
-    try:
-        validate(data, prior, FitMethod.EXACT)
-    except TooFewUnits as err:
-        raise NonintegrablePosterior(
-            f"posterior of A is improper: k - r <= 2c (k={data.k}, r={data.r}, c={prior.c})"
-        ) from err
     ell = AdjustedLogDensity(data, prior)
     (alpha0, lo, hi), = _search_range(data.V, [ell.residual_ss()], data.k - data.r)
     alpha_hat, _, d2 = _newton_alpha(ell.derivatives, alpha0, lo, hi)
     EB, v = quadrature_moments(ell, alpha_hat, -d2)
-    if data.equal_variances:
-        # single shrinkage factor: report the A consistent with it
-        A_hat = float(data.V[0]) * (1.0 - EB[0]) / EB[0]
-    else:
-        A_hat = math.exp(alpha_hat)
     return ShrinkagePosterior(
-        A_hat=A_hat,
+        A_hat=math.exp(alpha_hat),
         B_hat=EB,
         v=v,
         inv_info=None,
@@ -778,18 +739,24 @@ def fit_exact_quadrature(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePoste
 
 
 def fit(data: TwoLevelData, prior: PriorSpec, method: FitMethod) -> ShrinkagePosterior:
-    """Dispatch to the appropriate fitter, preferring the closed forms for
-    equal variances (ADM and exact Bayes, at any c)."""
+    """Fit the Level-2 variance and the shrinkage factors by `method`.
+
+    validate runs once: for ADM and exact Bayes it raises NonpositiveC
+    unless c > 0 and TooFewUnits when k - r <= 2c (at any V); MLE and REML
+    ignore the prior and raise TooFewUnits when k <= r.  Equal variances take the closed forms of ADM and exact Bayes (at
+    any c); otherwise ADM finds its mode by Newton and exact Bayes integrates
+    over A by quadrature.
+
+    MLE maximizes the likelihood of the known-means model when r = 0 and the
+    profile likelihood (beta maximized out) when r >= 1; REML the marginal
+    density of A after integrating beta against a flat prior, which is the
+    same objective at r = 0.  Their boundary estimate A_hat = 0 is reported
+    exactly, with B_hat = 1 and the plug-in convention v = 0.
+    """
+    plugin = method is FitMethod.MLE or method is FitMethod.REML
+    validate(data, PriorSpec() if plugin else prior, method)
+    if plugin:
+        return _fit_plugin(data, method)
     if method is FitMethod.ADM:
-        if data.equal_variances:
-            return fit_adm_equal(data, prior)
-        return fit_adm_general(data, prior)
-    if method is FitMethod.MLE:
-        return fit_mle(data)
-    if method is FitMethod.REML:
-        return fit_reml(data)
-    if method is FitMethod.EXACT:
-        if data.equal_variances:
-            return fit_exact_equal(data, prior)
-        return fit_exact_quadrature(data, prior)
-    raise TypeError(f"unknown method {method!r}")
+        return (_fit_adm_equal if data.equal_variances else _fit_adm)(data, prior)
+    return (_fit_exact_equal if data.equal_variances else _fit_exact)(data, prior)

@@ -11,15 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from shrinkfit import (
-    FitMethod,
-    PriorSpec,
-    TwoLevelData,
-    fit_adm_equal,
-    fit_adm_general,
-    fit_exact_equal,
-    fit_exact_quadrature,
-)
+from shrinkfit import FitMethod, PriorSpec, TwoLevelData
 from shrinkfit.density import AdjustedLogDensity, residual_ss
 from shrinkfit.evaluate import (
     equal_variance_config,
@@ -29,7 +21,7 @@ from shrinkfit.evaluate import (
     two_group_config,
     two_group_grid,
 )
-from shrinkfit.fitters import adm_beta_moments
+from shrinkfit.fitters import _fit_adm, _fit_adm_equal, _fit_exact, _fit_exact_equal, adm_beta_moments
 
 SEED = 20110607
 EQUAL_KS = (4, 10, 20)
@@ -78,8 +70,8 @@ def test_criterion_1_closed_form_vs_general_optimizer():
     worst_b = worst_v = 0.0
     for _ in range(1000):
         data, prior = _random_equal_dataset(rng)
-        closed = fit_adm_equal(data, prior)
-        general = fit_adm_general(data, prior)
+        closed = _fit_adm_equal(data, prior)
+        general = _fit_adm(data, prior)
         worst_b = max(worst_b, float(np.max(np.abs(closed.B_hat - general.B_hat))))
         worst_v = max(worst_v, float(np.max(np.abs(closed.v - general.v))))
     elapsed = time.monotonic() - t0
@@ -99,8 +91,8 @@ def test_criterion_2_exact_formula_vs_quadrature():
     for _ in range(200):
         data, _ = _random_equal_dataset(rng, c_choices=(1.0,))
         prior = PriorSpec(c=1.0)
-        closed = fit_exact_equal(data, prior)
-        quad = fit_exact_quadrature(data, prior)
+        closed = _fit_exact_equal(data, prior)
+        quad = _fit_exact(data, prior)
         worst_b = max(worst_b, float(np.max(np.abs(closed.B_hat - quad.B_hat))))
         worst_v = max(worst_v, float(np.max(np.abs(closed.v - quad.v))))
     elapsed = time.monotonic() - t0
@@ -305,7 +297,7 @@ def test_criterion_9_identity_checks():
         data = TwoLevelData(y, V, X)
         prior = PriorSpec(c=1.0)
         ell = AdjustedLogDensity(data, prior)
-        a_hat = math.log(fit_adm_general(data, prior).A_hat)
+        a_hat = math.log(_fit_adm(data, prior).A_hat)
         i = int(rng.integers(0, k))
         V_i = float(V[i])
 
@@ -329,7 +321,7 @@ def test_criterion_9_identity_checks():
     for _ in range(500):
         data, prior = _random_equal_dataset(rng2)
         V = float(data.V[0])
-        shr = fit_adm_equal(data, prior)
+        shr = _fit_adm_equal(data, prior)
         T = residual_ss(data) / (2.0 * V)
         m = 0.5 * (data.k - data.r - 2.0)
         c = prior.c

@@ -17,13 +17,17 @@ from hypothesis import strategies as st
 
 import shrinkfit
 from shrinkfit import (
+    FitMethod,
     ModelError,
     NonconcaveAtMax,
     NonintegrablePosterior,
     OptimizerNoBracket,
+    PriorSpec,
     RankDeficientX,
+    TooFewUnits,
     TwoLevelData,
     cli,
+    fit,
 )
 from shrinkfit.cli import CliInputError, _parser, main, read_dataset_csv, write_dataset_csv
 
@@ -88,6 +92,18 @@ class TestFit:
         small.write_text("y,V,x1\n1.0,1.0,1.0\n2.0,1.0,1.0\n3.0,1.0,1.0\n")
         assert main(["fit", str(small), "--method", "adm"]) == 2
         assert "TooFewUnits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["adm", "exact"])
+    @pytest.mark.parametrize("V", [[1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 3.0, 4.0]])
+    def test_improper_posterior_is_too_few_units_at_any_V(self, tmp_path, capsys, V, method):
+        # k - r = 2 <= 2c at c = 1: one error, whether the variances are equal or not
+        data = TwoLevelData([0.3, -1.2, 2.0, 0.7], V, np.column_stack([np.ones(4), np.arange(4.0)]))
+        with pytest.raises(TooFewUnits):
+            fit(data, PriorSpec(c=1.0), FitMethod(method))
+        path = tmp_path / "in.csv"
+        write_dataset_csv(path, data)
+        assert main(["fit", str(path), "--method", method]) == 2
+        assert capsys.readouterr().err.startswith("TooFewUnits: ")
 
     @pytest.mark.parametrize("z", ["nan", "inf", "0", "-1"])
     def test_nonfinite_or_nonpositive_z_exits_2(self, fig1_csv, tmp_path, capsys, z):

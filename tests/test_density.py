@@ -5,11 +5,13 @@ import pytest
 
 from shrinkfit import (
     AdjustedLogDensity,
+    FitMethod,
     NonconcaveAtMax,
     PriorSpec,
     RankDeficientX,
     TwoLevelData,
     density,
+    fit,
 )
 from shrinkfit.density import beta_and_projection_diag, residual_ss
 
@@ -175,9 +177,7 @@ class TestAdjustedLogDensity:
             assert slope == pytest.approx(expected, abs=1e-9)
 
     def test_concave_near_maximizer(self, two_group_data):
-        from shrinkfit.fitters import fit_adm_general
-
-        shr = fit_adm_general(two_group_data, PriorSpec())
+        shr = fit(two_group_data, PriorSpec(), FitMethod.ADM)
         ell = AdjustedLogDensity(two_group_data, PriorSpec())
         a_hat = math.log(shr.A_hat)
         for d in (-0.2, 0.0, 0.2):
@@ -297,10 +297,8 @@ class TestBlockEvaluation:
 class TestInvariantInformation:
     def test_equal_variance_c1_formula(self, fig1_data):
         # at the closed-form maximizer with c=1: -l'' = m (1-B)^2 + B^2
-        from shrinkfit.fitters import fit_adm_equal
-
         prior = PriorSpec(c=1.0)
-        shr = fit_adm_equal(fig1_data, prior)
+        shr = fit(fig1_data, prior, FitMethod.ADM)
         B = float(shr.B_hat[0])
         m = (fig1_data.k - 2) / 2
         expected = m * (1 - B) ** 2 + B**2
@@ -369,9 +367,7 @@ class TestInvariantInformation:
         data = unequal_dataset_factory(rng, k=9)
         prior = PriorSpec(c=1.0)
         ell = AdjustedLogDensity(data, prior)
-        from shrinkfit.fitters import fit_adm_general
-
-        a_hat = math.log(fit_adm_general(data, prior).A_hat)
+        a_hat = math.log(fit(data, prior, FitMethod.ADM).A_hat)
         d2_alpha = fd5_second(ell, a_hat)
         for i in (0, 4, 8):
             V_i = float(data.V[i])

@@ -23,14 +23,9 @@ from shrinkfit import (
     RankDeficientX,
     ShrinkagePosterior,
     ShrinkfitError,
+    TooFewUnits,
     TwoLevelData,
     fit,
-    fit_adm_equal,
-    fit_adm_general,
-    fit_exact_equal,
-    fit_exact_quadrature,
-    fit_mle,
-    fit_reml,
     random_effects,
 )
 from shrinkfit.density import (
@@ -41,6 +36,10 @@ from shrinkfit.density import (
 )
 from shrinkfit import density, fitters
 from shrinkfit.fitters import (
+    _fit_adm,
+    _fit_adm_equal,
+    _fit_exact,
+    _fit_exact_equal,
     _GL_NODES,
     _TAIL_NODES,
     _brent,
@@ -59,12 +58,12 @@ from shrinkfit.fitters import (
 class TestAdmEqual:
     def test_maximum_shrinkage_at_T0(self):
         data = TwoLevelData(np.zeros(4), np.ones(4))  # S+ = 0
-        shr = fit_adm_equal(data, PriorSpec(c=1.0))
+        shr = _fit_adm_equal(data, PriorSpec(c=1.0))
         assert shr.B_hat[0] == pytest.approx(0.5, abs=1e-15)  # m/(m+1), m=1
         assert shr.boundary is False
 
     def test_fig1_value(self, fig1_data):
-        shr = fit_adm_equal(fig1_data, PriorSpec(c=1.0))
+        shr = _fit_adm_equal(fig1_data, PriorSpec(c=1.0))
         expected = 8.0 / (9.0 + math.sqrt(17.0))  # closed form at T=4, m=4
         assert shr.B_hat[0] == pytest.approx(expected, rel=1e-14)
         assert shr.A_hat == pytest.approx((1 - expected) / expected, rel=1e-12)
@@ -83,7 +82,7 @@ class TestAdmEqual:
         for _ in range(20):
             c = float(rng.choice([0.5, 1.0, 2.0]))
             data = equal_dataset_factory(rng, k=int(rng.integers(4 + int(2 * c), 30)))
-            shr = fit_adm_equal(data, PriorSpec(c=c))
+            shr = _fit_adm_equal(data, PriorSpec(c=c))
             m = (data.k - data.r - 2) / 2
             cap = 1.0 - c / (m + 1.0)
             assert np.all(shr.B_hat <= cap + 1e-12)
@@ -96,7 +95,7 @@ class TestAdmEqual:
             c = float(rng.choice([0.5, 1.0]))
             data = equal_dataset_factory(rng)
             V = float(data.V[0])
-            shr = fit_adm_equal(data, PriorSpec(c=c))
+            shr = _fit_adm_equal(data, PriorSpec(c=c))
             T = residual_ss(data) / (2 * V)
             m = (data.k - 2) / 2
             A = shr.A_hat
@@ -104,7 +103,7 @@ class TestAdmEqual:
             assert abs(resid) <= 1e-9 * V * V * max(1.0, (A / V) ** 2)
 
     def test_beta_parameters_recover_moments(self, fig1_data):
-        shr = fit_adm_equal(fig1_data, PriorSpec(c=1.0))
+        shr = _fit_adm_equal(fig1_data, PriorSpec(c=1.0))
         a1, a0 = shr.a1[0], shr.a0[0]
         B = shr.B_hat[0]
         assert a1 / (a1 + a0) == pytest.approx(B, rel=1e-13)
@@ -117,10 +116,6 @@ class TestAdmEqual:
             B, _, _ = adm_moments_equal(T, m, 1e-6)
             assert B == pytest.approx(min((m + 1) / T, 1.0), abs=5e-3)
 
-    def test_unequal_variances_rejected(self, two_group_data):
-        with pytest.raises(ValueError):
-            fit_adm_equal(two_group_data, PriorSpec())
-
 
 class TestAdmGeneral:
     def test_agrees_with_closed_form(self, equal_dataset_factory):
@@ -129,14 +124,14 @@ class TestAdmGeneral:
             r = int(rng.integers(0, 2))
             c = float(rng.choice([0.5, 1.0]))
             data = equal_dataset_factory(rng, r=r)
-            closed = fit_adm_equal(data, PriorSpec(c=c))
-            general = fit_adm_general(data, PriorSpec(c=c))
+            closed = _fit_adm_equal(data, PriorSpec(c=c))
+            general = _fit_adm(data, PriorSpec(c=c))
             assert np.max(np.abs(closed.B_hat - general.B_hat)) <= 1e-8
             assert np.max(np.abs(closed.v - general.v)) <= 1e-6
             assert general.inv_info == pytest.approx(closed.inv_info, abs=1e-6)
 
     def test_two_group_ordering(self, two_group_data):
-        shr = fit_adm_general(two_group_data, PriorSpec())
+        shr = _fit_adm(two_group_data, PriorSpec())
         assert shr.B_hat[0] < shr.B_hat[5]  # smaller V shrinks less
         assert np.all((shr.B_hat > 0) & (shr.B_hat < 1))
 
@@ -150,7 +145,7 @@ class TestAdmGeneral:
             for _ in range(5):
                 V = rng.uniform(0.5, 2.0, k)
                 y = rng.normal(0, np.sqrt(V + A))
-                shr = fit_adm_general(TwoLevelData(y, V), PriorSpec())
+                shr = _fit_adm(TwoLevelData(y, V), PriorSpec())
                 vals.append(np.median(shr.v / shr.B_hat**2))
             medians.append(np.median(vals))
         assert medians[0] > medians[1] > medians[2]
@@ -162,8 +157,8 @@ class TestAdmGeneral:
         y = mu + rng.normal(0, 1.5, k)
         data = TwoLevelData(y, np.ones(k), mu=mu)
         shifted = TwoLevelData(y - mu, np.ones(k))
-        a = fit_adm_general(data, PriorSpec(c=1.0))
-        b = fit_adm_general(shifted, PriorSpec(c=1.0))
+        a = _fit_adm(data, PriorSpec(c=1.0))
+        b = _fit_adm(shifted, PriorSpec(c=1.0))
         assert a.A_hat == pytest.approx(b.A_hat, rel=1e-10)
 
 
@@ -174,7 +169,7 @@ class TestAdmGeneral:
             for c in rng.choice([0.5, 1.0, 1.5], 10)
         ]
         for data, c in cases:
-            shr = fit_adm_general(data, PriorSpec(c=c))
+            shr = _fit_adm(data, PriorSpec(c=c))
             ell = AdjustedLogDensity(data, PriorSpec(c=c))
             d1, d2 = ell.derivatives(math.log(shr.A_hat))
             assert abs(d1) <= 1e-6
@@ -211,7 +206,7 @@ class TestBetaRecovery:
 
 class TestMle:
     def test_fig1_boundary(self, fig1_data):
-        shr = fit_mle(fig1_data)
+        shr = fit(fig1_data, PriorSpec(), FitMethod.MLE)
         assert shr.boundary is True
         assert shr.A_hat == 0.0
         assert np.all(shr.B_hat == 1.0)
@@ -223,7 +218,7 @@ class TestMle:
             data = equal_dataset_factory(rng)
             V = float(data.V[0])
             s_plus = residual_ss(data)
-            shr = fit_mle(data)
+            shr = fit(data, PriorSpec(), FitMethod.MLE)
             expected = min(1.0, data.k * V / s_plus)
             assert shr.B_hat[0] == pytest.approx(expected, rel=1e-9)
             assert shr.boundary == (data.k * V >= s_plus)
@@ -236,7 +231,7 @@ class TestMle:
         y = X @ np.array([1.0, -2.0]) + rng.normal(0, np.sqrt(V + 3.0), k)
         data = TwoLevelData(y, np.full(k, V), X)
         s_plus = residual_ss(data)
-        shr = fit_mle(data)
+        shr = fit(data, PriorSpec(), FitMethod.MLE)
         assert shr.A_hat == pytest.approx(s_plus / k - V, rel=1e-9)
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -246,15 +241,15 @@ class TestMle:
         rng = np.random.default_rng(seed)
         V = 10.0 ** rng.permutation(np.linspace(0.0, 12.0, 40))
         data = TwoLevelData(rng.normal(0.0, np.sqrt(V + 1.0)), V)
-        for fitter, restricted in ((fit_mle, False), (fit_reml, True)):
-            shr = fitter(data)
+        for method, restricted in ((FitMethod.MLE, False), (FitMethod.REML, True)):
+            shr = fit(data, PriorSpec(), method)
             assert not shr.boundary and 1.0 < shr.A_hat < 4.0
             ell = AdjustedLogDensity(data, PriorSpec(0.0), restricted)
             assert ell.derivatives(math.log(shr.A_hat))[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_mle_attains_full_shrinkage_adm_does_not(self, fig1_data):
-        assert np.all(fit_mle(fig1_data).B_hat == 1.0)
-        adm = fit_adm_equal(fig1_data, PriorSpec())
+        assert np.all(fit(fig1_data, PriorSpec(), FitMethod.MLE).B_hat == 1.0)
+        adm = _fit_adm_equal(fig1_data, PriorSpec())
         m = (fig1_data.k - 2) / 2
         assert np.all(adm.B_hat <= 1.0 - 1.0 / (m + 1.0) + 1e-12)
 
@@ -272,7 +267,7 @@ class TestReml:
             y = mean + rng.normal(0, np.sqrt(V + 2.0), k)
             data = TwoLevelData(y, np.full(k, V), X)
             s_plus = residual_ss(data)
-            shr = fit_reml(data)
+            shr = fit(data, PriorSpec(), FitMethod.REML)
             if s_plus > (k - r) * V:
                 assert shr.A_hat == pytest.approx(s_plus / (k - r) - V, rel=1e-9)
             else:
@@ -282,8 +277,8 @@ class TestReml:
         rng = np.random.default_rng(19)
         for factory in (equal_dataset_factory, unequal_dataset_factory):
             data = factory(rng)
-            a = fit_mle(data)
-            b = fit_reml(data)
+            a = fit(data, PriorSpec(), FitMethod.MLE)
+            b = fit(data, PriorSpec(), FitMethod.REML)
             assert a.A_hat == pytest.approx(b.A_hat, rel=1e-10, abs=1e-12)
 
     def test_reml_below_adm_with_c1(self, equal_dataset_factory, unequal_dataset_factory):
@@ -293,8 +288,8 @@ class TestReml:
             factory = equal_dataset_factory if i % 2 == 0 else unequal_dataset_factory
             r = int(rng.integers(0, 3))
             data = factory(rng, r=r)
-            reml = fit_reml(data)
-            adm = fit_adm_general(data, PriorSpec(c=1.0))
+            reml = fit(data, PriorSpec(), FitMethod.REML)
+            adm = _fit_adm(data, PriorSpec(c=1.0))
             assert reml.A_hat <= adm.A_hat + 1e-9
 
 
@@ -313,8 +308,8 @@ def brent_by_lockstep(f, bracket):
 
 class TestKnownMeansBatch:
     """MLE and REML at r = 0 run in lockstep over rows (mle_known_means);
-    a row's fit must not depend on its batch, and scalar fit_mle/fit_reml
-    are batches of one."""
+    a row's fit must not depend on its batch, and a scalar MLE or REML fit
+    is a batch of one."""
 
     @pytest.mark.parametrize("equal", [True, False])
     def test_a_row_does_not_depend_on_its_batch(self, equal):
@@ -331,8 +326,8 @@ class TestKnownMeansBatch:
         assert mle_known_means(resid[subset], V).tobytes() == whole[subset].tobytes()
         for i in perm[:60]:
             data = TwoLevelData(resid[i], V)
-            for fitter in (fit_mle, fit_reml):
-                shr = fitter(data)
+            for method in (FitMethod.MLE, FitMethod.REML):
+                shr = fit(data, PriorSpec(), method)
                 assert shr.A_hat == mle_known_means(resid[i : i + 1], V)[0] == whole[i]
                 assert shr.boundary == (whole[i] == 0.0)
                 assert shr.B_hat.tobytes() == (V / (V + whole[i])).tobytes()
@@ -346,8 +341,8 @@ class TestKnownMeansBatch:
         batch = mle_known_means(resid, V)
         for i in range(40):
             data = TwoLevelData(mu + resid[i], V, mu=mu)
-            for fitter in (fit_mle, fit_reml):
-                shr = fitter(data)
+            for method in (FitMethod.MLE, FitMethod.REML):
+                shr = fit(data, PriorSpec(), method)
                 # mu + resid - mu need not round back to resid
                 want = mle_known_means((data.y - mu)[None, :], V)[0]
                 assert shr.A_hat == want and shr.boundary == (want == 0.0)
@@ -431,11 +426,12 @@ def test_unequal_variance_cli_fit_loads_no_scipy(tmp_path, method):
 @pytest.mark.parametrize("c", [0.5, 1.0])
 def test_equal_variance_exact_and_curves_load_no_scipy(c, tmp_path):
     data = TwoLevelData(np.linspace(-2.0, 3.0, 10), np.ones(10))
-    shr = fit_exact_equal(data, PriorSpec(c))
+    shr = fit(data, PriorSpec(c), FitMethod.EXACT)
     argv = ["curves", "--c", str(c), "--out", str(tmp_path / "curves.csv")]
     code = (
         "from shrinkfit import *; from shrinkfit import cli; import numpy as np\n"
-        f"shr = fit_exact_equal(TwoLevelData(np.linspace(-2.0, 3.0, 10), np.ones(10)), PriorSpec({c}))\n"
+        "data = TwoLevelData(np.linspace(-2.0, 3.0, 10), np.ones(10))\n"
+        f"shr = fit(data, PriorSpec({c}), FitMethod.EXACT)\n"
         f"assert cli.main({argv!r}) == 0\n"
         f"print(*shr.B_hat.tolist(), *shr.v.tolist()); {SCIPY_LOADED}"
     )
@@ -470,7 +466,7 @@ def exact_mean_by_posterior_integral(T: float, m: float) -> float:
 class TestExactEqual:
     def test_T0_limit(self):
         data = TwoLevelData(np.zeros(10), np.ones(10))
-        shr = fit_exact_equal(data, PriorSpec(c=1.0))
+        shr = _fit_exact_equal(data, PriorSpec(c=1.0))
         m = 4.0
         assert shr.B_hat[0] == m / (m + 1.0)
         assert shr.v[0] == pytest.approx(m / ((m + 1) ** 2 * (m + 2)), rel=1e-14)
@@ -486,7 +482,7 @@ class TestExactEqual:
         assert B == pytest.approx(m / 1e6, rel=1e-8)
 
     def test_fig1_against_quadrature_oracles(self, fig1_data):
-        shr = fit_exact_equal(fig1_data, PriorSpec(c=1.0))
+        shr = _fit_exact_equal(fig1_data, PriorSpec(c=1.0))
         # chi-square CDF ratio via quadrature of the two densities
         from test_specfun import chi2_cdf_by_quadrature
 
@@ -550,7 +546,7 @@ class TestExactEqual:
         m = 0.5 * (k - 2.0)
         for T in (1.0, 49.9, 0.5 * (m + 1.0), 0.9 * (m + 1.0), m + 1.0):
             data = TwoLevelData(np.full(k, math.sqrt(2.0 * T / k)), np.ones(k))
-            shr, quad = fit(data, PriorSpec(c), FitMethod.EXACT), fit_exact_quadrature(data, PriorSpec(c))
+            shr, quad = fit(data, PriorSpec(c), FitMethod.EXACT), _fit_exact(data, PriorSpec(c))
             assert np.max(np.abs(shr.B_hat - quad.B_hat) / quad.B_hat) <= 1e-9
             assert np.max(np.abs(shr.v - quad.v) / quad.v) <= 1e-8
 
@@ -648,24 +644,36 @@ class TestNewton:
     @pytest.mark.parametrize("decades, log10_A, k, r", HOSTILE_DESIGNS)
     def test_hostile_designs(self, decades, log10_A, k, r):
         data, prior = hostile_design(decades, log10_A, k, r)
-        adm = fit_adm_general(data, prior)
+        adm = _fit_adm(data, prior)
         ell = AdjustedLogDensity(data, prior)
         assert abs(ell.derivatives(math.log(adm.A_hat))[0]) <= HOSTILE_SCORE_TOL
         if r == 0:
             return  # MLE and REML keep bracket, Brent and polish at r = 0
         # MLE's and REML's A = 0 verdict is the sign of the A-score l'/A at
         # the floor
-        for fitter, restricted in ((fit_mle, False), (fit_reml, True)):
-            shr = fitter(data)
+        for method, restricted in ((FitMethod.MLE, False), (FitMethod.REML, True)):
+            shr = fit(data, PriorSpec(), method)
             ell0 = AdjustedLogDensity(data, PriorSpec(0.0), restricted=restricted)
             floor = _search_range(data.V, [ell0.residual_ss()], data.k - data.r)[0][1]
             assert shr.boundary == (ell0.derivatives(floor)[0] <= 0.0)
             if not shr.boundary:
                 assert abs(ell0.derivatives(math.log(shr.A_hat))[0]) <= HOSTILE_SCORE_TOL
 
+    def test_clipped_steps_do_not_cycle(self):
+        # the score B(e^x) - 0.55 at m = 10 from x = 0: steps clipped to +-2
+        # once went 0, 2, 4, 2, 4, ... back onto evaluated ends until the
+        # iterations ran out, though the root lies between 2 and 4
+        def score(x):
+            B, v = exact_moments_equal(math.exp(x), 10.0)
+            return float(B) - 0.55, -float(v) * math.exp(x)
+
+        root = _newton_alpha(score, math.log(10.0 / 0.55), -25.0, 25.0)[0]
+        assert root == pytest.approx(2.8843072784, abs=1e-10)
+        assert _newton_alpha(score, 0.0, -25.0, 25.0)[0] == pytest.approx(root, abs=1e-12)
+
     @pytest.mark.parametrize("j", [4, 8])
     def test_cli_pool_reml_boundaries_stay(self, j):
-        shr = fit_reml(cli_pool_dataset(10, j))
+        shr = fit(cli_pool_dataset(10, j), PriorSpec(), FitMethod.REML)
         assert shr.boundary and shr.A_hat == 0.0 and np.all(shr.B_hat == 1.0)
 
 
@@ -674,14 +682,14 @@ class TestExactQuadrature:
         rng = np.random.default_rng(29)
         for _ in range(10):
             data = equal_dataset_factory(rng, r=int(rng.integers(0, 2)))
-            e = fit_exact_equal(data, PriorSpec(c=1.0))
-            q = fit_exact_quadrature(data, PriorSpec(c=1.0))
+            e = _fit_exact_equal(data, PriorSpec(c=1.0))
+            q = _fit_exact(data, PriorSpec(c=1.0))
             assert np.max(np.abs(e.B_hat - q.B_hat)) <= 1e-7
             assert np.max(np.abs(e.v - q.v)) <= 1e-7
 
     def test_posterior_normalizes(self, two_group_data):
         prior = PriorSpec(c=1.0)
-        shr = fit_exact_quadrature(two_group_data, prior)
+        shr = _fit_exact(two_group_data, prior)
         ell = AdjustedLogDensity(two_group_data, prior)
         a_hat = math.log(shr.A_hat)
         l_max = ell(a_hat)
@@ -710,9 +718,9 @@ class TestExactQuadrature:
             theta = rng.normal(0.0, math.sqrt(A), 10)
             y = theta + rng.normal(0, np.sqrt(V))
             data = TwoLevelData(y, V, np.ones((10, 1)))
-            mle = fit_mle(data)
-            exact = fit_exact_quadrature(data, PriorSpec(c=1.0))
-            adm = fit_adm_general(data, PriorSpec(c=1.0))
+            mle = fit(data, PriorSpec(), FitMethod.MLE)
+            exact = _fit_exact(data, PriorSpec(c=1.0))
+            adm = _fit_adm(data, PriorSpec(c=1.0))
             assert np.all(mle.B_hat >= exact.B_hat - 1e-9)
             assert np.all(mle.B_hat >= adm.B_hat - 1e-9)
 
@@ -722,7 +730,7 @@ class TestExactQuadrature:
         # the same T and m (V = 1, r = 0, k = 10, so m = 4)
         T, k = 3.0, 10
         data = TwoLevelData(np.full(k, math.sqrt(2.0 * T / k)), np.ones(k))
-        shr = fit_exact_quadrature(data, PriorSpec(c=0.5))
+        shr = _fit_exact(data, PriorSpec(c=0.5))
         B, v = exact_moments_equal(T, 0.5 * (k - 2.0), 0.5)
         assert shr.B_hat[0] == pytest.approx(B, abs=1e-9)
         assert shr.v[0] == pytest.approx(v, abs=1e-9)
@@ -731,8 +739,8 @@ class TestExactQuadrature:
         # at k = 1e5 the posterior of alpha is ~0.01 wide inside the +-40
         # quadrature interval; the fit must still sample its peak
         data = large_k_unequal_data()
-        exact = fit_exact_quadrature(data, PriorSpec(c=1.0))
-        adm = fit_adm_general(data, PriorSpec(c=1.0))
+        exact = _fit_exact(data, PriorSpec(c=1.0))
+        adm = _fit_adm(data, PriorSpec(c=1.0))
         assert np.all(np.isfinite(exact.B_hat))
         assert np.all((exact.B_hat > 0.0) & (exact.B_hat < 1.0))
         assert np.max(np.abs(exact.B_hat - adm.B_hat)) <= 1e-4
@@ -743,7 +751,7 @@ class TestExactQuadrature:
         data = large_k_unequal_data()
         tracemalloc.start()
         try:
-            fit_exact_quadrature(data, PriorSpec(c=1.0))
+            _fit_exact(data, PriorSpec(c=1.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -755,7 +763,7 @@ class TestExactQuadrature:
         # fixed rule's B within 1e-10 relative of a 32000-node rule (the
         # rule without its panel-width cap is off by up to 1e-4 here)
         data, prior = hostile_design(decades, log10_A, k, r)
-        shr = fit_exact_quadrature(data, prior)
+        shr = _fit_exact(data, prior)
         ell = AdjustedLogDensity(data, prior)
         B = fine_grid_B(ell, math.log(shr.A_hat), data.V)
         assert np.max(np.abs(shr.B_hat - B) / B) <= 1e-10
@@ -774,8 +782,8 @@ class TestExactQuadrature:
         data = TwoLevelData(np.arange(4.0), np.ones(4), np.column_stack(
             [np.ones(4), [0.0, 1.0, 2.0, 3.0]]
         ))
-        with pytest.raises(NonintegrablePosterior):
-            fit_exact_quadrature(data, PriorSpec(c=1.0))
+        with pytest.raises(TooFewUnits):
+            fit(data, PriorSpec(c=1.0), FitMethod.EXACT)
         # c = 0: the A -> 0 tail of exp(l) has infinite mass
         data = TwoLevelData(np.arange(6.0), np.ones(6))
         with pytest.raises(NonintegrablePosterior):
@@ -854,7 +862,7 @@ class TestSlowTails:
     @pytest.mark.parametrize("k, r, c", SLOW_TAILS)
     def test_unequal_variances_against_a_reference_integral(self, k, r, c):
         data, prior = slow_tail_data(k, r, equal=False), PriorSpec(c)
-        shr = fit_exact_quadrature(data, prior)
+        shr = _fit_exact(data, prior)
         B, v = reference_moments(AdjustedLogDensity(data, prior), math.log(shr.A_hat))
         assert np.max(np.abs(shr.B_hat - B) / B) <= 1e-9
         assert np.max(np.abs(shr.v - v) / v) <= 1e-8
@@ -864,7 +872,7 @@ class TestSlowTails:
         # the posterior of B is proportional to B^(a-1) (1 - B)^(c-1) e^(-TB),
         # a = m - c, so E[B^j] is a ratio of Kummer functions 1F1
         data = slow_tail_data(k, r, equal=True)
-        shr = fit_exact_quadrature(data, PriorSpec(c))
+        shr = _fit_exact(data, PriorSpec(c))
         T = residual_ss(data) / (2.0 * 1.3)
         a, n = 0.5 * (k - r) - c, 0.5 * (k - r)
         M0 = hyp1f1(a, n, -T)
@@ -1008,10 +1016,10 @@ def exact_fit_paths(data: TwoLevelData, prior: PriorSpec, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(AdjustedLogDensity, "power_sums", counted_sums)
         patch.setattr(AdjustedLogDensity, "on_nodes", counted_nodes)
-        sums = fit_exact_quadrature(data, prior)
+        sums = _fit_exact(data, prior)
     with monkeypatch.context() as patch:
         patch.setattr(density, "SERIES_TERMS", 0)
-        blocks = fit_exact_quadrature(data, prior)
+        blocks = _fit_exact(data, prior)
     return sums, blocks, terms, sizes
 
 
@@ -1089,8 +1097,8 @@ def adm_loss_ratio(data: TwoLevelData) -> float:
     estimates' squared distance from the exact ones over the exact posterior
     variances, sum (theta_adm - theta_exact)^2 / sum s2_exact (c = 1)."""
     prior = PriorSpec(c=1.0)
-    exact = random_effects(data, fit_exact_quadrature(data, prior))
-    adm = random_effects(data, fit_adm_general(data, prior))
+    exact = random_effects(data, _fit_exact(data, prior))
+    adm = random_effects(data, _fit_adm(data, prior))
     return float(np.sum((adm.theta_hat - exact.theta_hat) ** 2) / np.sum(exact.s2))
 
 
@@ -1148,6 +1156,20 @@ class TestDispatcherAndInvariants:
         shr = fit(fig1_data, PriorSpec(c=0.5), FitMethod.EXACT)
         assert np.all((shr.B_hat > 0) & (shr.B_hat < 1))
 
+    @pytest.mark.parametrize("method", list(FitMethod))
+    def test_validate_runs_once_per_fit(self, method, fig1_data, two_group_data, monkeypatch):
+        calls = []
+
+        def counted(*args, validate=fitters.validate):
+            calls.append(args[2])
+            return validate(*args)
+
+        monkeypatch.setattr(fitters, "validate", counted)
+        for data in (fig1_data, two_group_data):  # equal and unequal V
+            calls.clear()
+            fit(data, PriorSpec(c=1.0), method)
+            assert calls == [method]
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_B_in_unit_interval_every_method(self, seed):
@@ -1172,7 +1194,7 @@ class TestDispatcherAndInvariants:
         rng = np.random.default_rng(37)
         V = np.sort(rng.uniform(0.2, 6.0, 8))
         y = rng.normal(0, 2.0, 8)
-        shr = fit_adm_general(TwoLevelData(y, V), PriorSpec())
+        shr = _fit_adm(TwoLevelData(y, V), PriorSpec())
         assert np.all(np.diff(shr.B_hat) > 0.0)
 
 

@@ -12,9 +12,6 @@ from shrinkfit import (
     ShrinkagePosterior,
     TwoLevelData,
     fit,
-    fit_adm_general,
-    fit_exact_equal,
-    fit_mle,
     random_effects,
 )
 from shrinkfit.density import beta_and_projection_diag
@@ -22,13 +19,13 @@ from shrinkfit.density import beta_and_projection_diag
 
 class TestRandomEffects:
     def test_mle_boundary_gives_zero_width_intervals(self, fig1_data):
-        post = random_effects(fig1_data, fit_mle(fig1_data))
+        post = random_effects(fig1_data, fit(fig1_data, PriorSpec(), FitMethod.MLE))
         assert np.all(post.s2 == 0.0)
         np.testing.assert_array_equal(post.lo, post.hi)
         np.testing.assert_array_equal(post.theta_hat, np.zeros(10))
 
     def test_interval_width_identity(self, two_group_data):
-        shr = fit_adm_general(two_group_data, PriorSpec())
+        shr = fit(two_group_data, PriorSpec(), FitMethod.ADM)
         post = random_effects(two_group_data, shr, z_star=1.64)
         np.testing.assert_allclose(
             post.hi - post.lo, 2 * 1.64 * np.sqrt(post.s2), atol=1e-12
@@ -67,7 +64,7 @@ class TestRandomEffects:
         rng = np.random.default_rng(43)
         for _ in range(10):
             data = equal_dataset_factory(rng)
-            shr = fit_exact_equal(data, PriorSpec(c=1.0))
+            shr = fit(data, PriorSpec(c=1.0), FitMethod.EXACT)
             post = random_effects(data, shr)
             B, v = shr.B_hat[0], shr.v[0]
             np.testing.assert_allclose(post.theta_hat, (1 - B) * data.y, atol=1e-10)
@@ -103,7 +100,7 @@ class TestRandomEffects:
             np.testing.assert_allclose(post.hi, back.hi + mu, rtol=0, atol=1e-12)
 
     def test_variance_dominates_plugin(self, two_group_data):
-        shr = fit_adm_general(two_group_data, PriorSpec())
+        shr = fit(two_group_data, PriorSpec(), FitMethod.ADM)
         post = random_effects(two_group_data, shr)
         _, p = beta_and_projection_diag(shr.A_hat, two_group_data)
         floor = two_group_data.V * (1 - shr.B_hat) * (1 - p)
@@ -125,10 +122,10 @@ class TestRandomEffects:
 
     def test_z_star_must_be_positive(self, fig1_data):
         with pytest.raises(ValueError):
-            random_effects(fig1_data, fit_mle(fig1_data), z_star=0.0)
+            random_effects(fig1_data, fit(fig1_data, PriorSpec(), FitMethod.MLE), z_star=0.0)
 
     @pytest.mark.parametrize("z", [-1.0, math.nan, math.inf, -math.inf])
     def test_z_star_must_be_finite_and_positive(self, fig1_data, z):
         with pytest.raises(ValueError, match="z_star must be finite and positive"):
-            random_effects(fig1_data, fit_mle(fig1_data), z_star=z)
+            random_effects(fig1_data, fit(fig1_data, PriorSpec(), FitMethod.MLE), z_star=z)
 
