@@ -8,7 +8,9 @@ The cases are:
 - ``import shrinkfit`` alone;
 - ``shrinkfit fit CSV --method adm --out JSON`` on the benchmark's fit-cli
   pool dataset 0 at k = 10, 100 and 1e4, the CSVs of
-  ``bench/workloads.write_cli_csv`` (unequal V, r = 2).
+  ``bench/workloads.write_cli_csv`` (unequal V, r = 2);
+- ``shrinkfit simulate --preset equal --k 10 --reps 20 --grid-points 5
+  --threads 1`` (the same gridpoint size as the benchmark's sim-equal ops).
 
 Each case runs as one fresh ``python -c`` process per checkout, through that
 checkout's ``src/``, and is timed from outside: process start to exit,
@@ -63,6 +65,9 @@ def cases(work: Path) -> dict[str, str]:
         workloads.write_cli_csv(csv_path, k, 0)
         argv = ["fit", str(csv_path), "--method", "adm", "--out", str(work / "out.json")]
         out[f"fit k={k}"] = f"from shrinkfit.cli import main\nassert main({argv!r}) == 0"
+    argv = ["simulate", "--preset", "equal", "--k", "10", "--reps", "20", "--grid-points", "5",
+            "--threads", "1", "--out", str(work / "sim")]
+    out["simulate"] = f"from shrinkfit.cli import main\nassert main({argv!r}) == 0"
     return out
 
 

@@ -5,7 +5,8 @@ variance curve tables.
 Reproducibility contract: each (gridpoint, replication) pair gets its own
 counter-based Philox stream keyed by (seed, gridpoint, rep), and all
 reductions run in a fixed order, so identical configurations produce
-bit-identical results for any number of worker processes.
+bit-identical results for any number of worker processes.  The scoring's
+Normal CDF is specfun.ndtr, so a simulation loads no SciPy module.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .fitters import (
 from .density import beta_and_projection_diag
 from .inference import shrunken_moments
 from .model import PriorSpec, TwoLevelData, check_c, validate
+from .specfun import ndtr
 
 TWO_GROUP_V = (0.55,) * 5 + (5.5,) * 5  # harmonic mean 1.0, 10x spread
 EQUAL_VARIANCE_KS = (4, 10, 20)  # the unit counts of the equal-variance sweep
@@ -406,7 +408,7 @@ def _fit_replications(cfg: SimConfig, method: FitMethod, y: np.ndarray):
         return B, v, 0.0, 0.0
     if X is None and method in (FitMethod.MLE, FitMethod.REML):
         A_hat = mle_known_means(y, V)[:, None]
-        return V / (V + A_hat), np.zeros((reps, k)), 0.0, 0.0
+        return V / (V + A_hat), 0.0, 0.0, 0.0
     mean, p_diag = (0.0, 0.0) if X is None else (np.empty((reps, k)), np.empty((reps, k)))
     for i in range(reps):
         data = TwoLevelData(y[i], V, X)
@@ -419,10 +421,13 @@ def _fit_replications(cfg: SimConfig, method: FitMethod, y: np.ndarray):
 
 
 def _simulate_gridpoint(cfg: SimConfig, g: int) -> list[SimRow]:
-    """Rows of gridpoint g: every replication is drawn from its own stream
-    into (reps, k) arrays, each method is fitted to all of them by
-    _fit_replications, and intervals are scored in one array pass."""
-    from scipy.special import ndtr  # imported here, so that `import shrinkfit` skips SciPy
+    """Rows of gridpoint g: every replication fills its (2, k) normals from
+    its own stream, theta and y follow for all replications at once, each
+    method is fitted to all of them by _fit_replications, and the intervals
+    of all methods are scored in one pass over (methods, reps, k) arrays
+    (two Normal CDFs in one specfun.ndtr call).  Each (method, group) row
+    reduces the same elements in the same order as a pass per method would,
+    so the rows keep their bits."""
     b0 = cfg.grid[g]
     A = cfg.V0 * (1.0 - b0) / b0
     V = np.asarray(cfg.V, dtype=float)
@@ -433,38 +438,40 @@ def _simulate_gridpoint(cfg: SimConfig, g: int) -> list[SimRow]:
     sigma_cond = np.sqrt(V * (1.0 - B_true))
     z = cfg.z_star
     k, r, reps = cfg.k, cfg.r, cfg.reps
-    sqrt_A = math.sqrt(A)
-    sqrt_V = np.sqrt(V)
 
-    theta, y = np.empty((reps, k)), np.empty((reps, k))
+    normals = np.empty((reps, 2, k))
     for rep, rng in enumerate(_rep_rngs(cfg.seed, g, reps)):
-        theta[rep] = mu_true + sqrt_A * rng.standard_normal(k)
-        y[rep] = theta[rep] + sqrt_V * rng.standard_normal(k)
+        rng.standard_normal(out=normals[rep])
+    theta = mu_true + math.sqrt(A) * normals[:, 0]
+    y = theta + np.sqrt(V) * normals[:, 1]
     cond_mean = (1.0 - B_true) * y + B_true * mu_true
+
+    fits = [np.broadcast_arrays(y, *_fit_replications(cfg, method, y))[1:]
+            for method in cfg.methods]
+    B, v, mean, p_diag = map(np.array, zip(*fits))  # each (methods, reps, k)
+    th, s2 = shrunken_moments(y, V, B, v, mean, p_diag)
+    half = z * np.sqrt(s2)
+    centered = th - cond_mean
+    cdf = ndtr(np.stack([centered + half, centered - half]) / sigma_cond)
+    cov_rb = cdf[0] - cdf[1]
+    ok = s2 > 0.0
+    risk = np.where(
+        ok, (V * (1.0 - B_true) + centered * centered) / np.where(ok, s2, 1.0), np.nan
+    )
+    raw = np.abs(theta - th) <= half
+    sqerr = (th - theta) ** 2
     rows: list[SimRow] = []
     groups = _group_slices(V)
-    for method in cfg.methods:
-        B, v, mean, p_diag = _fit_replications(cfg, method, y)
-        th, s2 = shrunken_moments(y, V, B, v, mean, p_diag)
-        s = np.sqrt(s2)
-        centered = th - cond_mean
-        cov_rb = ndtr((centered + z * s) / sigma_cond) - ndtr((centered - z * s) / sigma_cond)
-        ok = s2 > 0.0
-        risk = np.where(
-            ok, (V * (1.0 - B_true) + centered * centered) / np.where(ok, s2, 1.0), np.nan
-        )
-        raw = np.abs(theta - th) <= z * s
-        sqerr = (th - theta) ** 2
-        half = z * s
+    for j, method in enumerate(cfg.methods):
         for label, idx in groups:
-            per_rep_cov = cov_rb[:, idx].mean(axis=1)
-            per_rep_raw = raw[:, idx].mean(axis=1)
-            ok_g = ok[:, idx]
-            risk_vals = risk[:, idx][ok_g]
+            per_rep_cov = cov_rb[j][:, idx].mean(axis=1)
+            per_rep_raw = raw[j][:, idx].mean(axis=1)
+            ok_g = ok[j][:, idx]
+            risk_vals = risk[j][:, idx][ok_g]
             # replications where every unit of the group sits on the s2 = 0
             # boundary contribute no risk and are left out of its standard error
             has_risk = ok_g.any(axis=1)
-            per_rep_risk = np.nanmean(risk[has_risk][:, idx], axis=1)
+            per_rep_risk = np.nanmean(risk[j][has_risk][:, idx], axis=1)
             n_risk = per_rep_risk.size
             rows.append(
                 SimRow(
@@ -489,10 +496,10 @@ def _simulate_gridpoint(cfg: SimConfig, g: int) -> list[SimRow]:
                         per_rep_risk.std(ddof=1) / math.sqrt(n_risk) if n_risk > 1 else 0.0
                     ),
                     boundary_rate=float(1.0 - ok_g.mean()),
-                    mean_B_hat=float(B[:, idx].mean()),
-                    mean_v=float(v[:, idx].mean()),
-                    rmse=float(math.sqrt(sqerr[:, idx].mean())),
-                    mean_halfwidth=float(half[:, idx].mean()),
+                    mean_B_hat=float(B[j][:, idx].mean()),
+                    mean_v=float(v[j][:, idx].mean()),
+                    rmse=float(math.sqrt(sqerr[j][:, idx].mean())),
+                    mean_halfwidth=float(half[j][:, idx].mean()),
                 )
             )
     return rows

@@ -73,14 +73,14 @@ def _walk_bracket(x0: float, lo: float, hi: float, step: float = 1.0):
     """Expand from x0 until a triple a < b < c brackets a maximum of l (a
     search generator, see _lockstep).
 
-    Returns the triple, or None when l keeps rising toward `lo` (the caller
-    treats that as an A = 0 boundary).  Raises OptimizerNoBracket when l is
-    still rising at `hi`.
+    Returns the triple as three (x, l(x)) pairs, or None when l keeps rising
+    toward `lo` (the caller treats that as an A = 0 boundary).  Raises
+    OptimizerNoBracket when l is still rising at `hi`.
     """
     x0 = min(max(x0, lo + step), hi - step)
     f0, fp, fm = (yield x0), (yield x0 + step), (yield x0 - step)
     if f0 >= fp and f0 >= fm:
-        return (x0 - step, x0, x0 + step)
+        return ((x0 - step, fm), (x0, f0), (x0 + step, fp))
     if fp > f0:
         b, fb, d = x0 + step, fp, step
     else:
@@ -91,7 +91,8 @@ def _walk_bracket(x0: float, lo: float, hi: float, step: float = 1.0):
         c = min(max(b + d, lo), hi)
         fc = yield c
         if fc <= fb:
-            return (a, b, c) if a < c else (c, b, a)
+            bracket = ((a, fa), (b, fb), (c, fc))
+            return bracket if a < c else bracket[::-1]
         if c == lo:
             return None
         if c == hi:
@@ -101,18 +102,20 @@ def _walk_bracket(x0: float, lo: float, hi: float, step: float = 1.0):
         a, b, fa, fb = b, c, fb, fc
 
 
-def _brent(bracket: tuple[float, float, float]):
-    """Maximizer of l from a bracketing triple (a search generator, see
-    _lockstep): the Brent minimizer of scipy 1.17 (500 iterations at most)
-    on -l at xtol _BRENT_XTOL, with every float operation and comparison
-    kept, the re-evaluation of the three bracket points included.  Raises
-    ValueError, as scipy does, unless the triple is strictly ordered with
-    its middle value strictly the largest.
+def _brent(bracket):
+    """Maximizer of l and l there, from a bracketing triple of (x, l(x))
+    pairs (a search generator, see _lockstep): the Brent minimizer of scipy
+    1.17 (500 iterations at most) on -l at xtol _BRENT_XTOL, with every float
+    operation and comparison kept.  scipy evaluates the three bracket points
+    again; l is a pure function, so their given values are those bits.
+    Raises ValueError, as scipy does, unless the triple is strictly ordered
+    with its middle value strictly the largest.
     """
-    xa, xb, xc = bracket[::-1] if bracket[0] > bracket[2] else bracket
+    if bracket[0][0] > bracket[2][0]:
+        bracket = bracket[::-1]
+    (xa, fa), (xb, fb), (xc, fc) = ((x, -f) for x, f in bracket)
     if not (xa < xb and xb < xc):
         raise ValueError("bracket points are not strictly ordered")
-    fa, fb, fc = -(yield xa), -(yield xb), -(yield xc)
     if not (fb < fa and fb < fc):
         raise ValueError("bracket does not strictly enclose a maximum")
     x = w = v = xb
@@ -155,18 +158,20 @@ def _brent(bracket: tuple[float, float, float]):
         else:
             a, b = (x, b) if u >= x else (a, x)
             v, w, x, fv, fw, fx = w, x, u, fw, fx, fu
-    return x
+    return x, -fx
 
 
-def _newton_polish(x: float, lo: float, hi: float, iters: int = 6):
+def _newton_polish(x: float, fx: float | None, lo: float, hi: float, iters: int = 6):
     """Sharpen a Brent maximizer with Newton steps on the central-difference
     gradient: derivative-free bracketing locates an argmax only to
     ~sqrt(eps); a few Newton steps recover ~1e-10 accuracy in alpha (a
-    search generator, see _lockstep).
+    search generator, see _lockstep).  fx is l(x) when the caller has it,
+    else None; each step evaluates l at x + h, x - h, and x unless known.
     """
     for _ in range(iters):
         h = 1e-5 * max(1.0, abs(x))
-        fp, fm, f0 = (yield x + h), (yield x - h), (yield x)
+        fp, fm = (yield x + h), (yield x - h)
+        f0 = (yield x) if fx is None else fx
         g = (fp - fm) / (2.0 * h)
         curv = (fp - 2.0 * f0 + fm) / (h * h)
         if not (curv < 0.0) or not math.isfinite(g):
@@ -175,7 +180,7 @@ def _newton_polish(x: float, lo: float, hi: float, iters: int = 6):
         xn = min(max(x + step, lo), hi)
         if abs(xn - x) <= 1e-14 * max(1.0, abs(x)):
             return xn
-        x = xn
+        x, fx = xn, None
     return x
 
 
@@ -191,11 +196,11 @@ def _maximize_alpha(x0: float, lo: float, hi: float):
     if bracket is None:
         return None
     try:
-        x = yield from _brent(bracket)
+        x, fx = yield from _brent(bracket)
     except ValueError:
-        x = bracket[1]  # degenerate (flat) bracket; Newton below still applies
-    x = min(max(x, lo), hi)
-    return (yield from _newton_polish(x, lo, hi))
+        x, fx = bracket[1]  # degenerate (flat) bracket; Newton below still applies
+    clipped = min(max(x, lo), hi)
+    return (yield from _newton_polish(clipped, fx if clipped == x else None, lo, hi))
 
 
 def _lockstep(searches: list, evaluate) -> list:

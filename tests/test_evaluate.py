@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
 
 from shrinkfit import (
     FitMethod, NonpositiveC, PriorSpec, RankDeficientX, TooFewUnits, TwoLevelData, evaluate,
@@ -37,6 +36,7 @@ from shrinkfit.evaluate import (
     two_group_config,
     two_group_grid,
 )
+from shrinkfit.specfun import ndtr
 from test_cli import _as_lists
 
 

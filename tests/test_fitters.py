@@ -302,8 +302,10 @@ def known_means_rows_data(V: np.ndarray, n: int, seed: int) -> np.ndarray:
 
 
 def brent_by_lockstep(f, bracket):
-    """_brent's maximizer of f, driven as a batch of one."""
-    return _lockstep([_brent(bracket)], lambda rows, alphas: [f(a) for a in alphas])[0]
+    """_brent's maximizer of f, driven as a batch of one from the bracket's
+    values."""
+    search = _brent([(a, f(a)) for a in bracket])
+    return _lockstep([search], lambda rows, alphas: [f(a) for a in alphas])[0][0]
 
 
 class TestKnownMeansBatch:
@@ -440,15 +442,25 @@ def test_equal_variance_exact_and_curves_load_no_scipy(c, tmp_path):
     assert [float(x) for x in values.split()] == [*shr.B_hat.tolist(), *shr.v.tolist()]
 
 
-def test_scipy_special_is_loaded_on_first_use():
-    # a simulation gridpoint (the Normal CDF of the scoring) loads
-    # scipy.special when it first needs it, and gives what it gives in a
-    # process that had it loaded
-    cfg = "equal_variance_config(6, seed=5, reps=30, grid=(0.4,))"
-    result = shrinkfit.run_coverage(shrinkfit.equal_variance_config(6, seed=5, reps=30, grid=(0.4,)))
-    code = f"from shrinkfit import *; print(repr(run_coverage({cfg}).rows)); {SCIPY_LOADED}"
-    got, after = _fresh_interpreter(code).split("\n")[:2]
-    assert got == repr(result.rows) and "scipy.special" in after.split()
+def test_simulation_loads_no_scipy(tmp_path):
+    # the coverage scoring's Normal CDF is specfun.ndtr: a simulation in a
+    # fresh interpreter, in process or through the CLI, loads no SciPy module
+    # and gives what it gives here
+    cfgs = (
+        "equal_variance_config(6, seed=5, reps=30, grid=(0.4,), methods=tuple(FitMethod), c=0.5)",
+        "two_group_config(seed=5, reps=10, grid=(0.3, 0.7))",
+    )
+    want = [repr(shrinkfit.run_coverage(eval(cfg, vars(shrinkfit))).rows) for cfg in cfgs]
+    argv = ["simulate", "--preset", "equal", "--k", "6", "--reps", "5", "--grid-points", "3",
+            "--threads", "1", "--out", str(tmp_path)]
+    code = (
+        "from shrinkfit import *; from shrinkfit import cli\n"
+        + "".join(f"print(repr(run_coverage({cfg}).rows))\n" for cfg in cfgs)
+        + f"assert cli.main({argv!r}) == 0\n{SCIPY_LOADED}"
+    )
+    *got, after = _fresh_interpreter(code).split("\n")[:3]
+    assert got == want and after == ""
+    assert (tmp_path / "simulation.csv").stat().st_size > 0
 
 
 EQUAL_EXACT_REFERENCE = Path(__file__).parent / "equal_exact_reference.json"

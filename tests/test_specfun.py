@@ -1,13 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
-from scipy.special import ndtr  # the Normal CDF the coverage scoring imports
 
 from shrinkfit import specfun
+from shrinkfit.specfun import ndtr  # the Normal CDF of the coverage scoring
 
 
 def chi2_pdf(x: float, dof: float) -> float:
@@ -117,6 +118,33 @@ class TestNormalCdf:
     @given(z=st.floats(-8.0, 8.0))
     def test_reflection(self, z):
         assert ndtr(-z) == pytest.approx(1.0 - ndtr(z), abs=1e-14)
+
+    def test_within_4_ulp_of_scipy(self):
+        # a dense sweep over every branch (erf below |x| = sqrt 2, P/Q to
+        # 8 sqrt 2, R/S beyond) out to ndtr(-37) ~ 6e-300, just short of the
+        # underflow to 0 at |x| = 37.68, and seeded Normal draws x 5
+        x = np.concatenate([
+            np.linspace(-37.0, 37.0, 200_001),
+            5.0 * np.random.default_rng(11).standard_normal(50_000),
+        ])
+        got, want = ndtr(x), special.ndtr(x)
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(want))
+        assert np.mean(got == want) > 0.95
+
+    def test_far_tails_and_nan(self):
+        x = np.array([-40.0, -1e300, -math.inf, 40.0, 1e300, math.inf, math.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ndtr(x)
+        assert got[:3].tolist() == [0.0] * 3 and got[3:6].tolist() == [1.0] * 3
+        assert math.isnan(got[6])
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3), (2, 3, 4)])
+    def test_shape_preserved(self, shape):
+        x = np.linspace(-9.0, 9.0, math.prod(shape)).reshape(shape)
+        got = ndtr(x)
+        assert got.shape == shape
+        assert got.tobytes() == np.array([ndtr(v) for v in x.ravel()]).tobytes()
 
 
 def confluent_by_quadrature(m: float, T: float) -> float:
