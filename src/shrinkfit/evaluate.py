@@ -401,7 +401,8 @@ def _fit_replications(cfg: SimConfig, method: FitMethod, y: np.ndarray):
     reps, k = y.shape
     B, v = np.empty((reps, k)), np.empty((reps, k))
     if method in (FitMethod.ADM, FitMethod.EXACT) and X is None and V.max() == V.min():
-        m, T = 0.5 * (k - 2.0), [float(row @ row) / (2.0 * float(V[0])) for row in y]
+        two_v = 2.0 * float(V[0])
+        m, T = 0.5 * (k - 2.0), [float(ss) / two_v for ss in map(np.dot, y, y)]
         moments = (exact_moments_equal(np.array(T), m, prior.c) if method is FitMethod.EXACT
                    else np.array([adm_moments_equal(t, m, prior.c)[:2] for t in T]).T)
         B[:], v[:] = (x[:, None] for x in moments)
@@ -427,7 +428,14 @@ def _simulate_gridpoint(cfg: SimConfig, g: int) -> list[SimRow]:
     of all methods are scored in one pass over (methods, reps, k) arrays
     (two Normal CDFs in one specfun.ndtr call).  Each (method, group) row
     reduces the same elements in the same order as a pass per method would,
-    so the rows keep their bits."""
+    so the rows keep their bits.  The reductions are the ufunc calls of
+    numpy's mean, std(ddof=1) and nanmean (_mean, _mean_rows, _sd,
+    _nanmean_rows) without their Python wrappers, each on the array
+    a[j][:, idx] those were given.  That fancy-indexed copy stays even for
+    the one group of all units: it is Fortran-ordered, so its axis-1 sums
+    run sequentially along each row, where a C-ordered view, or the whole
+    (methods, reps, k) array at once, would sum in another order and move
+    the figures' last bits."""
     b0 = cfg.grid[g]
     A = cfg.V0 * (1.0 - b0) / b0
     V = np.asarray(cfg.V, dtype=float)
@@ -446,9 +454,9 @@ def _simulate_gridpoint(cfg: SimConfig, g: int) -> list[SimRow]:
     y = theta + np.sqrt(V) * normals[:, 1]
     cond_mean = (1.0 - B_true) * y + B_true * mu_true
 
-    fits = [np.broadcast_arrays(y, *_fit_replications(cfg, method, y))[1:]
-            for method in cfg.methods]
-    B, v, mean, p_diag = map(np.array, zip(*fits))  # each (methods, reps, k)
+    B, v, mean, p_diag = np.empty((4, len(cfg.methods), reps, k))  # each (methods, reps, k)
+    for j, method in enumerate(cfg.methods):
+        B[j], v[j], mean[j], p_diag[j] = _fit_replications(cfg, method, y)
     th, s2 = shrunken_moments(y, V, B, v, mean, p_diag)
     half = z * np.sqrt(s2)
     centered = th - cond_mean
@@ -464,14 +472,14 @@ def _simulate_gridpoint(cfg: SimConfig, g: int) -> list[SimRow]:
     groups = _group_slices(V)
     for j, method in enumerate(cfg.methods):
         for label, idx in groups:
-            per_rep_cov = cov_rb[j][:, idx].mean(axis=1)
-            per_rep_raw = raw[j][:, idx].mean(axis=1)
+            per_rep_cov = _mean_rows(cov_rb[j][:, idx])
+            per_rep_raw = _mean_rows(raw[j][:, idx])
             ok_g = ok[j][:, idx]
             risk_vals = risk[j][:, idx][ok_g]
             # replications where every unit of the group sits on the s2 = 0
             # boundary contribute no risk and are left out of its standard error
-            has_risk = ok_g.any(axis=1)
-            per_rep_risk = np.nanmean(risk[j][has_risk][:, idx], axis=1)
+            has_risk = np.logical_or.reduce(ok_g, axis=1)
+            per_rep_risk = _nanmean_rows(risk[j][has_risk][:, idx])
             n_risk = per_rep_risk.size
             rows.append(
                 SimRow(
@@ -483,26 +491,55 @@ def _simulate_gridpoint(cfg: SimConfig, g: int) -> list[SimRow]:
                     group=label,
                     n_units=int(idx.size),
                     reps=reps,
-                    coverage=float(per_rep_cov.mean()),
-                    coverage_se=float(
-                        per_rep_cov.std(ddof=1) / math.sqrt(reps) if reps > 1 else 0.0
-                    ),
-                    coverage_raw=float(per_rep_raw.mean()),
-                    coverage_raw_se=float(
-                        per_rep_raw.std(ddof=1) / math.sqrt(reps) if reps > 1 else 0.0
-                    ),
-                    risk=float(risk_vals.mean()) if risk_vals.size else float("nan"),
-                    risk_se=float(
-                        per_rep_risk.std(ddof=1) / math.sqrt(n_risk) if n_risk > 1 else 0.0
-                    ),
-                    boundary_rate=float(1.0 - ok_g.mean()),
-                    mean_B_hat=float(B[j][:, idx].mean()),
-                    mean_v=float(v[j][:, idx].mean()),
-                    rmse=float(math.sqrt(sqerr[j][:, idx].mean())),
-                    mean_halfwidth=float(half[j][:, idx].mean()),
+                    coverage=_mean(per_rep_cov),
+                    coverage_se=_sd(per_rep_cov) / math.sqrt(reps) if reps > 1 else 0.0,
+                    coverage_raw=_mean(per_rep_raw),
+                    coverage_raw_se=_sd(per_rep_raw) / math.sqrt(reps) if reps > 1 else 0.0,
+                    risk=_mean(risk_vals) if risk_vals.size else float("nan"),
+                    risk_se=_sd(per_rep_risk) / math.sqrt(n_risk) if n_risk > 1 else 0.0,
+                    boundary_rate=1.0 - _mean(ok_g),
+                    mean_B_hat=_mean(B[j][:, idx]),
+                    mean_v=_mean(v[j][:, idx]),
+                    rmse=math.sqrt(_mean(sqerr[j][:, idx])),
+                    mean_halfwidth=_mean(half[j][:, idx]),
                 )
             )
     return rows
+
+
+# The row reductions of _simulate_gridpoint: ndarray.mean, .std(ddof=1) and
+# np.nanmean step for step (numpy's _methods._mean and _var), by the ufuncs
+# those call, so every figure keeps its bits without their Python wrappers.
+
+
+def _mean(a: np.ndarray) -> float:
+    """a.mean() of a float or bool array: its np.add.reduce in float64,
+    divided by the count."""
+    return float(np.add.reduce(a, None, float)) / a.size
+
+
+def _mean_rows(a: np.ndarray) -> np.ndarray:
+    """a.mean(axis=1) of a 2-d float or bool array."""
+    total = np.add.reduce(a, 1, float)
+    total /= a.shape[1]
+    return total
+
+
+def _sd(x: np.ndarray) -> float:
+    """x.std(ddof=1) of a 1-d float array of two or more elements."""
+    dev = x - float(np.add.reduce(x)) / x.size
+    dev *= dev
+    return math.sqrt(float(np.add.reduce(dev)) / (x.size - 1))
+
+
+def _nanmean_rows(a: np.ndarray) -> np.ndarray:
+    """np.nanmean(a, axis=1) of a 2-d float array the caller owns (its NaNs
+    are overwritten by 0) with a number in every row."""
+    nan = np.isnan(a)
+    np.copyto(a, 0.0, where=nan)
+    total = np.add.reduce(a, 1)
+    total /= np.add.reduce(~nan, 1, np.intp)
+    return total
 
 
 def run_coverage(cfg: SimConfig, threads: int | None = None) -> SimResult:

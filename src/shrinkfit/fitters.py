@@ -69,43 +69,11 @@ class NonintegrablePosterior(ShrinkfitError):
 # 1-D maximization in alpha = log A
 
 
-def _walk_bracket(x0: float, lo: float, hi: float, step: float = 1.0):
-    """Expand from x0 until a triple a < b < c brackets a maximum of l (a
-    search generator, see _lockstep).
-
-    Returns the triple as three (x, l(x)) pairs, or None when l keeps rising
-    toward `lo` (the caller treats that as an A = 0 boundary).  Raises
-    OptimizerNoBracket when l is still rising at `hi`.
-    """
-    x0 = min(max(x0, lo + step), hi - step)
-    f0, fp, fm = (yield x0), (yield x0 + step), (yield x0 - step)
-    if f0 >= fp and f0 >= fm:
-        return ((x0 - step, fm), (x0, f0), (x0 + step, fp))
-    if fp > f0:
-        b, fb, d = x0 + step, fp, step
-    else:
-        b, fb, d = x0 - step, fm, -step
-    a, fa = x0, f0
-    while True:
-        d *= _GROW
-        c = min(max(b + d, lo), hi)
-        fc = yield c
-        if fc <= fb:
-            bracket = ((a, fa), (b, fb), (c, fc))
-            return bracket if a < c else bracket[::-1]
-        if c == lo:
-            return None
-        if c == hi:
-            raise OptimizerNoBracket(
-                "objective is still increasing at the top of the search range"
-            )
-        a, b, fa, fb = b, c, fb, fc
-
-
 def _brent(bracket):
     """Maximizer of l and l there, from a bracketing triple of (x, l(x))
-    pairs (a search generator, see _lockstep): the Brent minimizer of scipy
-    1.17 (500 iterations at most) on -l at xtol _BRENT_XTOL, with every float
+    pairs in either orientation (a search generator, see _lockstep, that
+    _maximize_alpha delegates to): the Brent minimizer of scipy 1.17 (500
+    iterations at most) on -l at xtol _BRENT_XTOL, with every float
     operation and comparison kept.  scipy evaluates the three bracket points
     again; l is a pure function, so their given values are those bits.
     Raises ValueError, as scipy does, unless the triple is strictly ordered
@@ -161,14 +129,60 @@ def _brent(bracket):
     return x, -fx
 
 
-def _newton_polish(x: float, fx: float | None, lo: float, hi: float, iters: int = 6):
-    """Sharpen a Brent maximizer with Newton steps on the central-difference
-    gradient: derivative-free bracketing locates an argmax only to
-    ~sqrt(eps); a few Newton steps recover ~1e-10 accuracy in alpha (a
-    search generator, see _lockstep).  fx is l(x) when the caller has it,
-    else None; each step evaluates l at x + h, x - h, and x unless known.
+def _maximize_alpha(x0: float, lo: float, hi: float):
+    """The maximizer of l from x0, or None when the maximum sits at/below
+    `lo` (a search generator, see _lockstep).  Serves MLE and REML at r = 0
+    only (mle_known_means), where it is most of a simulation gridpoint, so
+    its three stages share one generator and only Brent's is delegated:
+
+    - walk: from x0, steps of 1 that grow by _GROW until a triple a < b < c
+      has l(b) >= l at both ends; None when l keeps rising toward `lo`, and
+      OptimizerNoBracket when it still rises at `hi`.  l(x0 - 1) is asked
+      for only when l(x0 + 1) <= l(x0), as it is read only then;
+    - Brent (_brent) from the triple, or its middle point when the triple is
+      degenerate (flat);
+    - polish: Newton steps on the central-difference gradient, as bracketing
+      locates an argmax only to ~sqrt(eps) and a few steps recover ~1e-10
+      in alpha; each step evaluates l at x + h, x - h, and x unless known.
+
+    _brent reproduces scipy's arithmetic so that the MLE figures
+    bench/reference/sim-equal.json pins keep their bits; once that file pins
+    the true MLE, _newton_alpha replaces this whole search.
     """
-    for _ in range(iters):
+    x0 = min(max(x0, lo + 1.0), hi - 1.0)
+    f0 = yield x0
+    fp = yield x0 + 1.0
+    bracket = None
+    if fp > f0:
+        b, fb, d = x0 + 1.0, fp, 1.0
+    else:
+        fm = yield x0 - 1.0
+        if f0 >= fp and f0 >= fm:
+            bracket = ((x0 - 1.0, fm), (x0, f0), (x0 + 1.0, fp))
+        b, fb, d = x0 - 1.0, fm, -1.0
+    a, fa = x0, f0
+    while bracket is None:
+        d *= _GROW
+        c = min(max(b + d, lo), hi)
+        fc = yield c
+        if fc <= fb:
+            bracket = ((a, fa), (b, fb), (c, fc))
+        elif c == lo:
+            return None
+        elif c == hi:
+            raise OptimizerNoBracket(
+                "objective is still increasing at the top of the search range"
+            )
+        else:
+            a, b, fa, fb = b, c, fb, fc
+    try:
+        x, fx = yield from _brent(bracket)
+    except ValueError:
+        x, fx = bracket[1]
+    clipped = min(max(x, lo), hi)
+    if clipped != x:
+        x, fx = clipped, None
+    for _ in range(6):
         h = 1e-5 * max(1.0, abs(x))
         fp, fm = (yield x + h), (yield x - h)
         f0 = (yield x) if fx is None else fx
@@ -184,42 +198,31 @@ def _newton_polish(x: float, fx: float | None, lo: float, hi: float, iters: int 
     return x
 
 
-def _maximize_alpha(x0: float, lo: float, hi: float):
-    """Bracket from x0, refine by Brent (parabolic/golden), then polish (a
-    search generator, see _lockstep).  Serves MLE and REML at r = 0 only
-    (mle_known_means).  Returns the maximizer, or None when the maximum
-    sits at/below `lo`.  _brent reproduces scipy's arithmetic so that the
-    MLE figures bench/reference/sim-equal.json pins keep their bits; once
-    that file pins the true MLE, _newton_alpha replaces this whole search.
-    """
-    bracket = yield from _walk_bracket(x0, lo, hi)
-    if bracket is None:
-        return None
-    try:
-        x, fx = yield from _brent(bracket)
-    except ValueError:
-        x, fx = bracket[1]  # degenerate (flat) bracket; Newton below still applies
-    clipped = min(max(x, lo), hi)
-    return (yield from _newton_polish(clipped, fx if clipped == x else None, lo, hi))
-
-
 def _lockstep(searches: list, evaluate) -> list:
     """Run search generators, each of which yields an alpha and is sent the
     objective there, in lockstep; return their return values in order.
     Each round, one call evaluate(rows, alphas) returns the objective at
     the pending alpha of every generator still running (rows index
-    `searches`)."""
+    `searches`, in order).  The live (index, generator) pairs carry over
+    from round to round, and rows is rebuilt only in a round where a search
+    ended: a round's Python is little more than one send per search."""
     out = [None] * len(searches)
-    todo = [(i, None) for i in range(len(searches))]
-    while todo:
-        rows, alphas = [], []
-        for i, value in todo:
+    live = list(enumerate(searches))
+    rows, values = list(range(len(live))), [None] * len(live)  # send(None) starts one
+    while live:
+        kept, alphas = [], []
+        for pair, value in zip(live, values):
             try:
-                alphas.append(searches[i].send(value))
-                rows.append(i)
+                alphas.append(pair[1].send(value))
             except StopIteration as stop:
-                out[i] = stop.value
-        todo = list(zip(rows, evaluate(rows, alphas))) if rows else []
+                out[pair[0]] = stop.value
+            else:
+                kept.append(pair)
+        if len(kept) < len(live):
+            rows = [i for i, _ in kept]
+        live = kept
+        if live:
+            values = evaluate(rows, alphas)
     return out
 
 
@@ -490,12 +493,16 @@ def mle_known_means(resid: np.ndarray, V: np.ndarray) -> np.ndarray:
     """MLE's A_hat at r = 0 (REML's too), 0 on the A = 0 boundary, for each
     row of resid = y - mu, an (n, k) array; the data are not checked.  Each
     row runs _maximize_alpha, all in lockstep on density.known_means_rows,
-    so a row's A_hat does not depend on the other rows."""
+    so a row's A_hat does not depend on the other rows.  A round passes the
+    kernel e2 itself while every row is still searching, and the live rows'
+    copy e2[rows] only after one has ended; the values go back as Python
+    floats, on which the searches' scalar arithmetic is fastest."""
     e2 = resid * resid
-    starts = _search_range(V, [float(e @ e) for e in resid], resid.shape[1])
+    n = len(resid)
+    starts = _search_range(V, [float(ss) for ss in map(np.dot, resid, resid)], resid.shape[1])
     alphas = _lockstep(
         [_maximize_alpha(*start) for start in starts],
-        lambda rows, a: known_means_rows(a, e2[rows], V).tolist(),
+        lambda rows, a: known_means_rows(a, e2 if len(rows) == n else e2[rows], V).tolist(),
     )
     return np.array([_plugin_A(a, V) for a in alphas])
 

@@ -384,6 +384,74 @@ class TestKnownMeansBatch:
                 assert brent_by_lockstep(ell, bracket) == want
 
 
+def scalar_search_A(e: np.ndarray, V: np.ndarray) -> float:
+    """MLE's A_hat at r = 0 for one row of residuals, written out here on
+    the scalar density AdjustedLogDensity.__call__ rather than through
+    mle_known_means: the start and range, the bracket walk (l at x0, x0 + 1
+    and x0 - 1, then steps growing by 1.7), scipy's Brent at xtol 1e-10
+    from the walk's triple (its middle point when scipy rejects the
+    triple), six central-difference Newton steps at most, and the A = 0
+    boundary below min(V) 1e-10."""
+    ell = AdjustedLogDensity(TwoLevelData(e, V), PriorSpec(0.0))
+    v_bar = float(V.mean())
+    lo = math.log(float(V.min()) * 1e-12)
+    a0 = max(float(e @ e) / e.size - v_bar, v_bar / 10.0)
+    hi = math.log(max(a0, v_bar)) + 45.0
+    x0 = min(max(math.log(a0), lo + 1.0), hi - 1.0)
+    f0, fp, fm = ell(x0), ell(x0 + 1.0), ell(x0 - 1.0)
+    if f0 >= fp and f0 >= fm:
+        triple = (x0 - 1.0, x0, x0 + 1.0)
+    else:
+        a, b, fb, d = (x0, x0 + 1.0, fp, 1.0) if fp > f0 else (x0, x0 - 1.0, fm, -1.0)
+        while True:
+            d *= 1.7
+            c = min(max(b + d, lo), hi)
+            fc = ell(c)
+            if fc <= fb:
+                triple = (a, b, c)
+                break
+            if c == lo:
+                return 0.0
+            assert c != hi
+            a, b, fb = b, c, fc
+    try:
+        x = optimize.minimize_scalar(lambda a: -ell(a), bracket=triple, method="brent",
+                                     options={"xtol": 1e-10}).x
+    except ValueError:
+        x = triple[1]
+    x = min(max(x, lo), hi)
+    for _ in range(6):
+        h = 1e-5 * max(1.0, abs(x))
+        fp, fm, f0 = ell(x + h), ell(x - h), ell(x)
+        g = (fp - fm) / (2.0 * h)
+        curv = (fp - 2.0 * f0 + fm) / (h * h)
+        if not (curv < 0.0) or not math.isfinite(g):
+            break
+        xn = min(max(x + max(-0.5, min(0.5, -g / curv)), lo), hi)
+        if abs(xn - x) <= 1e-14 * max(1.0, abs(x)):
+            x = xn
+            break
+        x = xn
+    A = math.exp(x)
+    return 0.0 if A < float(V.min()) * 1e-10 else A
+
+
+class TestKnownMeansSearchOracle:
+    """mle_known_means, the lockstep search on the row kernel, gives every
+    row bit for bit the A_hat of the same search run on that row alone by
+    the scalar density and scipy's Brent (scalar_search_A)."""
+
+    @pytest.mark.parametrize("equal", [True, False])
+    def test_lockstep_matches_the_scalar_search(self, equal):
+        k = 12
+        V = np.full(k, 0.7) if equal else np.random.default_rng(31).uniform(0.2, 5.0, k)
+        resid = known_means_rows_data(V, 1000, seed=32 + equal)
+        want = np.array([scalar_search_A(e, V) for e in resid])
+        assert (want == 0.0).sum() > 100 and (want > 0.0).sum() > 500  # boundary rows too
+        for n in (1, 20, 1000):
+            assert mle_known_means(resid[:n], V).tobytes() == want[:n].tobytes()
+
+
 def _fresh_interpreter(code: str) -> str:
     """stdout of `code` run in a fresh interpreter that finds the shrinkfit
     under test first."""
