@@ -1,4 +1,4 @@
-"""Compare the output bytes of `shrinkfit` in this checkout and in another.
+"""Compare the outputs of `shrinkfit` in this checkout and in another.
 
     python3 scripts/compare_outputs.py OTHER_TREE
 
@@ -18,9 +18,9 @@ Each checkout runs, through its own ``src/`` in a fresh interpreter:
   (every s2 lies above 1e16, at 2e17 to 8e17), y·1e-2 with V·1e-4 (every
   s2 lies in 1e-5 to 1e-4, the band orjson writes positionally, as v does
   at this k) and y·1e-3 with V·1e-6 (every s2 and some theta_hat, lo and
-  hi lie below 1e-5), which leave B_hat as it is and send whole arrays to
-  each of the JSON writer's two float encoders, and through orjson in both
-  exponent forms; on four copies of the same k = 1e4 file
+  hi lie below 1e-5), which leave B_hat as it is and put whole arrays in
+  the positional band and in both of orjson's exponent forms (1e16, 1e-6);
+  on four copies of the same k = 1e4 file
   that reach both CSV readers: with CRLF line ends (the orjson reader), and
   with its middle row's V spaced, its last row's y quoted, or its last
   row's x2 written as the integer -0 (each sends the reader back to
@@ -44,8 +44,11 @@ Each checkout runs, through its own ``src/`` in a fresh interpreter:
 - ``curves`` with its defaults, with ``--c 0.5``, and with ``--k 5 --k 11
   --r 1 --c 1.5``.
 
-Prints how many outputs are byte-identical per command, names every file
-that differs or exists in only one checkout, and exits 1 on any difference.
+Prints how many outputs are identical per command, names every file that
+differs or exists in only one checkout, and exits 1 on any difference. A fit
+JSON file is identical when it holds the same values (the same keys, and
+every float bit for bit), whatever their spelling; every other output (the
+CSV files, simulation.json, the exit codes) when it has the same bytes.
 Under each differing JSON or CSV file it prints, for every numeric field
 that moved (a JSON field is its key path with list positions dropped, a CSV
 field its column), the largest |a - b| over its entries divided by the
@@ -258,8 +261,22 @@ def _field_diffs(a: Path, b: Path) -> dict[str, float] | None:
             for name, (d, scale) in out.items() if d > 0.0}
 
 
+def _json_values(path: Path):
+    """The parsed file with each float as its float.hex(), so that == is
+    bitwise, and NaN and +-Infinity as their names."""
+    return json.loads(path.read_bytes(), parse_float=lambda s: float(s).hex(),
+                      parse_constant=str)
+
+
 def _group(rel: str) -> str:
     return rel.split("-", 1)[0] if rel.startswith("fit-") else rel
+
+
+def _same(rel: str, this: Path, that: Path) -> bool:
+    """Fit outputs (JSON) by value, every other output by its bytes."""
+    if this.read_bytes() == that.read_bytes():
+        return True
+    return _group(rel) == "fit" and _json_values(this) == _json_values(that)
 
 
 def main(argv=None) -> int:
@@ -292,14 +309,15 @@ def main(argv=None) -> int:
         for rel in sorted(files[0] | files[1]):
             both = all(rel in f for f in files)
             this, that = tmp / "this" / rel, tmp / "other" / rel
-            same = both and this.read_bytes() == that.read_bytes()
+            same = both and _same(rel, this, that)
             c = counts.setdefault(_group(rel), [0, 0])
             c[0] += same
             c[1] += 1
             if not same:
                 bad.append((rel, _field_diffs(this, that) if both else None))
     for group, (same, total) in counts.items():
-        print(f"{group}: {same}/{total} byte-identical")
+        kind = "value" if group == "fit" else "byte"
+        print(f"{group}: {same}/{total} {kind}-identical")
     for rel, fields in bad:
         print(f"  DIFFERS {rel}")
         for name, d in sorted((fields or {}).items()):

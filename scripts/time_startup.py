@@ -7,7 +7,7 @@ The cases are:
 
 - ``import shrinkfit`` alone;
 - ``shrinkfit fit CSV --method adm --out JSON`` on the benchmark's fit-cli
-  pool dataset 0 at k = 10, 100 and 1e4, the CSVs of
+  pool dataset 0 at k = 10, 100, 1e4 and 1e5, the CSVs of
   ``bench/workloads.write_cli_csv`` (unequal V, r = 2);
 - ``shrinkfit simulate --preset equal --k 10 --reps 20 --grid-points 5
   --threads 1`` (the same gridpoint size as the benchmark's sim-equal ops).
@@ -37,7 +37,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import workloads  # noqa: E402
 
-SIZES = (10, 100, 10_000)
+SIZES = (10, 100, 10_000, 100_000)
 WATCHED = ("scipy", "orjson", "multiprocessing")
 
 # The child runs BODY, then reports its peak RSS and the watched packages it

@@ -28,7 +28,6 @@ from .evaluate import (
     SimConfig,
     SimResult,
     curve_rows,
-    json_chunks,
     run_coverage,
     write_csv,
 )
@@ -168,7 +167,7 @@ def write_dataset_csv(path, data: TwoLevelData) -> None:
 
 def _posterior_payload(shr, post) -> dict:
     """One method's results; the arrays stay float64 ndarrays, which
-    json_chunks writes one block at a time."""
+    write_json writes with one orjson call each."""
     arrays = {
         "B_hat": shr.B_hat, "v": shr.v, "a1": shr.a1, "a0": shr.a0,
         "theta_hat": post.theta_hat, "s2": post.s2, "beta_hat": post.beta_hat,
@@ -178,6 +177,29 @@ def _posterior_payload(shr, post) -> dict:
     for name, a in arrays.items():
         payload[name] = None if a is None else np.asarray(a, dtype=float)
     return payload
+
+
+def write_json(obj, write) -> None:
+    """Pass the bytes of orjson.dumps(obj, option=OPT_SERIALIZE_NUMPY |
+    OPT_SORT_KEYS) to `write`, one orjson call per value, so that only one
+    array's text exists at a time: compact, keys sorted, floats in repr's
+    shortest round-trip digits. `obj` holds dicts with string keys,
+    scalars, None and float64 ndarrays; NaN and inf would be written null,
+    so the caller rejects them first."""
+    import orjson
+
+    if isinstance(obj, dict):
+        write(b"{")
+        sep = b""
+        for key in sorted(obj):
+            write(sep + orjson.dumps(key) + b":")
+            write_json(obj[key], write)
+            sep = b","
+        write(b"}")
+    elif isinstance(obj, np.ndarray):
+        write(orjson.dumps(np.ascontiguousarray(obj), option=orjson.OPT_SERIALIZE_NUMPY))
+    else:
+        write(orjson.dumps(obj))
 
 
 def cmd_fit(args) -> int:
@@ -190,6 +212,9 @@ def cmd_fit(args) -> int:
         shr = fit(data, prior, method)
         post = random_effects(data, shr, z_star=args.z)
         results[name] = _posterior_payload(shr, post)
+        for field, value in results[name].items():
+            if value is not None and not np.isfinite(value).all():
+                raise ValueError(f"the {name} fit gave a non-finite {field}")
     payload = {
         "schema": 1,
         "k": data.k,
@@ -198,11 +223,15 @@ def cmd_fit(args) -> int:
         "z_star": args.z,
         "results": results,
     }
-    # written only after every fit has run, one array at a time
-    sink = nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8")
+    # written only after every fit has run and passed the check above
+    if args.out is None:
+        sys.stdout.flush()
+        sink = nullcontext(sys.stdout.buffer)
+    else:
+        sink = open(args.out, "wb")
     with sink as fh:
-        fh.writelines(json_chunks(payload))
-        fh.write("\n")
+        write_json(payload, fh.write)
+        fh.write(b"\n")
     return 0
 
 

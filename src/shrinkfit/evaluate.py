@@ -234,101 +234,6 @@ def csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-_C_JSON = json.JSONEncoder(separators=(",", ":"))
-_BLOCK = 1024
-# orjson writes 1e-5 <= |x| < 1e-4 positionally (0.00001); every other
-# finite float gets repr's digits, in exponent form with a shorter exponent
-# (1e-6, 1e16 where repr writes 1e-06, 1e+16) below that band and from 1e16
-# up. The band's bounds as float64 bit patterns, which order as the
-# magnitudes do:
-_BAND_LO = np.float64(1e-5).view(np.uint64)
-_BAND_WIDTH = np.float64(1e-4).view(np.uint64) - _BAND_LO
-_PAD_ONE_DIGIT = [(f"e-{d}{end}".encode(), f"e-0{d}{end}".encode())
-                  for d in range(6, 10) for end in ",]"]
-
-
-def _orjson_takes(mag: np.ndarray) -> bool:
-    """True when the magnitudes are all finite and none lies in 1e-5 <= |x|
-    < 1e-4. The band test is one pass: |x| - 1e-5 in bits wraps round
-    below the band, so it is below the band's width just inside it."""
-    return bool(mag.max() < math.inf and (mag.view(np.uint64) - _BAND_LO).min() >= _BAND_WIDTH)
-
-
-def _repr_exponents(text: bytes, mag: np.ndarray) -> bytes:
-    """orjson's text of a block that _orjson_takes, with its exponents
-    spelled as repr spells them: a sign on positive ones, and negative ones
-    of one digit (those of 1e-9 <= |x| < 1e-5) padded to two."""
-    if mag.max() >= 1e16:
-        text = text.replace(b"e", b"e+").replace(b"e+-", b"e-")
-    if b"e-" in text:
-        if np.any((mag > 0.0) & (mag < 1e-9)):  # exponents of two or three digits too
-            for old, new in _PAD_ONE_DIGIT:
-                text = text.replace(old, new)
-        else:
-            text = text.replace(b"e-", b"e-0")
-    return text
-
-
-def _float_list_chunks(a: np.ndarray, nl: str):
-    """A non-empty 1-d float64 array as json.dumps writes its list, one chunk
-    per block of _BLOCK elements, each re-split on its commas, which float
-    text never contains. A block that _orjson_takes goes to orjson in one
-    call, with its exponents rewritten by _repr_exponents. In any other
-    block the odd elements (NaN, inf and the numbers of the positional band)
-    go to json's C encoder and the rest to orjson, merged by position; a
-    block that is mostly odd goes to the C encoder whole."""
-    import orjson
-
-    def orjson_text(x: np.ndarray, mag: np.ndarray) -> bytes:
-        text = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY)
-        return _repr_exponents(text, mag) if b"e" in text else text
-
-    inner = nl + " "
-    comma = ("," + inner).encode()
-    sep = "[" + inner
-    for i in range(0, a.size, _BLOCK):
-        block = np.ascontiguousarray(a[i:i + _BLOCK])
-        mag = np.abs(block)
-        if _orjson_takes(mag):
-            body = orjson_text(block, mag)[1:-1]
-        else:
-            odd = ~(mag < math.inf) | ((mag.view(np.uint64) - _BAND_LO) < _BAND_WIDTH)
-            if 2 * np.count_nonzero(odd) > block.size:
-                body = _C_JSON.encode(block.tolist())[1:-1].encode()
-            else:
-                parts = np.empty(block.size, dtype=object)
-                parts[~odd] = orjson_text(block[~odd], mag[~odd])[1:-1].split(b",")
-                parts[odd] = _C_JSON.encode(block[odd].tolist())[1:-1].encode().split(b",")
-                body = b",".join(parts)
-        end = nl + "]" if i + _BLOCK >= a.size else ""
-        yield sep + body.replace(b",", comma).decode() + end
-        sep = "," + inner
-
-
-def json_chunks(obj, nl: str = "\n"):
-    """The text ``json.dumps`` writes for ``obj`` with an indent of 1 and
-    sorted keys, yielded in pieces: one per scalar, per dict key and per
-    block of a float array, so that a writer holds the text of one block at
-    a time. ``obj`` is a fit document: dicts with string keys, scalars,
-    None and 1-d float64 ndarrays. A non-empty array goes through
-    _float_list_chunks, everything else through json's C encoder."""
-    if isinstance(obj, np.ndarray):
-        if obj.size:
-            yield from _float_list_chunks(obj, nl)
-            return
-        obj = obj.tolist()
-    if isinstance(obj, dict) and obj:
-        inner = nl + " "
-        sep = "{" + inner
-        for k in sorted(obj):
-            yield sep + _C_JSON.encode(k) + ": "
-            yield from json_chunks(obj[k], inner)
-            sep = "," + inner
-        yield nl + "}"
-    else:
-        yield _C_JSON.encode(obj)
-
-
 def write_csv(path, header, rows) -> None:
     """Write csv_text(header, rows) to `path`, or to stdout when it is None."""
     text = csv_text(header, rows)

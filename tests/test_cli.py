@@ -28,6 +28,7 @@ from shrinkfit import (
     TwoLevelData,
     cli,
     fit,
+    random_effects,
 )
 from shrinkfit.cli import CliInputError, _parser, main, read_dataset_csv, write_dataset_csv
 
@@ -150,13 +151,15 @@ def _as_lists(obj):
 
 
 class TestFitStreamedWrite:
-    """`fit` writes its document one piece of json_chunks at a time; the
-    bytes must be those of json.dumps on the same payload with lists."""
+    """`fit` writes its document one value at a time through write_json;
+    the bytes must be those of one orjson.dumps(payload,
+    OPT_SERIALIZE_NUMPY | OPT_SORT_KEYS) call and a newline."""
 
     @pytest.mark.parametrize("methods", [["adm"], ["adm", "mle"]])
     @pytest.mark.parametrize("r", [0, 2])
     @pytest.mark.parametrize("sink", ["file", "stdout"])
     def test_bytes_match_json_dumps(self, tmp_path, capsys, monkeypatch, sink, r, methods):
+        import orjson
         from test_fitters import cli_pool_dataset
 
         data = cli_pool_dataset(10, 0)
@@ -166,24 +169,25 @@ class TestFitStreamedWrite:
         write_dataset_csv(path, data)
         payloads = []
 
-        def recording(obj, chunks=cli.json_chunks):
-            payloads.append(obj)
-            return chunks(obj)
+        def recording(obj, write, writer=cli.write_json):
+            payloads.append(obj)  # the document first, then each value in it
+            return writer(obj, write)
 
-        monkeypatch.setattr(cli, "json_chunks", recording)
+        monkeypatch.setattr(cli, "write_json", recording)
         argv = ["fit", str(path)] + [arg for m in methods for arg in ("--method", m)]
         out = tmp_path / "out.json"
         if sink == "file":
             argv += ["--out", str(out)]
         assert main(argv) == 0
         written = out.read_bytes() if sink == "file" else capsys.readouterr().out.encode()
-        (payload,) = payloads
+        payload = payloads[0]
         results = payload["results"]
         assert list(results) == methods and payload["r"] == r
         assert all(isinstance(res["B_hat"], np.ndarray) for res in results.values())
         assert results["adm"]["beta_hat"].shape == (r,)
-        want = json.dumps(_as_lists(payload), indent=1, sort_keys=True) + "\n"
-        assert written == want.encode()
+        option = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_SORT_KEYS
+        assert written == orjson.dumps(payload, option=option) + b"\n"
+        assert json.loads(written) == json.loads(json.dumps(_as_lists(payload)))
 
     def test_memory_is_about_the_file_size(self, tmp_path):
         # the arrays are encoded one at a time, not as one document string
@@ -201,6 +205,33 @@ class TestFitStreamedWrite:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * out.stat().st_size
+
+
+class TestNonfiniteOutput:
+    """A fit document never holds NaN or inf (orjson would write null): a
+    non-finite value is exit 2, named, with no output written."""
+
+    @pytest.mark.parametrize("where", ["lo", "A_hat"])
+    def test_nonfinite_value_exits_2_and_writes_nothing(self, fig1_csv, tmp_path, capsys,
+                                                         monkeypatch, where):
+        import dataclasses
+
+        if where == "lo":
+            def effects(data, shr, z_star):
+                post = random_effects(data, shr, z_star=z_star)
+                lo = post.lo.copy()
+                lo[3] = math.nan
+                return dataclasses.replace(post, lo=lo)
+
+            monkeypatch.setattr(cli, "random_effects", effects)
+        else:
+            monkeypatch.setattr(cli, "fit", lambda *args: dataclasses.replace(
+                fit(*args), A_hat=math.inf))
+        out = tmp_path / "out.json"
+        assert main(["fit", str(fig1_csv), "--method", "adm", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ValueError: ") and f"adm fit gave a non-finite {where}" in err
+        assert not out.exists()
 
 
 class TestDatasetRoundTrip:

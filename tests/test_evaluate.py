@@ -6,6 +6,7 @@ import json
 import math
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +15,8 @@ from shrinkfit import (
     FitMethod, NonpositiveC, PriorSpec, RankDeficientX, TooFewUnits, TwoLevelData, evaluate,
     fit, random_effects,
 )
+from shrinkfit.cli import write_json
 from shrinkfit.evaluate import (
-    _BLOCK,
     AccuracyResult,
     SimConfig,
     SimResult,
@@ -30,7 +31,6 @@ from shrinkfit.evaluate import (
     equal_variance_config,
     equal_variance_grid,
     exact_moments_equal,
-    json_chunks,
     run_accuracy,
     run_coverage,
     two_group_config,
@@ -398,42 +398,65 @@ class TestSerialization:
             assert (cfg.k, cfg.r) == (k, r)
 
 
-_SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5,
-                                   2.5e-6, 1e-9, 1e-10])
-_FLOATS = st.floats() | _SPECIAL_FLOATS
+_SPECIAL_FLOATS = st.sampled_from([-0.0, 5e-324, 1e16, 1e-5, 2.5e-6, 1e-9, 1e-10,
+                                   1.7976931348623157e308])
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | _SPECIAL_FLOATS
 _FLOAT_ARRAYS = st.lists(_FLOATS, max_size=6).map(lambda x: np.array(x, dtype=float))
-_JSON_SCALARS = st.none() | st.booleans() | st.integers() | _FLOATS | st.text(max_size=8)
-# fit documents: dicts of scalars, None and 1-d float64 arrays
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2**63, 2**63 - 1) | _FLOATS
+                 | st.text(max_size=8))
+# fit documents: dicts of scalars, None and 1-d float64 arrays, all finite
 _FIT_DOCUMENTS = st.recursive(
     _JSON_SCALARS | _FLOAT_ARRAYS,
     lambda inner: st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=30,
 )
-
-_ANY_BITS = st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
-_ORJSON_FLOATS = st.floats(allow_nan=False, allow_infinity=False).filter(
-    lambda x: not 1e-5 <= abs(x) < 1e-4)
+_ANY_FINITE_BITS = st.integers(0, 2**64 - 1).map(
+    lambda b: float(np.uint64(b).view(np.float64))).filter(math.isfinite)
 
 
 @st.composite
 def _float_arrays(draw):
-    """One background value with a few elements of any kind scattered over
-    it, so that blocks of either encoder sit side by side."""
-    n = draw(st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]))
-    a = np.full(n, draw(_ORJSON_FLOATS | _FLOATS))
-    for i, x in draw(st.lists(st.tuples(st.integers(0, n - 1), _FLOATS | _ANY_BITS), max_size=8)):
+    """One background value with a few elements of any finite bits
+    scattered over it."""
+    n = draw(st.sampled_from([1, 2, 1023, 1025]))
+    a = np.full(n, draw(_FLOATS))
+    for i, x in draw(st.lists(st.tuples(st.integers(0, n - 1), _FLOATS | _ANY_FINITE_BITS),
+                              max_size=8)):
         a[i] = x
     return a
 
 
-def json_text(obj) -> str:
-    return "".join(json_chunks(obj))
+def json_bytes(obj) -> bytes:
+    parts = []
+    write_json(obj, parts.append)
+    return b"".join(parts)
 
 
-def _assert_same_text(got, want):
-    # report a mismatch by its line rather than diff megabytes of text
-    if got != want:
-        assert got.split("\n") == want.split("\n")
+def _contiguous(obj):
+    if isinstance(obj, dict):
+        return {k: _contiguous(v) for k, v in obj.items()}
+    return np.ascontiguousarray(obj) if isinstance(obj, np.ndarray) else obj
+
+
+def _orjson_document(obj) -> bytes:
+    """The whole document in one orjson call, its arrays made contiguous."""
+    return orjson.dumps(_contiguous(obj), option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_SORT_KEYS)
+
+
+def _assert_same_values(got, want, path="doc"):
+    """got, parsed from JSON, holds want's keys in sorted order at every
+    level, and each of its values: floats bit for bit, arrays as lists."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == sorted(want), path
+        for k in want:
+            _assert_same_values(got[k], want[k], f"{path}.{k}")
+    elif isinstance(want, (np.ndarray, float)):
+        g = np.array(got, dtype=float)
+        assert g.shape == np.shape(want), path
+        bad = g.view(np.uint64) != np.asarray(want, dtype=float).view(np.uint64)
+        assert not bad.any(), (path, np.asarray(want)[bad][:5])
+    else:
+        assert type(got) is type(want) and got == want, path
 
 
 def _bits(rng, n, exponents=(0, 2048)):
@@ -451,113 +474,75 @@ def _ulp_neighbours(x, n):
 
 
 class TestJsonText:
-    """json_chunks writes a fit document as json.dumps(indent=1,
-    sort_keys=True) writes it with its arrays as lists."""
+    """write_json writes a fit document as one orjson.dumps(doc,
+    OPT_SERIALIZE_NUMPY | OPT_SORT_KEYS) call would, one value at a time:
+    compact, keys sorted at every level, and every float read back by
+    json.loads to the same float64 that it wrote."""
 
     @settings(max_examples=400)
     @given(obj=_FIT_DOCUMENTS)
     def test_matches_json_dumps(self, obj):
-        assert json_text(obj) == json.dumps(_as_lists(obj), indent=1, sort_keys=True)
+        # the values json.dumps writes, in orjson's bytes
+        text = json_bytes(obj)
+        assert text == _orjson_document(obj)
+        _assert_same_values(json.loads(text), obj)
+        assert json.loads(text) == json.loads(json.dumps(_as_lists(obj), sort_keys=True))
 
     def test_worked_example(self):
-        obj = {"b": np.array([1.0, math.nan, -math.inf]), "a": np.array([]),
-               "é": {"w": {}, "x": None, "y": True, "z": 2}}
-        want = json.dumps(_as_lists(obj), indent=1, sort_keys=True)
-        assert json_text(obj) == want
-        assert '\n  NaN,\n  -Infinity\n' in want and '"\\u00e9"' in want
+        obj = {"b": np.array([1.0, 1e-5, 2.5e-6, 1e16, -0.0]), "a": np.array([]),
+               "é": {"w": {}, "x": None, "y": True, "z": 2, "f": 0.1}}
+        assert json_bytes(obj) == ('{"a":[],"b":[1.0,0.00001,2.5e-6,1e16,-0.0],'
+                                   '"é":{"f":0.1,"w":{},"x":null,"y":true,"z":2}}').encode()
 
     def test_float_ndarrays(self):
-        arrays = {"empty": np.array([]), "special": np.array([1.5, math.nan, math.inf, -math.inf]),
+        arrays = {"empty": np.array([]), "some": np.array([1.5, -2.0, 3e-300]),
                   "nested": {"one": np.array([0.25]), "none": np.array([], dtype=float)}}
-        want = json.dumps({"empty": [], "special": [1.5, math.nan, math.inf, -math.inf],
-                           "nested": {"one": [0.25], "none": []}}, indent=1, sort_keys=True)
-        assert json_text(arrays) == want
-        assert "\n  NaN,\n  Infinity,\n  -Infinity\n" in want
+        text = json_bytes(arrays)
+        assert text == _orjson_document(arrays)
+        _assert_same_values(json.loads(text), arrays)
 
     @settings(max_examples=50, deadline=None)
     @given(a=_float_arrays(), form=st.sampled_from(["contiguous", "strided"]))
     def test_float_arrays_match_json_dumps(self, a, form):
         obj = {"contiguous": a, "strided": np.repeat(a, 2)[::2]}[form]
         assert form != "strided" or obj.strides == (16,)
-        want = json.dumps({"k": {"j": obj.tolist()}}, indent=1, sort_keys=True)
-        _assert_same_text(json_text({"k": {"j": obj}}), want)
+        doc = {"k": {"j": obj}}
+        text = json_bytes(doc)
+        assert text == _orjson_document(doc)
+        _assert_same_values(json.loads(text), doc)
+        assert json.loads(text) == json.loads(json.dumps({"k": {"j": obj.tolist()}}))
 
     def test_float_encoder_edges(self):
-        # 1e-5 and 1e-4 bound the band orjson writes positionally, 1e-9 and
-        # 1e16 the one-digit negative and the positive exponents; each with
-        # its nextafter neighbours, both signs, alone, repeated, at the end
-        # of a full block, and next to a number of two-digit exponent
-        for x in _ulp_neighbours([1e-9, 1e-5, 1e-4, 1e16], 1):
-            for a in (np.array([x]), np.full(3, x), np.array([1.5] * (_BLOCK - 1) + [x, 2.5]),
-                      np.array([x, 2.5e-12, x]), np.array([3e-7, x, 3e20])):
-                want = json.dumps(a.tolist(), indent=1, sort_keys=True)
-                _assert_same_text(json_text(a), want)
-                _assert_same_text(json_text(np.repeat(a, 2)[::2]), want)
-
-    def test_orjson_takes_all_finite_floats_outside_the_band(self):
-        # one mask pass over the bits must place the band's edges exactly
-        below_1e5, below_1e4 = np.nextafter([1e-5, 1e-4], 0.0)
-        for x, takes in [(0.0, True), (5e-324, True), (below_1e5, True), (1e-5, False),
-                         (below_1e4, False), (1e-4, True), (1e16, True), (1.7976931348623157e308, True),
-                         (math.inf, False), (math.nan, False)]:
-            for block in (np.array([x]), np.array([-x]), np.array([0.5, x, 2e20])):
-                assert evaluate._orjson_takes(np.abs(block)) is takes, (x, block)
+        # orjson writes 1e-5 <= |x| < 1e-4 positionally and switches the
+        # exponent's digit count at 1e-9 and 1e-10 and to exponent form at
+        # 1e16: each bound with its nextafter neighbours, both signs,
+        # alone, repeated, contiguous and strided
+        for x in _ulp_neighbours([1e-10, 1e-9, 1e-5, 1e-4, 1e16], 1):
+            for a in (np.array([x]), np.full(3, x), np.array([x, 2.5e-12, x]),
+                      np.array([3e-7, x, 3e20])):
+                for form in (a, np.repeat(a, 2)[::2]):
+                    text = json_bytes({"a": form})
+                    assert text == _orjson_document({"a": a})
+                    _assert_same_values(json.loads(text), {"a": a})
 
     def test_float_sweep_matches_repr(self):
-        # random digits inside 6e-5 <= |x| < 2e16 (biased exponents 1009 to
-        # 1076), arbitrary bit patterns, subnormals of both signs, and the
-        # floats around every decade from 1e-323 to 1e308; each split into
-        # the finite floats outside 1e-5 <= |x| < 1e-4, which orjson
-        # writes, and the floats of that band
+        # arbitrary finite bit patterns, subnormals of both signs, and the
+        # 64 floats either side of every decade from 1e-323 to 1e308: each
+        # is read back as the float that repr's digits name, bit for bit
         rng = np.random.default_rng(20261019)
         decades = _ulp_neighbours(np.float64(10.0) ** np.arange(-323, 309), 64)
-        subnormals = _bits(rng, 2**14, (0, 1))
-        for a in (_bits(rng, 2**19, (1009, 1077)), _bits(rng, 2**14), subnormals, decades):
-            mag = np.abs(a)
-            band = (mag >= 1e-5) & (mag < 1e-4)
-            for part in (a[~band & np.isfinite(a)], a[band]):
-                if not part.size:
-                    continue
-                want = "[\n " + ",\n ".join(map(repr, part.tolist())) + "\n]"
-                _assert_same_text(json_text(part), want)
-
-    def test_one_chunk_per_block(self):
-        # the writer holds one block's text at a time, whatever the length;
-        # the middle block (a NaN) goes to the other encoder
-        a = np.linspace(0.5, 3e4, 3 * _BLOCK)
-        a[_BLOCK + 7] = math.nan
-        chunks = list(json_chunks({"a": a}))
-        assert [c.count(",") for c in chunks[1:-1]] == [_BLOCK - 1, _BLOCK, _BLOCK]
-        assert chunks[-2].endswith("\n ]") and chunks[-1] == "\n}"
-        assert "".join(chunks) == json.dumps({"a": a.tolist()}, indent=1)
-
-    def test_only_odd_elements_go_to_the_c_encoder(self, monkeypatch):
-        # a block with a few NaN, inf or band numbers sends only those to
-        # json's C encoder and the rest to orjson; a block that is mostly
-        # band numbers goes to the C encoder whole
-        sizes = []
-
-        class Recording(json.JSONEncoder):
-            def encode(self, o):
-                sizes.append(len(o))
-                return super().encode(o)
-
-        monkeypatch.setattr(evaluate, "_C_JSON", Recording(separators=(",", ":")))
-        mixed = np.linspace(0.5, 3e4, 2 * _BLOCK)
-        mixed[[3, 700, _BLOCK + 5]] = [math.nan, -2.5e-5, -math.inf]
-        band = np.full(_BLOCK, 4e-5)
-        band[::3] = 0.25
-        for a, want in ((mixed, [2, 1]), (band, [_BLOCK])):
-            sizes.clear()
-            _assert_same_text(json_text(a), json.dumps(a.tolist(), indent=1))
-            assert sizes == want
+        for a in (_bits(rng, 2**16), _bits(rng, 2**14, (0, 1)), decades):
+            a = a[np.isfinite(a)]
+            _assert_same_values(json.loads(json_bytes({"a": a})), {"a": a})
 
     def test_one_chunk_per_key_and_float_array(self):
-        chunks = list(json_chunks({"b": np.arange(3.0), "a": {"x": None, "y": 2},
-                                   "c": np.array([])}))
-        assert chunks == ['{\n "a": ', '{\n  "x": ', "null", ',\n  "y": ', "2", "\n }",
-                          ',\n "b": ', "[\n  0.0,\n  1.0,\n  2.0\n ]", ',\n "c": ', "[]",
-                          "\n}"]
+        # one write per key and one per value, so a writer holds the text of
+        # one array at a time, whatever its length
+        chunks = []
+        write_json({"b": np.arange(3.0), "a": {"x": None, "y": 2}, "c": np.array([])},
+                   chunks.append)
+        assert chunks == [b"{", b'"a":', b"{", b'"x":', b"null", b',"y":', b"2", b"}",
+                          b',"b":', b"[0.0,1.0,2.0]", b',"c":', b"[]", b"}"]
 
 
 class TestAccuracy:

@@ -476,7 +476,7 @@ def test_import_does_not_load_scipy():
 
 
 def test_import_does_not_load_orjson():
-    # the JSON writer imports it when it first writes a float array
+    # the CSV reader and the JSON writer import it when first called
     modules = _modules_after_import()
     assert "shrinkfit.evaluate" in modules and "orjson" not in modules
 
