@@ -8,7 +8,8 @@ dataset 0 (``bench/workloads.cli_dataset``, r = 2, V over a decade) at
 k = 10, 100, 1e4 and 1e5, c = 1. It is split into three layers:
 
 - Newton: `fitters._newton_alpha`, the search for the mode, with its count
-  of `AdjustedLogDensity.derivatives` calls;
+  of `AdjustedLogDensity.derivatives` calls and their mean time a call
+  (timed by a wrapper around each call, so with its ~0.2 us);
 - edge walk: the panel edges at which l is evaluated to choose the kept
   panels, with the count of edges evaluated. In a checkout that has
   `fitters._panels` this is that call and the `AdjustedLogDensity.on_nodes`
@@ -28,8 +29,9 @@ every pool dataset of that size, one fit each.
 Each round runs one fresh interpreter per checkout, through its own ``src/``,
 alternating between the two; an interpreter fits each k once to warm up and
 then three times, keeping its fastest time per layer. The table gives the
-best per layer over ROUNDS rounds (default 5), in ms, and the counts. A
-round takes about 5 s on a 2-core machine.
+best per layer over ROUNDS rounds (default 5), in ms, the counts, and the
+least mean time of a `derivatives` call, in us. A round takes about 5 s on
+a 2-core machine.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ import workloads  # noqa: E402
 SIZES = (10, 100, 10_000, 100_000)
 POOLED = (10, 100)  # sizes whose whole pool is fitted for its node counts
 LAYERS = ("newton", "edges", "nodes", "total")
+BEST = LAYERS + ("per_call",)  # each taken as its least over fits and rounds
 
 # Runs inside each checkout: argv = the .npy dataset files, k<k>-<j>.npy.
 # Prints one JSON object: per k, the fastest seconds per layer and the
@@ -136,12 +139,14 @@ for path in sys.argv[1:]:
         else:  # an older tree: every edge in the first call, the nodes in the last
             now["edges"] = calls[0][1]
             edges, nodes = calls[0][0], calls[-1][0]
+        derivs = now["derivatives"]
         rows.append({
+            "per_call": sum(t for _, t, _ in derivs) / len(derivs),
             "newton": now["newton"],
             "edges": now["edges"],
             "nodes": now["total"] - now["edges"],
             "total": now["newton"] + now["total"],
-            "derivatives": len(now["derivatives"]),
+            "derivatives": len(derivs),
             "edge_count": edges,
             "node_count": nodes,
             "tail_count": tails,
@@ -151,7 +156,7 @@ for path in sys.argv[1:]:
     if len(rows) == 1:
         continue
     best = dict(rows[-1])
-    for layer in ("newton", "edges", "nodes", "total"):
+    for layer in ("newton", "edges", "nodes", "total", "per_call"):
         best[layer] = min(row[layer] for row in rows[1:])
     result[str(data.k)] = best
 print(json.dumps(result))
@@ -187,17 +192,18 @@ def main(argv=None) -> int:
                         best[name][k] = row
                         continue
                     old = best[name].setdefault(k, row)
-                    for layer in LAYERS:
+                    for layer in BEST:
                         old[layer] = min(old[layer], row[layer])
     print(f"exact fit, fit-cli pool dataset 0, r = 2, c = 1; best of {rounds} "
           "interleaved rounds (ms)")
     print(f"{'k':>7} {'tree':>5} {'newton':>8} {'edges':>8} {'nodes':>8} {'total':>8}"
-          f" {'derivs':>7} {'edges#':>7} {'GL#':>5} {'tails#':>6}  node path")
+          f" {'derivs':>7} {'us/call':>8} {'edges#':>7} {'GL#':>5} {'tails#':>6}  node path")
     for k in map(str, SIZES):
         for name in trees:
             row = best[name][k]
             times = " ".join(f"{1e3 * row[layer]:8.2f}" for layer in LAYERS)
-            print(f"{k:>7} {name:>5} {times} {row['derivatives']:7d} {row['edge_count']:7d}"
+            print(f"{k:>7} {name:>5} {times} {row['derivatives']:7d} {1e6 * row['per_call']:8.1f}"
+                  f" {row['edge_count']:7d}"
                   f" {row['node_count']:5d} {row.get('tail_count', 0):6d}  {row['path']}")
     print("nodes per exact fit over each pool (GL + tails): min-max")
     for k in map(str, POOLED):

@@ -12,8 +12,9 @@ exact + ADM + MLE), each one `run_coverage` call. A gridpoint is split into:
 - fits: `evaluate._fit_replications` per method. For MLE also its rounds
   (calls of the row kernel `density.known_means_rows`), its row
   evaluations (rows over all calls), the kernel's time, and the search's
-  time: the rest of `fitters.mle_known_means` (`fitters._lockstep`, the
-  search generators, the search ranges);
+  time: the rest of the search as the gridpoint calls it
+  (`fitters._mle_known_means`, or `mle_known_means` in an older checkout:
+  `fitters._lockstep`, the search generators, the search ranges);
 - `inference.shrunken_moments` and `specfun.ndtr`, the scoring's two calls;
 - rest: the remainder of `evaluate._simulate_gridpoint`, that is theta and
   y, the stacking of the fits, the scoring arithmetic and the per-(method,
@@ -90,10 +91,10 @@ def draws(*args):
 fit_replications = evaluate._fit_replications
 
 
-def fits(cfg, method, y):
+def fits(cfg, method, y, *ss):
     t = clock()
     try:
-        return fit_replications(cfg, method, y)
+        return fit_replications(cfg, method, y, *ss)
     finally:
         add("fit." + method.value, clock() - t)
 
@@ -121,7 +122,10 @@ for _ in range(3):
         best[i]["op"] = min(best[i].get("op", 1e9), clock() - t)
 evaluate._rep_rngs = draws
 evaluate._fit_replications = fits
-evaluate.mle_known_means = timed("mle", evaluate.mle_known_means)
+# the search as the gridpoint calls it: with the sums of squares it formed, or
+# forming them itself in an older checkout
+mle = "_mle_known_means" if hasattr(evaluate, "_mle_known_means") else "mle_known_means"
+setattr(evaluate, mle, timed("mle", getattr(evaluate, mle)))
 evaluate.shrunken_moments = timed("shrunken_moments", evaluate.shrunken_moments)
 evaluate.ndtr = timed("ndtr", evaluate.ndtr)
 evaluate._simulate_gridpoint = timed("gridpoint", evaluate._simulate_gridpoint)

@@ -16,7 +16,6 @@ import os
 import re
 import sys
 import warnings
-from contextlib import nullcontext
 from dataclasses import astuple
 from functools import cache
 from pathlib import Path
@@ -224,14 +223,17 @@ def cmd_fit(args) -> int:
         "results": results,
     }
     # written only after every fit has run and passed the check above
-    if args.out is None:
-        sys.stdout.flush()
-        sink = nullcontext(sys.stdout.buffer)
-    else:
-        sink = open(args.out, "wb")
-    with sink as fh:
-        write_json(payload, fh.write)
-        fh.write(b"\n")
+    if args.out is not None:
+        with open(args.out, "wb") as fh:
+            write_json(payload, fh.write)
+            fh.write(b"\n")
+        return 0
+    sys.stdout.flush()
+    # a stdout with no byte buffer (io.StringIO, say) is sent the UTF-8 text
+    buffer = getattr(sys.stdout, "buffer", None)
+    write = buffer.write if buffer is not None else lambda b: sys.stdout.write(b.decode())
+    write_json(payload, write)
+    write(b"\n")
     return 0
 
 

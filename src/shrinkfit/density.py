@@ -13,14 +13,19 @@ exactly the A-multiplier that makes an argmax approximate the posterior mean
 of each shrinkage factor rather than its mode.
 
 For r >= 1 one kernel, AdjustedLogDensity._gls, runs the weighted regression
-at a block of A values; the log-density, its derivatives and
-beta_and_projection_diag all take beta_A and X'D^-1 X from it.  Near a mode
-A0, AdjustedLogDensity.power_sums takes only the residual e0 = y - X beta_A0
-from it and gets l at many A, and the moments of 1/(V + A) under weights on
-them, from power sums of 1/(V + A0): the truncated series is used only when
+at a block of A values; the log-density and beta_and_projection_diag take
+beta_A and X'D^-1 X from it.  Near a mode A0, AdjustedLogDensity.power_sums
+takes only the residual e0 = y - X beta_A0 from it and gets l at many A, and
+the moments of 1/(V + A) under weights on them, from power sums of
+1/(V + A0): the truncated series is used only when
 rho = max|A - A0| / (V_min + A0) < 1 and at most SERIES_TERMS terms bound
-its error in l by SERIES_TOL.  Both test X'D^-1 X for rank by the same
-Cholesky pivot test (_cholesky).
+its error in l by SERIES_TOL.  The derivatives at one A, which every Newton
+step calls, take M = X'D^-1 X, X'D^-1 y, X'D^-2 X, X'D^-3 X, tr D^-1 and
+tr D^-2 from one product of the rows 1/(V + A), its square and its cube
+with the columns [1, X (x) X, X y], then factor M once and solve with it
+twice.  All of them test X'D^-1 X for rank by the same Cholesky pivot test
+(_cholesky), and every r-by-r factorization, solve and inverse goes through
+_cholesky and _solve, which call numpy's LAPACK gufuncs directly.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import math
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg as _lapack
 from numpy.polynomial.polynomial import polyval
 
 from .model import PriorSpec, RankDeficientX, ShrinkfitError, TwoLevelData
@@ -63,17 +69,32 @@ class NonconcaveAtMax(ShrinkfitError):
     maximizer, so no Beta approximation can be formed."""
 
 
+# The r-by-r algebra of the weighted regression, _cholesky and _solve, calls
+# _lapack, numpy's LAPACK gufuncs, as np.linalg.cholesky, solve and inv call
+# them (so with the same bits) but without the ~4 us of Python those add.
+
+
 def _cholesky(M: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of a stack of X'D^-1 X, (n, r, r).  Raises
-    RankDeficientX when some L_jj^2 <= PIVOT_REL * M_jj or the Cholesky
-    fails."""
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:  # a pivot <= 0, which the test below rejects
-        L = np.zeros_like(M)
-    if (L.diagonal(0, 1, 2) ** 2 <= PIVOT_REL * M.diagonal(0, 1, 2)).any():
+    """Lower Cholesky factors of a stack of X'D^-1 X, (..., r, r), by
+    _lapack.cholesky_lo.  Raises RankDeficientX when some L_jj^2 <=
+    PIVOT_REL * M_jj or the Cholesky fails (LAPACK then leaves L NaN; no
+    RuntimeWarning is raised for it)."""
+    with np.errstate(invalid="ignore"):
+        L = _lapack.cholesky_lo(M)
+    d = L.diagonal(0, -2, -1)
+    if not all((d * d > PIVOT_REL * M.diagonal(0, -2, -1)).ravel().tolist()):
         raise RankDeficientX("X'D^-1 X is numerically singular: X is nearly collinear")
     return L
+
+
+def _solve(M: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
+    """M^-1 B for a stack M of X'D^-1 X, (..., r, r), that passed the pivot
+    test of _cholesky, by LU: B an (..., r, m) block (_lapack.solve), an
+    (..., r) vector per matrix (_lapack.solve1), or None for M^-1 itself
+    (_lapack.inv)."""
+    if B is None:
+        return _lapack.inv(M)
+    return (_lapack.solve1 if B.ndim == M.ndim - 1 else _lapack.solve)(M, B)
 
 
 def known_means_rows(alphas, e2: np.ndarray, V: np.ndarray, c: float = 0.0) -> np.ndarray:
@@ -125,15 +146,16 @@ class AdjustedLogDensity:
             self._resid0 = data.y - data.mu
             self._e2 = self._resid0 * self._resid0
         else:
-            # the kernel's fixed inputs X' and [X (x) X, X y], built row by row
-            # (products over a length-r inner axis are slow at large k) and
-            # held as a (k, r^2 + r) view
+            # the kernels' fixed inputs X' and [1, X (x) X, X y], built row by
+            # row (products over a length-r inner axis are slow at large k)
+            # and held as a (k, 1 + r^2 + r) view
             r = data.r
             self._XT = XT = np.ascontiguousarray(data.X.T)
-            cross = np.empty((r * r + r, data.k))
-            np.multiply(XT[:, None, :], XT[None, :, :], out=cross[: r * r].reshape(r, r, -1))
-            np.multiply(XT, data.y, out=cross[r * r :])
-            self._cross = cross.T
+            cols = np.empty((1 + r * r + r, data.k))
+            cols[0] = 1.0
+            np.multiply(XT[:, None, :], XT[None, :, :], out=cols[1 : r * r + 1].reshape(r, r, -1))
+            np.multiply(XT, data.y, out=cols[r * r + 1 :])
+            self._cols = cols.T
 
     @property
     def tail_exponents(self) -> tuple[float, float]:
@@ -152,10 +174,10 @@ class AdjustedLogDensity:
         collinear X can pass TwoLevelData's rank test and still fail here.
         """
         r = self.data.r
-        G = W @ self._cross
+        G = W @ self._cols[:, 1:]
         M = G[:, : r * r].reshape(-1, r, r)
         L = _cholesky(M)
-        beta = np.linalg.solve(M, G[:, r * r :, None])[:, :, 0]
+        beta = _solve(M, G[:, r * r :])
         return M, L, beta, np.subtract(self.data.y, beta @ self._XT, out=out)
 
     def residual_ss(self) -> float:
@@ -269,7 +291,7 @@ class AdjustedLogDensity:
             F = np.empty((C.shape[1], W.size))
             F[0] = 1.0
             if r:
-                F[1 : r * r + 1] = self._cross.T[: r * r, start : start + step]
+                F[1 : r * r + 1] = self._cols.T[1 : r * r + 1, start : start + step]
                 np.multiply(self._XT[:, start : start + step], e, out=F[r * r + 1 : -1])
             np.multiply(e, e, out=F[-1])
             C += T @ F.T
@@ -283,7 +305,7 @@ class AdjustedLogDensity:
         if r:
             M = G[:, 1 : r * r + 1].reshape(-1, r, r)
             L, g = _cholesky(M), G[:, r * r + 1 : -1]
-            rest = rest - np.einsum("nj,nj->n", g, np.linalg.solve(M, g[:, :, None])[:, :, 0])
+            rest = rest - np.einsum("nj,nj->n", g, _solve(M, g))
             if self.restricted:
                 rest += 2.0 * np.log(L.diagonal(0, 1, 2)).sum(axis=1)
         ell = self.prior.c * (alphas - center) - 0.5 * (dS + rest[:-1] - rest[-1])
@@ -309,31 +331,48 @@ class AdjustedLogDensity:
 
         Unrestricted (MLE), the log|M| term is absent, so tr P and tr P^2
         become tr D^-1 and tr D^-2; u'P u keeps its correction, which comes
-        from beta_A moving with A.  P is never formed: M and e come from the
-        kernel _gls at one row, and the traces and u'P u from one r-by-r
-        solve of M against [X'D^-1 u, X'D^-2 X, X'D^-3 X], the last two
-        from the kernel's X (x) X columns.
+        from beta_A moving with A.  P is never formed.  For r >= 1 one
+        product of the rows w = 1/(V + A), w^2 and w^3 with the columns
+        [1, X (x) X, X y] gives tr D^-1, tr D^-2, M, X'D^-1 y, X'D^-2 X and
+        X'D^-3 X; it runs over blocks of units, as one product over a long k
+        is slow in BLAS.  M is factored once for the pivot test (_cholesky),
+        one solve gives beta_A, M^-1 X'D^-2 X and M^-1 X'D^-3 X, and one more
+        M^-1 X'D^-2 e, with e = y - X beta_A, u and X'D^-2 e = X'D^-1 u taken
+        from the residuals directly (their expansions in y cancel when |y|
+        is large).
         """
         data = self.data
         A = math.exp(alpha)
-        Dinv = 1.0 / (data.V + A)
-        tr_P = float(Dinv.sum())
-        tr_P2 = float(Dinv @ Dinv)
         if data.r == 0:
+            Dinv = 1.0 / (data.V + A)
+            tr_P, tr_P2 = float(Dinv.sum()), float(Dinv @ Dinv)
             u = self._resid0 * Dinv
             uPu = float(u @ (u * Dinv))
         else:
-            M, _, _, resid = self._gls(Dinv[None, :])
-            u = resid[0] * Dinv
-            uw, w2, r = u * Dinv, (Dinv * Dinv)[None, :], data.r
-            XX = np.concatenate([w2, w2 * Dinv]) @ self._cross[:, : r * r]  # X'D^-2 X, X'D^-3 X
+            r, k, cols = data.r, data.k, self._cols
+            w = np.empty((3, k))
+            Dinv = np.divide(1.0, np.add(data.V, A, out=w[0]), out=w[0])
+            np.multiply(Dinv, Dinv, out=w[1])
+            np.multiply(w[1], Dinv, out=w[2])
+            step = BLOCK_ELEMENTS // (3 + cols.shape[1])  # a block's w and columns
+            G = w[:, :step] @ cols[:step]
+            for start in range(step, k, step):
+                G += w[:, start : start + step] @ cols[start : start + step]
+            tr_P, tr_P2 = float(G[0, 0]), float(G[1, 0])
+            # the rows of M, y'D^-1 X, X'D^-2 X, y'D^-2 X, X'D^-3 X, y'D^-3 X
+            rows = G[:, 1:].reshape(3 * r + 3, r)
+            M = rows[:r]
+            _cholesky(M)
+            S = _solve(M, rows[r:].T)
+            S2, S3 = S[:, 1 : r + 1], S[:, r + 2 : 2 * r + 2]  # M^-1 X'D^-2 X, M^-1 X'D^-3 X
+            u = np.subtract(data.y, S[:, 0] @ self._XT)
+            u *= Dinv
+            uw = u * Dinv
             Xu = self._XT @ uw
-            S = np.linalg.solve(M[0], np.concatenate([Xu[:, None], XX.reshape(2 * r, r).T], 1))
-            S2, S3 = S[:, 1 : r + 1], S[:, r + 1 :]  # M^-1 X'D^-2 X, M^-1 X'D^-3 X
-            uPu = float(u @ uw) - float(Xu @ S[:, 0])
+            uPu = float(u @ uw) - float(Xu @ _solve(M, Xu))
             if self.restricted:
-                tr_P -= float(np.trace(S2))
-                tr_P2 += float(np.sum(S2 * S2.T)) - 2.0 * float(np.trace(S3))
+                tr_P -= float(S2.trace())
+                tr_P2 += float(np.vdot(S2, S2.T)) - 2.0 * float(S3.trace())
         g = 0.5 * (float(u @ u) - tr_P)
         return self.prior.c + A * g, A * g + A * A * (0.5 * tr_P2 - uPu)
 
@@ -348,4 +387,4 @@ def beta_and_projection_diag(A: float, data: TwoLevelData) -> tuple[np.ndarray, 
     D = data.V + A
     ell = AdjustedLogDensity(data, PriorSpec())
     M, _, beta, _ = ell._gls(1.0 / D[None, :])
-    return beta[0], ell._cross[:, : data.r**2] @ np.linalg.inv(M[0]).ravel() / D
+    return beta[0], ell._cols[:, 1 : data.r**2 + 1] @ _solve(M[0]).ravel() / D

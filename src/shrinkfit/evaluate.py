@@ -24,11 +24,11 @@ import numpy as np
 
 from .fitters import (
     FitMethod,
+    _mle_known_means,
     _newton_alpha,
     adm_moments_equal,
     exact_moments_equal,
     fit,
-    mle_known_means,
     mle_shrinkage_equal,
 )
 from .density import beta_and_projection_diag
@@ -287,7 +287,7 @@ def _group_slices(V: np.ndarray) -> list[tuple[str, np.ndarray]]:
     return [(_group_label(v), np.flatnonzero(V == v)) for v in values]
 
 
-def _fit_replications(cfg: SimConfig, method: FitMethod, y: np.ndarray):
+def _fit_replications(cfg: SimConfig, method: FitMethod, y: np.ndarray, ss: list | None):
     """B, v, fitted Level-2 means and projection diagonals p_ii of every
     replication (row of y), each broadcasting to y's shape; when r = 0 the
     means are the known zeros and p_ii = 0.
@@ -296,8 +296,10 @@ def _fit_replications(cfg: SimConfig, method: FitMethod, y: np.ndarray):
     validated the design and prior before any draw): with equal variances
     ADM and exact Bayes are closed forms in each replication's T = S/2V,
     exact Bayes for all replications in one call, and MLE and REML run on
-    all replications at once (mle_known_means).  Any other pair runs the
-    scalar `fit` on each replication, with beta_hat and p_ii at A_hat from
+    all replications at once (mle_known_means).  Both take S from ss, each
+    replication's float(y @ y), which the gridpoint forms once for all its
+    methods (None when r >= 1).  Any other pair runs the scalar `fit` on
+    each replication, with beta_hat and p_ii at A_hat from
     beta_and_projection_diag when r >= 1.
     """
     prior = PriorSpec(c=cfg.c)
@@ -307,13 +309,13 @@ def _fit_replications(cfg: SimConfig, method: FitMethod, y: np.ndarray):
     B, v = np.empty((reps, k)), np.empty((reps, k))
     if method in (FitMethod.ADM, FitMethod.EXACT) and X is None and V.max() == V.min():
         two_v = 2.0 * float(V[0])
-        m, T = 0.5 * (k - 2.0), [float(ss) / two_v for ss in map(np.dot, y, y)]
+        m, T = 0.5 * (k - 2.0), [s / two_v for s in ss]
         moments = (exact_moments_equal(np.array(T), m, prior.c) if method is FitMethod.EXACT
                    else np.array([adm_moments_equal(t, m, prior.c)[:2] for t in T]).T)
         B[:], v[:] = (x[:, None] for x in moments)
         return B, v, 0.0, 0.0
     if X is None and method in (FitMethod.MLE, FitMethod.REML):
-        A_hat = mle_known_means(y, V)[:, None]
+        A_hat = _mle_known_means(y, V, ss)[:, None]
         return V / (V + A_hat), 0.0, 0.0, 0.0
     mean, p_diag = (0.0, 0.0) if X is None else (np.empty((reps, k)), np.empty((reps, k)))
     for i in range(reps):
@@ -359,9 +361,10 @@ def _simulate_gridpoint(cfg: SimConfig, g: int) -> list[SimRow]:
     y = theta + np.sqrt(V) * normals[:, 1]
     cond_mean = (1.0 - B_true) * y + B_true * mu_true
 
+    ss = [float(s) for s in map(np.dot, y, y)] if X is None else None
     B, v, mean, p_diag = np.empty((4, len(cfg.methods), reps, k))  # each (methods, reps, k)
     for j, method in enumerate(cfg.methods):
-        B[j], v[j], mean[j], p_diag[j] = _fit_replications(cfg, method, y)
+        B[j], v[j], mean[j], p_diag[j] = _fit_replications(cfg, method, y, ss)
     th, s2 = shrunken_moments(y, V, B, v, mean, p_diag)
     half = z * np.sqrt(s2)
     centered = th - cond_mean

@@ -497,9 +497,15 @@ def mle_known_means(resid: np.ndarray, V: np.ndarray) -> np.ndarray:
     kernel e2 itself while every row is still searching, and the live rows'
     copy e2[rows] only after one has ended; the values go back as Python
     floats, on which the searches' scalar arithmetic is fastest."""
+    return _mle_known_means(resid, V, [float(ss) for ss in map(np.dot, resid, resid)])
+
+
+def _mle_known_means(resid: np.ndarray, V: np.ndarray, ss: list[float]) -> np.ndarray:
+    """mle_known_means given each row's sum of squares, ss[i] =
+    float(np.dot(resid[i], resid[i])), which sets its search range."""
     e2 = resid * resid
     n = len(resid)
-    starts = _search_range(V, [float(ss) for ss in map(np.dot, resid, resid)], resid.shape[1])
+    starts = _search_range(V, ss, resid.shape[1])
     alphas = _lockstep(
         [_maximize_alpha(*start) for start in starts],
         lambda rows, a: known_means_rows(a, e2 if len(rows) == n else e2[rows], V).tolist(),

@@ -62,6 +62,18 @@ class TestFit:
         payload = json.loads(capsys.readouterr().out)
         assert "adm" in payload["results"]
 
+    def test_stdout_without_byte_buffer(self, fig1_csv, tmp_path):
+        # an in-process caller may swap in a text-only stdout
+        from contextlib import redirect_stdout
+
+        out = tmp_path / "fit.json"
+        argv = ["fit", str(fig1_csv), "--method", "adm", "--method", "reml"]
+        assert main(argv + ["--out", str(out)]) == 0
+        with redirect_stdout(io.StringIO()) as text:
+            assert main(argv) == 0
+        assert text.getvalue().encode() == out.read_bytes()
+        assert json.loads(text.getvalue()) == json.loads(out.read_text())
+
     def test_successive_calls_parse_independently(self, fig1_csv, tmp_path):
         # main reuses one parser: no appended --method or --k list, and no
         # subcommand default, may carry over from one call to the next

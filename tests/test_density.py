@@ -294,6 +294,48 @@ class TestBlockEvaluation:
                 beta_and_projection_diag(math.exp(alpha), data)
 
 
+class TestLapackHelpers:
+    """density._cholesky and _solve call numpy's LAPACK gufuncs directly;
+    they must give np.linalg's bits, and a numpy that changes those gufuncs
+    must fail here."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 7, 156])
+    def test_match_np_linalg_bitwise(self, n, r):
+        rng = np.random.default_rng(100 * n + r)
+        F = rng.normal(size=(n, r, r + 3)) * 10.0 ** rng.uniform(-3, 3, (n, 1, 1))
+        M = F @ F.transpose(0, 2, 1)
+        B, b = rng.normal(size=(n, r, 2 * r + 3)), rng.normal(size=(n, r))
+        pairs = [
+            (density._cholesky(M), np.linalg.cholesky(M)),
+            (density._solve(M, B), np.linalg.solve(M, B)),
+            (density._solve(M, b), np.linalg.solve(M, b[:, :, None])[:, :, 0]),
+            (density._solve(M), np.linalg.inv(M)),
+            (density._cholesky(M[0]), np.linalg.cholesky(M[0])),
+            (density._solve(M[0], b[0]), np.linalg.solve(M[0], b[0])),
+            (density._solve(M[0], B[0].T[:r].T), np.linalg.solve(M[0], B[0][:, :r])),
+        ]
+        for ours, theirs in pairs:
+            assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+
+    @pytest.mark.parametrize("bad", [
+        [[1.0, 2.0], [2.0, 1.0]],  # indefinite: LAPACK's Cholesky fails
+        [[1.0, 1.0], [1.0, 1.0]],  # singular: a zero pivot
+        [[0.0, 0.0], [0.0, 0.0]],
+        [[1.0, 1.0], [1.0, 1.0 + 1e-15]],  # factors, L_22^2 = 1e-15 M_22
+    ])
+    def test_non_spd_or_nearly_singular_raises_without_warning(self, bad):
+        import warnings
+
+        good = np.array([[2.0, 0.5], [0.5, 1.0]])
+        for M in (np.array(bad), np.array([good, bad, good])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(RankDeficientX):
+                    density._cholesky(M)
+        assert density._cholesky(good[None]).shape == (1, 2, 2)
+
+
 class TestInvariantInformation:
     def test_equal_variance_c1_formula(self, fig1_data):
         # at the closed-form maximizer with c=1: -l'' = m (1-B)^2 + B^2
