@@ -27,8 +27,9 @@ For k <= 100 it also gives the range of the node count (both kinds) over
 every pool dataset of that size, one fit each.
 
 Each round runs one fresh interpreter per checkout, through its own ``src/``,
-alternating between the two; an interpreter fits each k once to warm up and
-then three times, keeping its fastest time per layer. The table gives the
+and the checkout that runs first alternates from round to round, so that
+drift within a round falls on both; an interpreter fits each k once to warm
+up and then three times, keeping its fastest time per layer. The table gives the
 best per layer over ROUNDS rounds (default 5), in ms, the counts, and the
 least mean time of a `derivatives` call, in us. A round takes about 5 s on
 a 2-core machine.
@@ -185,9 +186,9 @@ def main(argv=None) -> int:
             for j in range(pool if k in POOLED else 1):
                 files.append(Path(tmp) / f"k{k}-{j}.npy")
                 np.save(files[-1], workloads.cli_dataset(k, j))
-        for _ in range(rounds):
-            for name, tree in trees.items():
-                for k, row in run_tree(tree, files).items():
+        for i in range(rounds):
+            for name in list(trees)[:: 1 if i % 2 == 0 else -1]:
+                for k, row in run_tree(trees[name], files).items():
                     if k == "pool":
                         best[name][k] = row
                         continue

@@ -13,8 +13,9 @@ exact + ADM + MLE), each one `run_coverage` call. A gridpoint is split into:
   (calls of the row kernel `density.known_means_rows`), its row
   evaluations (rows over all calls), the kernel's time, and the search's
   time: the rest of the search as the gridpoint calls it
-  (`fitters._mle_known_means`, or `mle_known_means` in an older checkout:
-  `fitters._lockstep`, the search generators, the search ranges);
+  (`fitters.mle_known_means` with the sums of squares the gridpoint formed,
+  or `_mle_known_means` in a checkout that has it: `fitters._lockstep`, the
+  search generators, the search ranges);
 - `inference.shrunken_moments` and `specfun.ndtr`, the scoring's two calls;
 - rest: the remainder of `evaluate._simulate_gridpoint`, that is theta and
   y, the stacking of the fits, the scoring arithmetic and the per-(method,
@@ -22,13 +23,14 @@ exact + ADM + MLE), each one `run_coverage` call. A gridpoint is split into:
 - op: the whole `run_coverage` call, timed without the layer wrappers.
 
 Each round runs one fresh interpreter per checkout, through its own
-``src/``, alternating between the two. An interpreter runs the 100 ops once
-to warm up, three times unwrapped for op, then three times with every layer
-wrapped, keeping each op's fastest time per layer. The table gives the best
-over ROUNDS rounds (default 5), as the mean per op in microseconds. The
-kernel's wrapper adds 0.6-1.0 us a call (timeit on a 20 x 10 batch), some
-30-45 us an op, to the MLE figures. A round takes about 3 s on a 2-core
-machine.
+``src/``, and the checkout that runs first alternates from round to round,
+so that drift within a round falls on both. An interpreter runs the 100 ops
+once to warm up, three times unwrapped for op, then three times with every
+layer wrapped, keeping each op's fastest time per layer. The table gives the
+best over ROUNDS rounds (default 5), as the mean per op in microseconds.
+The kernel's wrapper adds 0.6-1.0 us a call (timeit on a 20 x 10 batch),
+some 30-45 us an op, to the MLE figures. A round takes about 3 s on a
+2-core machine.
 """
 
 from __future__ import annotations
@@ -122,8 +124,7 @@ for _ in range(3):
         best[i]["op"] = min(best[i].get("op", 1e9), clock() - t)
 evaluate._rep_rngs = draws
 evaluate._fit_replications = fits
-# the search as the gridpoint calls it: with the sums of squares it formed, or
-# forming them itself in an older checkout
+# the search as the gridpoint calls it, under the name evaluate imports
 mle = "_mle_known_means" if hasattr(evaluate, "_mle_known_means") else "mle_known_means"
 setattr(evaluate, mle, timed("mle", getattr(evaluate, mle)))
 evaluate.shrunken_moments = timed("shrunken_moments", evaluate.shrunken_moments)
@@ -163,9 +164,9 @@ def main(argv=None) -> int:
     rounds = int(args[1]) if len(args) == 2 else 5
     trees = {"this": ROOT, "other": Path(args[0]).resolve()}
     best: dict[str, dict] = {}
-    for _ in range(rounds):
-        for name, tree in trees.items():
-            got = run_tree(tree)
+    for i in range(rounds):
+        for name in list(trees)[:: 1 if i % 2 == 0 else -1]:
+            got = run_tree(trees[name])
             old = best.setdefault(name, got)
             for mine, theirs in zip(old["layers"], got["layers"]):
                 for layer, t in theirs.items():

@@ -422,12 +422,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    t_grid = _parse_grid(args.t_grid)
-    if any(t < 0.0 for t in t_grid):
-        raise CliInputError("t-grid values must be nonnegative")
     ks = args.k or evaluate.EQUAL_VARIANCE_KS
     try:
-        rows = curve_rows(ks, t_grid, r=args.r, c=args.c)
+        rows = curve_rows(ks, _parse_grid(args.t_grid), r=args.r, c=args.c)
     except ValueError as err:
         raise CliInputError(str(err)) from err
     header = ["k", "r", "c", "m", "T", "method", "B_hat", "v"]

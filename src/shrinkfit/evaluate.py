@@ -24,11 +24,12 @@ import numpy as np
 
 from .fitters import (
     FitMethod,
-    _mle_known_means,
     _newton_alpha,
     adm_moments_equal,
+    equal_variance_moments,
     exact_moments_equal,
     fit,
+    mle_known_means,
     mle_shrinkage_equal,
 )
 from .density import beta_and_projection_diag
@@ -294,11 +295,11 @@ def _fit_replications(cfg: SimConfig, method: FitMethod, y: np.ndarray, ss: list
 
     At r = 0 no per-replication dataset or posterior is built (run_coverage
     validated the design and prior before any draw): with equal variances
-    ADM and exact Bayes are closed forms in each replication's T = S/2V,
-    exact Bayes for all replications in one call, and MLE and REML run on
-    all replications at once (mle_known_means).  Both take S from ss, each
-    replication's float(y @ y), which the gridpoint forms once for all its
-    methods (None when r >= 1).  Any other pair runs the scalar `fit` on
+    ADM and exact Bayes are closed forms in each replication's T = S/2V
+    (equal_variance_moments over the replications' T), and MLE and REML run
+    on all replications at once (mle_known_means).  Both take S from ss,
+    each replication's float(y @ y), which the gridpoint forms once for all
+    its methods (None when r >= 1).  Any other pair runs the scalar `fit` on
     each replication, with beta_hat and p_ii at A_hat from
     beta_and_projection_diag when r >= 1.
     """
@@ -306,17 +307,14 @@ def _fit_replications(cfg: SimConfig, method: FitMethod, y: np.ndarray, ss: list
     V = np.asarray(cfg.V, dtype=float)
     X = _design_matrix(cfg)
     reps, k = y.shape
-    B, v = np.empty((reps, k)), np.empty((reps, k))
     if method in (FitMethod.ADM, FitMethod.EXACT) and X is None and V.max() == V.min():
         two_v = 2.0 * float(V[0])
-        m, T = 0.5 * (k - 2.0), [s / two_v for s in ss]
-        moments = (exact_moments_equal(np.array(T), m, prior.c) if method is FitMethod.EXACT
-                   else np.array([adm_moments_equal(t, m, prior.c)[:2] for t in T]).T)
-        B[:], v[:] = (x[:, None] for x in moments)
-        return B, v, 0.0, 0.0
+        B, v, _ = equal_variance_moments(method, [s / two_v for s in ss], 0.5 * (k - 2.0), prior.c)
+        return B[:, None], v[:, None], 0.0, 0.0
     if X is None and method in (FitMethod.MLE, FitMethod.REML):
-        A_hat = _mle_known_means(y, V, ss)[:, None]
+        A_hat = mle_known_means(y, V, ss)[:, None]
         return V / (V + A_hat), 0.0, 0.0, 0.0
+    B, v = np.empty((reps, k)), np.empty((reps, k))
     mean, p_diag = (0.0, 0.0) if X is None else (np.empty((reps, k)), np.empty((reps, k)))
     for i in range(reps):
         data = TwoLevelData(y[i], V, X)
@@ -489,17 +487,6 @@ class AccuracyResult:
     rows: tuple[AccuracyRow, ...]
 
 
-def _solve_T_for_exact_shrinkage(b: float, m: float) -> float:
-    """Invert the decreasing exact shrinkage curve B(T) = b by Newton in x =
-    log T from T = m/b, on the score B(e^x) - b of slope -v e^x."""
-
-    def score(x: float) -> tuple[float, float]:
-        B, v = exact_moments_equal(math.exp(x), m)
-        return float(B) - b, -float(v) * math.exp(x)
-
-    return math.exp(_newton_alpha(score, math.log(m / b), -25.0, 25.0)[0])
-
-
 def run_accuracy(
     k_values=range(3, 61),
     shrinkage_grid=None,
@@ -512,6 +499,17 @@ def run_accuracy(
 
     swept over k and a grid of exact-shrinkage levels (each level is realized
     by solving for the S+ = 2 T V that produces it); V cancels, so V = 1."""
+
+    def solve_T(b: float, m: float) -> float:
+        """Invert the decreasing exact shrinkage curve B(T) = b by Newton in
+        x = log T from T = m/b, on the score B(e^x) - b of slope -v e^x."""
+
+        def score(x: float) -> tuple[float, float]:
+            B, v = exact_moments_equal(math.exp(x), m)
+            return float(B) - b, -float(v) * math.exp(x)
+
+        return math.exp(_newton_alpha(score, math.log(m / b), -25.0, 25.0)[0])
+
     if shrinkage_grid is None:
         shrinkage_grid = [round(0.05 + 0.01 * j, 10) for j in range(91)]
     rows = []
@@ -522,7 +520,7 @@ def run_accuracy(
         for b in shrinkage_grid:
             if b >= b_max - 1e-9:
                 continue
-            T = _solve_T_for_exact_shrinkage(float(b), m)
+            T = solve_T(float(b), m)
             s_plus = 2.0 * T  # at V = 1
             B_e, v_e = (float(x) for x in exact_moments_equal(T, m))
             B_a, _, _ = adm_moments_equal(T, m, 1.0)
@@ -569,9 +567,9 @@ def curve_rows(k_values, t_grid, r: int = 0, c: float = 1.0) -> tuple[CurveRow, 
         m = 0.5 * (k - r - 2.0)
         if m + 1.0 <= c:
             raise ValueError(f"k={k}, r={r} too small for c={c}")
-        exact = zip(*(x.tolist() for x in exact_moments_equal(np.array(t_grid), m, c)))
-        for T, (B_e, v_e) in zip(t_grid, exact):
-            B_a, v_a, _ = adm_moments_equal(T, m, c)
+        exact, adm = ([x.tolist() for x in equal_variance_moments(method, t_grid, m, c)[:2]]
+                      for method in (FitMethod.EXACT, FitMethod.ADM))
+        for T, B_e, v_e, B_a, v_a in zip(t_grid, *exact, *adm):
             B_m = mle_shrinkage_equal(T, k)
             rows.append(CurveRow(k, r, c, m, T, "exact", B_e, v_e))
             rows.append(CurveRow(k, r, c, m, T, "adm", B_a, v_a))

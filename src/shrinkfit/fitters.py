@@ -35,6 +35,7 @@ __all__ = [
     "adm_beta_moments",
     "adm_moments_equal",
     "exact_moments_equal",
+    "equal_variance_moments",
     "mle_shrinkage_equal",
     "quadrature_moments",
 ]
@@ -405,6 +406,17 @@ def _equal_terms(n: float, c: float):
     return top, *arrays, K
 
 
+def equal_variance_moments(method: FitMethod, T: list[float], m: float, c: float = 1.0):
+    """Equal-variance (B, v, inv_info) of ADM or exact Bayes at each T of
+    the list T, as arrays (inv_info None for exact Bayes): one
+    exact_moments_equal call for all of T, or adm_moments_equal at each T
+    in turn, so each T's figures are those of a call on it alone.  The one
+    entry of the closed forms for fit, the simulation and the curve tables."""
+    if method is FitMethod.EXACT:
+        return (*exact_moments_equal(T, m, c), None)
+    return tuple(np.array([adm_moments_equal(t, m, c) for t in T]).reshape(-1, 3).T)
+
+
 def mle_shrinkage_equal(T: float, k: int) -> float:
     """Equal-variance MLE shrinkage min(1, k/2T), for any r: the profile
     likelihood, unlike REML's (k - r)/2T, does not count the r fitted means."""
@@ -417,48 +429,14 @@ def mle_shrinkage_equal(T: float, k: int) -> float:
 # Fitters: fit validates, the helpers it dispatches to check nothing
 
 
-def _equal_var_stats(data: TwoLevelData) -> tuple[float, float, float]:
-    V = float(data.V[0])
-    ss = residual_ss(data)
-    T = ss / (2.0 * V)
-    m = 0.5 * (data.k - data.r - 2.0)
-    return V, T, m
-
-
-def _fit_adm_equal(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
-    """Equal-variance ADM fit by the closed-form quadratic root."""
-    V, T, m = _equal_var_stats(data)
-    B, v, inv_info = adm_moments_equal(T, m, prior.c)
-    A_hat = V * (1.0 - B) / B
-    k = data.k
-    return ShrinkagePosterior(
-        A_hat=A_hat,
-        B_hat=np.full(k, B),
-        v=np.full(k, v),
-        inv_info=inv_info,
-        a1=np.full(k, inv_info / (1.0 - B)),
-        a0=np.full(k, inv_info / B),
-        boundary=False,
-        method=FitMethod.ADM,
-    )
-
-
-def _fit_adm(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
+def _fit_adm(data: TwoLevelData, prior: PriorSpec):
     """ADM fit by numerical maximization of the adjusted log-density over
-    alpha = log A; handles any r >= 0 and unequal variances."""
+    alpha = log A; handles any r >= 0 and unequal variances.  Returns
+    (A_hat, B_hat, v, inv_info)."""
     ell = AdjustedLogDensity(data, prior)
     (alpha0, lo, hi), = _search_range(data.V, [ell.residual_ss()], data.k - data.r)
     B, v, alpha_hat, inv_info = adm_beta_moments(ell.derivatives, alpha0, V=data.V, lo=lo, hi=hi)
-    return ShrinkagePosterior(
-        A_hat=math.exp(alpha_hat),
-        B_hat=B,
-        v=v,
-        inv_info=inv_info,
-        a1=inv_info / (1.0 - B),
-        a0=inv_info / B,
-        boundary=False,
-        method=FitMethod.ADM,
-    )
+    return math.exp(alpha_hat), B, v, inv_info
 
 
 def _plugin_alpha(ell: AdjustedLogDensity, alpha0: float, lo: float, hi: float):
@@ -489,20 +467,18 @@ def _plugin_A(alpha_hat: float | None, V: np.ndarray) -> float:
     return 0.0 if A < float(V.min()) * _BOUNDARY_REL else A
 
 
-def mle_known_means(resid: np.ndarray, V: np.ndarray) -> np.ndarray:
+def mle_known_means(resid: np.ndarray, V: np.ndarray, ss: list[float] | None = None) -> np.ndarray:
     """MLE's A_hat at r = 0 (REML's too), 0 on the A = 0 boundary, for each
     row of resid = y - mu, an (n, k) array; the data are not checked.  Each
     row runs _maximize_alpha, all in lockstep on density.known_means_rows,
-    so a row's A_hat does not depend on the other rows.  A round passes the
-    kernel e2 itself while every row is still searching, and the live rows'
-    copy e2[rows] only after one has ended; the values go back as Python
-    floats, on which the searches' scalar arithmetic is fastest."""
-    return _mle_known_means(resid, V, [float(ss) for ss in map(np.dot, resid, resid)])
-
-
-def _mle_known_means(resid: np.ndarray, V: np.ndarray, ss: list[float]) -> np.ndarray:
-    """mle_known_means given each row's sum of squares, ss[i] =
-    float(np.dot(resid[i], resid[i])), which sets its search range."""
+    so a row's A_hat does not depend on the other rows.  ss[i], when given,
+    is float(np.dot(resid[i], resid[i])), which sets row i's search range.
+    A round passes the kernel e2 itself while every row is still searching,
+    and the live rows' copy e2[rows] only after one has ended; the values go
+    back as Python floats, on which the searches' scalar arithmetic is
+    fastest."""
+    if ss is None:
+        ss = [float(s) for s in map(np.dot, resid, resid)]
     e2 = resid * resid
     n = len(resid)
     starts = _search_range(V, ss, resid.shape[1])
@@ -513,43 +489,21 @@ def _mle_known_means(resid: np.ndarray, V: np.ndarray, ss: list[float]) -> np.nd
     return np.array([_plugin_A(a, V) for a in alphas])
 
 
-def _fit_plugin(data: TwoLevelData, method: FitMethod) -> ShrinkagePosterior:
+def _fit_plugin(data: TwoLevelData, method: FitMethod):
     """Shared MLE/REML driver: maximize the c = 0 member of the log-density
     family over alpha, with beta maximized out (MLE) or integrated out
     (REML), detect the A = 0 boundary (A below min(V) * 1e-10), then plug in
     (v = 0 convention).  At r >= 1 both find alpha by Newton on the A-score
     (_plugin_alpha); at r = 0, where they are one objective, by bracket,
-    Brent and polish as a batch of one row (mle_known_means)."""
+    Brent and polish as a batch of one row (mle_known_means).  Returns
+    (A_hat, B_hat, v, None)."""
     if data.r == 0:
         A_hat = float(mle_known_means((data.y - data.mu)[None, :], data.V)[0])
     else:
         ell = AdjustedLogDensity(data, PriorSpec(0.0), restricted=method is FitMethod.REML)
         (alpha0, lo, hi), = _search_range(data.V, [ell.residual_ss()], data.k - data.r)
         A_hat = _plugin_A(_plugin_alpha(ell, alpha0, lo, hi), data.V)
-    return ShrinkagePosterior(
-        A_hat=A_hat,
-        B_hat=data.V / (data.V + A_hat),  # all ones at A_hat = 0
-        v=np.zeros(data.k),
-        inv_info=None,
-        boundary=A_hat == 0.0,
-        method=method,
-    )
-
-
-def _fit_exact_equal(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
-    """Exact posterior moments of B for equal variances at any c, in closed
-    form (exact_moments_equal)."""
-    V, T, m = _equal_var_stats(data)
-    B, v = (float(x) for x in exact_moments_equal(T, m, prior.c))
-    k = data.k
-    return ShrinkagePosterior(
-        A_hat=V * (1.0 - B) / B,
-        B_hat=np.full(k, B),
-        v=np.full(k, v),
-        inv_info=None,
-        boundary=False,
-        method=FitMethod.EXACT,
-    )
+    return A_hat, data.V / (data.V + A_hat), np.zeros(data.k), None  # B all ones at A_hat = 0
 
 
 def quadrature_moments(
@@ -730,7 +684,7 @@ def _panels(ell: AdjustedLogDensity, center: float, inv_info: float):
     return edges[:-1][keep], edges[1:][keep], shift, ends
 
 
-def _fit_exact(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
+def _fit_exact(data: TwoLevelData, prior: PriorSpec):
     """Exact posterior mean and variance of each B_i by quadrature of the
     posterior of alpha = log A (which, including the Jacobian, is the
     adjusted density): the mode is found by Newton on the closed-form
@@ -740,20 +694,13 @@ def _fit_exact(data: TwoLevelData, prior: PriorSpec) -> ShrinkagePosterior:
     matters, out to A = 0 and A = infinity.  It walks the panel edges
     outward with the block evaluation AdjustedLogDensity.on_nodes, and
     evaluates the kept nodes by AdjustedLogDensity.power_sums where its rho
-    guard allows, by on_nodes blocks otherwise.  A_hat is the mode.
+    guard allows, by on_nodes blocks otherwise.  Returns (A_hat, B_hat, v,
+    inv_info): A_hat is the mode and inv_info the curvature there.
     """
     ell = AdjustedLogDensity(data, prior)
     (alpha0, lo, hi), = _search_range(data.V, [ell.residual_ss()], data.k - data.r)
     alpha_hat, _, d2 = _newton_alpha(ell.derivatives, alpha0, lo, hi)
-    EB, v = quadrature_moments(ell, alpha_hat, -d2)
-    return ShrinkagePosterior(
-        A_hat=math.exp(alpha_hat),
-        B_hat=EB,
-        v=v,
-        inv_info=None,
-        boundary=False,
-        method=FitMethod.EXACT,
-    )
+    return math.exp(alpha_hat), *quadrature_moments(ell, alpha_hat, -d2), -d2
 
 
 def fit(data: TwoLevelData, prior: PriorSpec, method: FitMethod) -> ShrinkagePosterior:
@@ -761,20 +708,41 @@ def fit(data: TwoLevelData, prior: PriorSpec, method: FitMethod) -> ShrinkagePos
 
     validate runs once: for ADM and exact Bayes it raises NonpositiveC
     unless c > 0 and TooFewUnits when k - r <= 2c (at any V); MLE and REML
-    ignore the prior and raise TooFewUnits when k <= r.  Equal variances take the closed forms of ADM and exact Bayes (at
-    any c); otherwise ADM finds its mode by Newton and exact Bayes integrates
-    over A by quadrature.
+    ignore the prior and raise TooFewUnits when k <= r.  Equal variances
+    take the closed forms of ADM and exact Bayes (equal_variance_moments,
+    at any c); otherwise ADM finds its mode by Newton and exact Bayes
+    integrates over A by quadrature.
 
     MLE maximizes the likelihood of the known-means model when r = 0 and the
     profile likelihood (beta maximized out) when r >= 1; REML the marginal
     density of A after integrating beta against a flat prior, which is the
     same objective at r = 0.  Their boundary estimate A_hat = 0 is reported
     exactly, with B_hat = 1 and the plug-in convention v = 0.
+
+    The fitters return (A_hat, B_hat, v, inv_info); what each method reports
+    is set here alone: inv_info and the Beta parameters a1 = inv_info/(1 - B),
+    a0 = inv_info/B for ADM only, and the boundary flag for MLE and REML.
     """
     plugin = method is FitMethod.MLE or method is FitMethod.REML
+    adm = method is FitMethod.ADM
     validate(data, PriorSpec() if plugin else prior, method)
     if plugin:
-        return _fit_plugin(data, method)
-    if method is FitMethod.ADM:
-        return (_fit_adm_equal if data.equal_variances else _fit_adm)(data, prior)
-    return (_fit_exact_equal if data.equal_variances else _fit_exact)(data, prior)
+        A_hat, B, v, inv_info = _fit_plugin(data, method)
+    elif data.equal_variances:
+        V, k = float(data.V[0]), data.k
+        T = residual_ss(data) / (2.0 * V)
+        moments = equal_variance_moments(method, [T], 0.5 * (k - data.r - 2.0), prior.c)
+        B, v, inv_info = (None if x is None else float(x[0]) for x in moments)
+        A_hat, B, v = V * (1.0 - B) / B, np.full(k, B), np.full(k, v)
+    else:
+        A_hat, B, v, inv_info = (_fit_adm if adm else _fit_exact)(data, prior)
+    return ShrinkagePosterior(
+        A_hat=A_hat,
+        B_hat=B,
+        v=v,
+        inv_info=inv_info if adm else None,
+        a1=inv_info / (1.0 - B) if adm else None,
+        a0=inv_info / B if adm else None,
+        boundary=plugin and A_hat == 0.0,
+        method=method,
+    )

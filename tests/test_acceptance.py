@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from shrinkfit import FitMethod, PriorSpec, TwoLevelData
+from shrinkfit import FitMethod, PriorSpec, TwoLevelData, fit
 from shrinkfit.density import AdjustedLogDensity, residual_ss
 from shrinkfit.evaluate import (
     equal_variance_config,
@@ -21,7 +21,7 @@ from shrinkfit.evaluate import (
     two_group_config,
     two_group_grid,
 )
-from shrinkfit.fitters import _fit_adm, _fit_adm_equal, _fit_exact, _fit_exact_equal, adm_beta_moments
+from shrinkfit.fitters import _fit_adm, _fit_exact, adm_beta_moments
 
 SEED = 20110607
 EQUAL_KS = (4, 10, 20)
@@ -70,10 +70,10 @@ def test_criterion_1_closed_form_vs_general_optimizer():
     worst_b = worst_v = 0.0
     for _ in range(1000):
         data, prior = _random_equal_dataset(rng)
-        closed = _fit_adm_equal(data, prior)
-        general = _fit_adm(data, prior)
-        worst_b = max(worst_b, float(np.max(np.abs(closed.B_hat - general.B_hat))))
-        worst_v = max(worst_v, float(np.max(np.abs(closed.v - general.v))))
+        closed = fit(data, prior, FitMethod.ADM)
+        _, B, v, _ = _fit_adm(data, prior)
+        worst_b = max(worst_b, float(np.max(np.abs(closed.B_hat - B))))
+        worst_v = max(worst_v, float(np.max(np.abs(closed.v - v))))
     elapsed = time.monotonic() - t0
     ok = worst_b <= 1e-8 and worst_v <= 1e-6 and elapsed < 10.0
     report(
@@ -91,10 +91,10 @@ def test_criterion_2_exact_formula_vs_quadrature():
     for _ in range(200):
         data, _ = _random_equal_dataset(rng, c_choices=(1.0,))
         prior = PriorSpec(c=1.0)
-        closed = _fit_exact_equal(data, prior)
-        quad = _fit_exact(data, prior)
-        worst_b = max(worst_b, float(np.max(np.abs(closed.B_hat - quad.B_hat))))
-        worst_v = max(worst_v, float(np.max(np.abs(closed.v - quad.v))))
+        closed = fit(data, prior, FitMethod.EXACT)
+        _, B, v, _ = _fit_exact(data, prior)
+        worst_b = max(worst_b, float(np.max(np.abs(closed.B_hat - B))))
+        worst_v = max(worst_v, float(np.max(np.abs(closed.v - v))))
     elapsed = time.monotonic() - t0
     ok = worst_b <= 1e-7 and worst_v <= 1e-7 and elapsed < 30.0
     report(
@@ -297,7 +297,7 @@ def test_criterion_9_identity_checks():
         data = TwoLevelData(y, V, X)
         prior = PriorSpec(c=1.0)
         ell = AdjustedLogDensity(data, prior)
-        a_hat = math.log(_fit_adm(data, prior).A_hat)
+        a_hat = math.log(_fit_adm(data, prior)[0])
         i = int(rng.integers(0, k))
         V_i = float(V[i])
 
@@ -321,7 +321,7 @@ def test_criterion_9_identity_checks():
     for _ in range(500):
         data, prior = _random_equal_dataset(rng2)
         V = float(data.V[0])
-        shr = _fit_adm_equal(data, prior)
+        shr = fit(data, prior, FitMethod.ADM)
         T = residual_ss(data) / (2.0 * V)
         m = 0.5 * (data.k - data.r - 2.0)
         c = prior.c

@@ -742,8 +742,12 @@ class TestCurves:
         for r in exact:
             assert 0.0 < float(r["B_hat"]) < 1.0 and float(r["v"]) > 0.0
 
-    def test_negative_T_exits_2(self, capsys):
-        assert main(["curves", "--t-grid=-1,2"]) == 2
+    @pytest.mark.parametrize("T", ["-1", "nan", "inf"])
+    def test_negative_T_exits_2(self, tmp_path, capsys, T):
+        out = tmp_path / "curves.csv"
+        assert main(["curves", f"--t-grid={T},2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "T must be finite and nonnegative\n"
+        assert not out.exists()
 
     def test_k_too_small_for_c_exits_2(self, capsys):
         assert main(["curves", "--k", "4", "--c", "2.5", "--t-grid", "1"]) == 2

@@ -37,9 +37,7 @@ from shrinkfit.density import (
 from shrinkfit import density, fitters
 from shrinkfit.fitters import (
     _fit_adm,
-    _fit_adm_equal,
     _fit_exact,
-    _fit_exact_equal,
     _GL_NODES,
     _TAIL_NODES,
     _brent,
@@ -49,6 +47,7 @@ from shrinkfit.fitters import (
     _search_range,
     adm_beta_moments,
     adm_moments_equal,
+    equal_variance_moments,
     exact_moments_equal,
     mle_known_means,
     quadrature_moments,
@@ -58,12 +57,12 @@ from shrinkfit.fitters import (
 class TestAdmEqual:
     def test_maximum_shrinkage_at_T0(self):
         data = TwoLevelData(np.zeros(4), np.ones(4))  # S+ = 0
-        shr = _fit_adm_equal(data, PriorSpec(c=1.0))
+        shr = fit(data, PriorSpec(c=1.0), FitMethod.ADM)
         assert shr.B_hat[0] == pytest.approx(0.5, abs=1e-15)  # m/(m+1), m=1
         assert shr.boundary is False
 
     def test_fig1_value(self, fig1_data):
-        shr = _fit_adm_equal(fig1_data, PriorSpec(c=1.0))
+        shr = fit(fig1_data, PriorSpec(c=1.0), FitMethod.ADM)
         expected = 8.0 / (9.0 + math.sqrt(17.0))  # closed form at T=4, m=4
         assert shr.B_hat[0] == pytest.approx(expected, rel=1e-14)
         assert shr.A_hat == pytest.approx((1 - expected) / expected, rel=1e-12)
@@ -82,7 +81,7 @@ class TestAdmEqual:
         for _ in range(20):
             c = float(rng.choice([0.5, 1.0, 2.0]))
             data = equal_dataset_factory(rng, k=int(rng.integers(4 + int(2 * c), 30)))
-            shr = _fit_adm_equal(data, PriorSpec(c=c))
+            shr = fit(data, PriorSpec(c=c), FitMethod.ADM)
             m = (data.k - data.r - 2) / 2
             cap = 1.0 - c / (m + 1.0)
             assert np.all(shr.B_hat <= cap + 1e-12)
@@ -95,7 +94,7 @@ class TestAdmEqual:
             c = float(rng.choice([0.5, 1.0]))
             data = equal_dataset_factory(rng)
             V = float(data.V[0])
-            shr = _fit_adm_equal(data, PriorSpec(c=c))
+            shr = fit(data, PriorSpec(c=c), FitMethod.ADM)
             T = residual_ss(data) / (2 * V)
             m = (data.k - 2) / 2
             A = shr.A_hat
@@ -103,7 +102,7 @@ class TestAdmEqual:
             assert abs(resid) <= 1e-9 * V * V * max(1.0, (A / V) ** 2)
 
     def test_beta_parameters_recover_moments(self, fig1_data):
-        shr = _fit_adm_equal(fig1_data, PriorSpec(c=1.0))
+        shr = fit(fig1_data, PriorSpec(c=1.0), FitMethod.ADM)
         a1, a0 = shr.a1[0], shr.a0[0]
         B = shr.B_hat[0]
         assert a1 / (a1 + a0) == pytest.approx(B, rel=1e-13)
@@ -124,16 +123,16 @@ class TestAdmGeneral:
             r = int(rng.integers(0, 2))
             c = float(rng.choice([0.5, 1.0]))
             data = equal_dataset_factory(rng, r=r)
-            closed = _fit_adm_equal(data, PriorSpec(c=c))
-            general = _fit_adm(data, PriorSpec(c=c))
-            assert np.max(np.abs(closed.B_hat - general.B_hat)) <= 1e-8
-            assert np.max(np.abs(closed.v - general.v)) <= 1e-6
-            assert general.inv_info == pytest.approx(closed.inv_info, abs=1e-6)
+            closed = fit(data, PriorSpec(c=c), FitMethod.ADM)
+            _, B, v, inv_info = _fit_adm(data, PriorSpec(c=c))
+            assert np.max(np.abs(closed.B_hat - B)) <= 1e-8
+            assert np.max(np.abs(closed.v - v)) <= 1e-6
+            assert inv_info == pytest.approx(closed.inv_info, abs=1e-6)
 
     def test_two_group_ordering(self, two_group_data):
-        shr = _fit_adm(two_group_data, PriorSpec())
-        assert shr.B_hat[0] < shr.B_hat[5]  # smaller V shrinks less
-        assert np.all((shr.B_hat > 0) & (shr.B_hat < 1))
+        _, B, _, _ = _fit_adm(two_group_data, PriorSpec())
+        assert B[0] < B[5]  # smaller V shrinks less
+        assert np.all((B > 0) & (B < 1))
 
     def test_relative_shrinkage_noise_shrinks_with_k(self):
         # median v_i / B_i^2 decreases roughly like 1/k
@@ -145,8 +144,8 @@ class TestAdmGeneral:
             for _ in range(5):
                 V = rng.uniform(0.5, 2.0, k)
                 y = rng.normal(0, np.sqrt(V + A))
-                shr = _fit_adm(TwoLevelData(y, V), PriorSpec())
-                vals.append(np.median(shr.v / shr.B_hat**2))
+                _, B, v, _ = _fit_adm(TwoLevelData(y, V), PriorSpec())
+                vals.append(np.median(v / B**2))
             medians.append(np.median(vals))
         assert medians[0] > medians[1] > medians[2]
 
@@ -157,9 +156,9 @@ class TestAdmGeneral:
         y = mu + rng.normal(0, 1.5, k)
         data = TwoLevelData(y, np.ones(k), mu=mu)
         shifted = TwoLevelData(y - mu, np.ones(k))
-        a = _fit_adm(data, PriorSpec(c=1.0))
-        b = _fit_adm(shifted, PriorSpec(c=1.0))
-        assert a.A_hat == pytest.approx(b.A_hat, rel=1e-10)
+        a = _fit_adm(data, PriorSpec(c=1.0))[0]
+        b = _fit_adm(shifted, PriorSpec(c=1.0))[0]
+        assert a == pytest.approx(b, rel=1e-10)
 
 
     def test_gradient_vanishes_at_maximizer(self, two_group_data, unequal_dataset_factory):
@@ -169,11 +168,11 @@ class TestAdmGeneral:
             for c in rng.choice([0.5, 1.0, 1.5], 10)
         ]
         for data, c in cases:
-            shr = _fit_adm(data, PriorSpec(c=c))
+            A_hat, _, _, inv_info = _fit_adm(data, PriorSpec(c=c))
             ell = AdjustedLogDensity(data, PriorSpec(c=c))
-            d1, d2 = ell.derivatives(math.log(shr.A_hat))
+            d1, d2 = ell.derivatives(math.log(A_hat))
             assert abs(d1) <= 1e-6
-            assert shr.inv_info == -d2
+            assert inv_info == -d2
 
 
 class TestBetaRecovery:
@@ -249,7 +248,7 @@ class TestMle:
 
     def test_mle_attains_full_shrinkage_adm_does_not(self, fig1_data):
         assert np.all(fit(fig1_data, PriorSpec(), FitMethod.MLE).B_hat == 1.0)
-        adm = _fit_adm_equal(fig1_data, PriorSpec())
+        adm = fit(fig1_data, PriorSpec(), FitMethod.ADM)
         m = (fig1_data.k - 2) / 2
         assert np.all(adm.B_hat <= 1.0 - 1.0 / (m + 1.0) + 1e-12)
 
@@ -289,8 +288,7 @@ class TestReml:
             r = int(rng.integers(0, 3))
             data = factory(rng, r=r)
             reml = fit(data, PriorSpec(), FitMethod.REML)
-            adm = _fit_adm(data, PriorSpec(c=1.0))
-            assert reml.A_hat <= adm.A_hat + 1e-9
+            assert reml.A_hat <= _fit_adm(data, PriorSpec(c=1.0))[0] + 1e-9
 
 
 def known_means_rows_data(V: np.ndarray, n: int, seed: int) -> np.ndarray:
@@ -546,7 +544,7 @@ def exact_mean_by_posterior_integral(T: float, m: float) -> float:
 class TestExactEqual:
     def test_T0_limit(self):
         data = TwoLevelData(np.zeros(10), np.ones(10))
-        shr = _fit_exact_equal(data, PriorSpec(c=1.0))
+        shr = fit(data, PriorSpec(c=1.0), FitMethod.EXACT)
         m = 4.0
         assert shr.B_hat[0] == m / (m + 1.0)
         assert shr.v[0] == pytest.approx(m / ((m + 1) ** 2 * (m + 2)), rel=1e-14)
@@ -562,7 +560,7 @@ class TestExactEqual:
         assert B == pytest.approx(m / 1e6, rel=1e-8)
 
     def test_fig1_against_quadrature_oracles(self, fig1_data):
-        shr = _fit_exact_equal(fig1_data, PriorSpec(c=1.0))
+        shr = fit(fig1_data, PriorSpec(c=1.0), FitMethod.EXACT)
         # chi-square CDF ratio via quadrature of the two densities
         from test_specfun import chi2_cdf_by_quadrature
 
@@ -626,9 +624,10 @@ class TestExactEqual:
         m = 0.5 * (k - 2.0)
         for T in (1.0, 49.9, 0.5 * (m + 1.0), 0.9 * (m + 1.0), m + 1.0):
             data = TwoLevelData(np.full(k, math.sqrt(2.0 * T / k)), np.ones(k))
-            shr, quad = fit(data, PriorSpec(c), FitMethod.EXACT), _fit_exact(data, PriorSpec(c))
-            assert np.max(np.abs(shr.B_hat - quad.B_hat) / quad.B_hat) <= 1e-9
-            assert np.max(np.abs(shr.v - quad.v) / quad.v) <= 1e-8
+            shr = fit(data, PriorSpec(c), FitMethod.EXACT)
+            _, B, v, _ = _fit_exact(data, PriorSpec(c))
+            assert np.max(np.abs(shr.B_hat - B) / B) <= 1e-9
+            assert np.max(np.abs(shr.v - v) / v) <= 1e-8
 
 
 def large_k_unequal_data() -> TwoLevelData:
@@ -724,9 +723,9 @@ class TestNewton:
     @pytest.mark.parametrize("decades, log10_A, k, r", HOSTILE_DESIGNS)
     def test_hostile_designs(self, decades, log10_A, k, r):
         data, prior = hostile_design(decades, log10_A, k, r)
-        adm = _fit_adm(data, prior)
+        A_hat = _fit_adm(data, prior)[0]
         ell = AdjustedLogDensity(data, prior)
-        assert abs(ell.derivatives(math.log(adm.A_hat))[0]) <= HOSTILE_SCORE_TOL
+        assert abs(ell.derivatives(math.log(A_hat))[0]) <= HOSTILE_SCORE_TOL
         if r == 0:
             return  # MLE and REML keep bracket, Brent and polish at r = 0
         # MLE's and REML's A = 0 verdict is the sign of the A-score l'/A at
@@ -762,16 +761,16 @@ class TestExactQuadrature:
         rng = np.random.default_rng(29)
         for _ in range(10):
             data = equal_dataset_factory(rng, r=int(rng.integers(0, 2)))
-            e = _fit_exact_equal(data, PriorSpec(c=1.0))
-            q = _fit_exact(data, PriorSpec(c=1.0))
-            assert np.max(np.abs(e.B_hat - q.B_hat)) <= 1e-7
-            assert np.max(np.abs(e.v - q.v)) <= 1e-7
+            e = fit(data, PriorSpec(c=1.0), FitMethod.EXACT)
+            _, B, v, _ = _fit_exact(data, PriorSpec(c=1.0))
+            assert np.max(np.abs(e.B_hat - B)) <= 1e-7
+            assert np.max(np.abs(e.v - v)) <= 1e-7
 
     def test_posterior_normalizes(self, two_group_data):
         prior = PriorSpec(c=1.0)
-        shr = _fit_exact(two_group_data, prior)
+        A_hat, B, _, _ = _fit_exact(two_group_data, prior)
         ell = AdjustedLogDensity(two_group_data, prior)
-        a_hat = math.log(shr.A_hat)
+        a_hat = math.log(A_hat)
         l_max = ell(a_hat)
         Z = integrate.quad(
             lambda a: math.exp(ell(a) - l_max), a_hat - 40, a_hat + 40, epsabs=0,
@@ -788,7 +787,7 @@ class TestExactQuadrature:
             * math.exp(ell(a) - l_max) / Z,
             a_hat - 40, a_hat + 40, epsabs=0, epsrel=1e-10, limit=400,
         )[0]
-        assert shr.B_hat[0] == pytest.approx(EB1, rel=1e-8)
+        assert B[0] == pytest.approx(EB1, rel=1e-8)
 
     def test_mle_shrinks_more_than_exact_two_group(self):
         rng = np.random.default_rng(31)
@@ -799,10 +798,10 @@ class TestExactQuadrature:
             y = theta + rng.normal(0, np.sqrt(V))
             data = TwoLevelData(y, V, np.ones((10, 1)))
             mle = fit(data, PriorSpec(), FitMethod.MLE)
-            exact = _fit_exact(data, PriorSpec(c=1.0))
-            adm = _fit_adm(data, PriorSpec(c=1.0))
-            assert np.all(mle.B_hat >= exact.B_hat - 1e-9)
-            assert np.all(mle.B_hat >= adm.B_hat - 1e-9)
+            B_exact = _fit_exact(data, PriorSpec(c=1.0))[1]
+            B_adm = _fit_adm(data, PriorSpec(c=1.0))[1]
+            assert np.all(mle.B_hat >= B_exact - 1e-9)
+            assert np.all(mle.B_hat >= B_adm - 1e-9)
 
     def test_equal_variance_c_half_matches_curve_quadrature(self):
         # the curve tables integrate the closed-form alpha-posterior of
@@ -810,20 +809,20 @@ class TestExactQuadrature:
         # the same T and m (V = 1, r = 0, k = 10, so m = 4)
         T, k = 3.0, 10
         data = TwoLevelData(np.full(k, math.sqrt(2.0 * T / k)), np.ones(k))
-        shr = _fit_exact(data, PriorSpec(c=0.5))
+        _, B_q, v_q, _ = _fit_exact(data, PriorSpec(c=0.5))
         B, v = exact_moments_equal(T, 0.5 * (k - 2.0), 0.5)
-        assert shr.B_hat[0] == pytest.approx(B, abs=1e-9)
-        assert shr.v[0] == pytest.approx(v, abs=1e-9)
+        assert B_q[0] == pytest.approx(B, abs=1e-9)
+        assert v_q[0] == pytest.approx(v, abs=1e-9)
 
     def test_large_k_unequal_variances_is_finite(self):
         # at k = 1e5 the posterior of alpha is ~0.01 wide inside the +-40
         # quadrature interval; the fit must still sample its peak
         data = large_k_unequal_data()
-        exact = _fit_exact(data, PriorSpec(c=1.0))
-        adm = _fit_adm(data, PriorSpec(c=1.0))
-        assert np.all(np.isfinite(exact.B_hat))
-        assert np.all((exact.B_hat > 0.0) & (exact.B_hat < 1.0))
-        assert np.max(np.abs(exact.B_hat - adm.B_hat)) <= 1e-4
+        B_exact = _fit_exact(data, PriorSpec(c=1.0))[1]
+        B_adm = _fit_adm(data, PriorSpec(c=1.0))[1]
+        assert np.all(np.isfinite(B_exact))
+        assert np.all((B_exact > 0.0) & (B_exact < 1.0))
+        assert np.max(np.abs(B_exact - B_adm)) <= 1e-4
 
     def test_large_k_memory_is_bounded(self):
         # the block passes are chunked, so the peak does not grow with the
@@ -843,10 +842,10 @@ class TestExactQuadrature:
         # fixed rule's B within 1e-10 relative of a 32000-node rule (the
         # rule without its panel-width cap is off by up to 1e-4 here)
         data, prior = hostile_design(decades, log10_A, k, r)
-        shr = _fit_exact(data, prior)
+        A_hat, B_hat, _, _ = _fit_exact(data, prior)
         ell = AdjustedLogDensity(data, prior)
-        B = fine_grid_B(ell, math.log(shr.A_hat), data.V)
-        assert np.max(np.abs(shr.B_hat - B) / B) <= 1e-10
+        B = fine_grid_B(ell, math.log(A_hat), data.V)
+        assert np.max(np.abs(B_hat - B) / B) <= 1e-10
 
     def test_narrow_peak_needs_its_breakpoints(self):
         # a peak of width ~1e-5 at 0: with no curvature to place breakpoints
@@ -942,25 +941,25 @@ class TestSlowTails:
     @pytest.mark.parametrize("k, r, c", SLOW_TAILS)
     def test_unequal_variances_against_a_reference_integral(self, k, r, c):
         data, prior = slow_tail_data(k, r, equal=False), PriorSpec(c)
-        shr = _fit_exact(data, prior)
-        B, v = reference_moments(AdjustedLogDensity(data, prior), math.log(shr.A_hat))
-        assert np.max(np.abs(shr.B_hat - B) / B) <= 1e-9
-        assert np.max(np.abs(shr.v - v) / v) <= 1e-8
+        A_hat, B_hat, v_hat, _ = _fit_exact(data, prior)
+        B, v = reference_moments(AdjustedLogDensity(data, prior), math.log(A_hat))
+        assert np.max(np.abs(B_hat - B) / B) <= 1e-9
+        assert np.max(np.abs(v_hat - v) / v) <= 1e-8
 
     @pytest.mark.parametrize("k, r, c", SLOW_TAILS)
     def test_equal_variances_against_the_kummer_form(self, k, r, c):
         # the posterior of B is proportional to B^(a-1) (1 - B)^(c-1) e^(-TB),
         # a = m - c, so E[B^j] is a ratio of Kummer functions 1F1
         data = slow_tail_data(k, r, equal=True)
-        shr = _fit_exact(data, PriorSpec(c))
+        _, B_hat, v_hat, _ = _fit_exact(data, PriorSpec(c))
         T = residual_ss(data) / (2.0 * 1.3)
         a, n = 0.5 * (k - r) - c, 0.5 * (k - r)
         M0 = hyp1f1(a, n, -T)
         B = a / n * hyp1f1(a + 1.0, n + 1.0, -T) / M0
         B2 = a * (a + 1.0) / (n * (n + 1.0)) * hyp1f1(a + 2.0, n + 2.0, -T) / M0
         assert 1.0 < T < 20.0
-        assert np.max(np.abs(shr.B_hat - B)) <= 1e-9 * B
-        assert np.max(np.abs(shr.v - (B2 - B * B))) <= 1e-8 * (B2 - B * B)
+        assert np.max(np.abs(B_hat - B)) <= 1e-9 * B
+        assert np.max(np.abs(v_hat - (B2 - B * B))) <= 1e-8 * (B2 - B * B)
 
 
 class EveryEdge(AdjustedLogDensity):
@@ -1078,8 +1077,8 @@ class TestEdgeWalk:
 
 
 def exact_fit_paths(data: TwoLevelData, prior: PriorSpec, monkeypatch):
-    """The exact fit with its node pass by power sums and by blocks (forced
-    by a zero term cap), and what the first did: the J that power_sums
+    """The exact fit's (B_hat, v) with its node pass by power sums and by
+    blocks (forced by a zero term cap), and what the first did: the J that power_sums
     returned (None when it declined) and the sizes of its on_nodes calls."""
     terms, sizes = [], []
     power_sums, on_nodes = AdjustedLogDensity.power_sums, AdjustedLogDensity.on_nodes
@@ -1096,18 +1095,19 @@ def exact_fit_paths(data: TwoLevelData, prior: PriorSpec, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(AdjustedLogDensity, "power_sums", counted_sums)
         patch.setattr(AdjustedLogDensity, "on_nodes", counted_nodes)
-        sums = _fit_exact(data, prior)
+        sums = _fit_exact(data, prior)[1:3]
     with monkeypatch.context() as patch:
         patch.setattr(density, "SERIES_TERMS", 0)
-        blocks = _fit_exact(data, prior)
+        blocks = _fit_exact(data, prior)[1:3]
     return sums, blocks, terms, sizes
 
 
 def assert_close_to_blocks(sums, blocks):
     # bounds fixed before the first run; the worst seen is 1.4e-11 (B_hat)
     # and 1.4e-9 (v), at r = 3 with X beta offset by 1e6
-    assert np.max(np.abs(sums.B_hat - blocks.B_hat) / blocks.B_hat) <= 1e-10
-    assert np.max(np.abs(sums.v - blocks.v) / blocks.v) <= 1e-8
+    (B_sums, v_sums), (B, v) = sums, blocks
+    assert np.max(np.abs(B_sums - B) / B) <= 1e-10
+    assert np.max(np.abs(v_sums - v) / v) <= 1e-8
 
 
 class TestPowerSums:
@@ -1153,7 +1153,7 @@ class TestPowerSums:
                 cli_pool_dataset(k, j), PriorSpec(1.0), monkeypatch)
             # the edges' one call and the nodes' one call
             assert terms == [None] and len(sizes) == 2 and sizes[1] % fitters._GL_NODES == 0
-            assert np.array_equal(sums.B_hat, blocks.B_hat) and np.array_equal(sums.v, blocks.v)
+            assert all(map(np.array_equal, sums, blocks))
 
     def test_pivot_test_raises_rank_deficient(self, monkeypatch):
         # _gls at the mode is let through without its pivot test, so that only
@@ -1177,8 +1177,8 @@ def adm_loss_ratio(data: TwoLevelData) -> float:
     estimates' squared distance from the exact ones over the exact posterior
     variances, sum (theta_adm - theta_exact)^2 / sum s2_exact (c = 1)."""
     prior = PriorSpec(c=1.0)
-    exact = random_effects(data, _fit_exact(data, prior))
-    adm = random_effects(data, _fit_adm(data, prior))
+    exact = random_effects(data, fit(data, prior, FitMethod.EXACT))
+    adm = random_effects(data, fit(data, prior, FitMethod.ADM))
     return float(np.sum((adm.theta_hat - exact.theta_hat) ** 2) / np.sum(exact.s2))
 
 
@@ -1274,8 +1274,72 @@ class TestDispatcherAndInvariants:
         rng = np.random.default_rng(37)
         V = np.sort(rng.uniform(0.2, 6.0, 8))
         y = rng.normal(0, 2.0, 8)
-        shr = _fit_adm(TwoLevelData(y, V), PriorSpec())
-        assert np.all(np.diff(shr.B_hat) > 0.0)
+        _, B, _, _ = _fit_adm(TwoLevelData(y, V), PriorSpec())
+        assert np.all(np.diff(B) > 0.0)
+
+
+
+def assert_reports(shr: ShrinkagePosterior, method: FitMethod) -> None:
+    """What `method` reports: inv_info and the Beta parameters a1 =
+    inv_info/(1 - B), a0 = inv_info/B (bit for bit) for ADM only; v = 0 and
+    the boundary flag, set exactly when A_hat == 0, for MLE and REML only."""
+    assert shr.method is method
+    if method is FitMethod.ADM:
+        assert shr.inv_info > 0.0
+        assert shr.a1.tobytes() == (shr.inv_info / (1.0 - shr.B_hat)).tobytes()
+        assert shr.a0.tobytes() == (shr.inv_info / shr.B_hat).tobytes()
+    else:
+        assert shr.inv_info is None and shr.a1 is None and shr.a0 is None
+    if method in (FitMethod.MLE, FitMethod.REML):
+        assert np.all(shr.v == 0.0)
+        assert shr.boundary == (shr.A_hat == 0.0)
+    else:
+        assert shr.boundary is False and shr.A_hat > 0.0 and np.all(shr.v > 0.0)
+
+
+class TestWhatEachMethodReports:
+    """fit builds every ShrinkagePosterior; each branch of its dispatch (the
+    equal-variance closed forms, the Newton and quadrature fitters, MLE and
+    REML at r = 0 and r >= 1) must report the same fields per method."""
+
+    @pytest.mark.parametrize("method", list(FitMethod))
+    @pytest.mark.parametrize("equal", [True, False])
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_every_dispatch_branch(self, method, equal, r):
+        rng = np.random.default_rng(43)
+        k = 12
+        V = np.full(k, 1.3) if equal else rng.uniform(0.3, 4.0, k)
+        y = rng.normal(2.0 * r, np.sqrt(V + 2.0))
+        data = TwoLevelData(y, V, np.ones((k, 1)) if r else None)
+        assert data.equal_variances is equal
+        assert_reports(fit(data, PriorSpec(c=1.0), method), method)
+
+    def test_mle_on_the_boundary(self, fig1_data):
+        shr = fit(fig1_data, PriorSpec(), FitMethod.MLE)
+        assert shr.A_hat == 0.0 and shr.boundary is True
+        assert_reports(shr, FitMethod.MLE)
+
+
+class TestEqualVarianceMoments:
+    """equal_variance_moments over a list of T gives each T the bits of a
+    one-T call and of adm_moments_equal or exact_moments_equal alone."""
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("method", [FitMethod.ADM, FitMethod.EXACT])
+    def test_batch_invariant(self, method, c):
+        m = 4.0  # T = 500 lies past the exact mixture's top, about 65 here
+        T = [3.0, 0.0, 0.25, 4.9, 17.5, 60.0, 500.0]
+        batch = equal_variance_moments(method, T, m, c)
+        assert len(batch) == 3 and (batch[2] is None) is (method is FitMethod.EXACT)
+        for i, t in enumerate(T):
+            one = equal_variance_moments(method, [t], m, c)
+            alone = (adm_moments_equal(t, m, c) if method is FitMethod.ADM
+                     else (*exact_moments_equal(t, m, c), None))
+            for many, single, scalar in zip(batch, one, alone):
+                if many is None:
+                    assert single is None and scalar is None
+                    continue
+                assert many[i].tobytes() == single[0].tobytes() == np.float64(scalar).tobytes()
 
 
 def nearly_collinear_data(k: int = 30, s: float = 1e-8, seed: int = 41) -> TwoLevelData:
