@@ -1,4 +1,5 @@
-"""Compare the outputs of `shrinkfit` in this checkout and in another.
+"""Compare the outputs of `shrinkfit` in this checkout and in another
+(usually its parent).
 
     python3 scripts/compare_outputs.py OTHER_TREE
 
@@ -56,7 +57,7 @@ largest |value| the field takes in either file. Scaling by the field rather
 than by each entry keeps entries near zero from inflating the drift, and
 numerical drift can still be told from a changed layout (inf).
 Exit codes are compared as well. Everything is written to a temporary
-directory; each checkout takes about 15 s on a 2-core machine.
+directory; a whole run takes about 6 s on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -64,14 +65,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "bench"))
+import _trees
+
+sys.path.insert(0, str(_trees.ROOT / "bench"))
 
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
@@ -187,13 +187,6 @@ def write_spelling_csvs(data: Path) -> None:
         (data / f"{name}-k10000.csv").write_text(text)
 
 
-def run_tree(tree: Path, data: Path, out: Path) -> None:
-    out.mkdir()
-    env = {k: v for k, v in os.environ.items() if k != "SHRINKFIT_SEED"}
-    env["PYTHONPATH"] = str(tree / "src")
-    subprocess.run([sys.executable, "-c", DRIVER, str(data), str(out)], env=env, check=True)
-
-
 def _record(out: dict[str, list[float]], name: str, a: float, b: float) -> None:
     """Fold one pair of values into the field's [largest |a - b|, largest
     |value|]; equal values (NaN included) differ by 0, a pair with one
@@ -280,11 +273,7 @@ def _same(rel: str, this: Path, that: Path) -> bool:
 
 
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1 or not (Path(args[0]) / "src" / "shrinkfit").is_dir():
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
-        return 2
-    other = Path(args[0]).resolve()
+    trees, _ = _trees.parse(argv, __doc__)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         data = tmp / "data"
@@ -297,9 +286,9 @@ def main(argv=None) -> int:
         write_design_csvs(data)
         write_scaled_csvs(data)
         write_spelling_csvs(data)
-        trees = {"this": ROOT, "other": other}
         for name, tree in trees.items():
-            run_tree(tree, data, tmp / name)
+            (tmp / name).mkdir()
+            _trees.run(tree, DRIVER, data, tmp / name)
         files = [
             {p.relative_to(tmp / name).as_posix() for p in (tmp / name).rglob("*") if p.is_file()}
             for name in trees
@@ -322,7 +311,8 @@ def main(argv=None) -> int:
         print(f"  DIFFERS {rel}")
         for name, d in sorted((fields or {}).items()):
             print(f"    {name}: max diff / max |value| {d:.3g}")
-    print(f"{ROOT} vs {other}: {'identical' if not bad else f'{len(bad)} differing'}")
+    print(f"{trees['this']} vs {trees['other']}: "
+          f"{'identical' if not bad else f'{len(bad)} differing'}")
     return 1 if bad else 0
 
 

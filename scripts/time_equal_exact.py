@@ -1,4 +1,5 @@
-"""Time equal-variance exact Bayes in this checkout and in another.
+"""Time equal-variance exact Bayes in this checkout and in another (usually
+its parent).
 
     python3 scripts/time_equal_exact.py OTHER_TREE [ROUNDS]
 
@@ -19,34 +20,30 @@ The replications are drawn from default_rng(gridpoint) with the variance
 1 + A of the gridpoint's B0, the same in both checkouts.  Each round runs
 one fresh interpreter per checkout, and the checkout that runs first
 alternates from round to round; an interpreter runs each case once to warm
-up and then three times, keeping its fastest time.  The table gives, per
-case and checkout, the median and the range of those times over ROUNDS
-rounds (default 10), in ms.  A round takes about 5 s on a 2-core machine,
-most of it in the equal c = 0.5 case of a checkout whose c = 0.5 exact
-fits run the quadrature.
+up and then three times, keeping its fastest time.  The sim-equal and
+equal c = 0.5 times include forming each replication's y @ y, which the
+gridpoint passes to its methods.  The table gives, per case and checkout,
+the median and the range of those times over ROUNDS rounds (default 10), in
+ms.  A round takes about 5 s on a 2-core machine.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import statistics
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+import numpy as np
 
-import numpy as np  # noqa: E402
+import _trees
 
 CASES = ("sim-equal", "equal c = 0.5", "curves --c 0.5", "fit exact c = 0.5, k = 1e4")
 
 # Runs inside each checkout: argv = the k = 1e4 CSV, an output directory.
 # Prints one JSON object: per case, the fastest of three runs in seconds.
 DRIVER = """
-import inspect
 import json
 import sys
 import time
@@ -64,12 +61,8 @@ def draws(b0, reps, seed):
 
 
 def fit_exact(cfg, y):
-    # a checkout whose gridpoint forms each replication's y @ y for its methods
-    # passes them in; the time includes forming them
-    if "ss" in inspect.signature(evaluate._fit_replications).parameters:
-        return evaluate._fit_replications(cfg, FitMethod.EXACT, y,
-                                          [float(s) for s in map(np.dot, y, y)])
-    return evaluate._fit_replications(cfg, FitMethod.EXACT, y)
+    ss = [float(s) for s in map(np.dot, y, y)]
+    return evaluate._fit_replications(cfg, FitMethod.EXACT, y, ss)
 
 
 grid = evaluate.equal_variance_grid()
@@ -97,41 +90,24 @@ print(json.dumps(best))
 """
 
 
-def run_tree(tree: Path, csv_path: Path, out: Path) -> list[float]:
-    env = {k: v for k, v in os.environ.items() if k != "SHRINKFIT_SEED"}
-    env["PYTHONPATH"] = str(tree / "src")
-    result = subprocess.run([sys.executable, "-c", DRIVER, str(csv_path), str(out)], env=env,
-                            check=True, capture_output=True, text=True).stdout
-    return json.loads(result)
-
-
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if not 1 <= len(args) <= 2 or not (Path(args[0]) / "src" / "shrinkfit").is_dir():
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
-        return 2
-    from shrinkfit import TwoLevelData
-    from shrinkfit.cli import write_dataset_csv
-
-    rounds = int(args[1]) if len(args) == 2 else 10
-    trees = {"this": ROOT, "other": Path(args[0]).resolve()}
+    trees, rounds = _trees.parse(argv, __doc__, rounds=10)
     times: dict[str, list[list[float]]] = {name: [] for name in trees}
     with tempfile.TemporaryDirectory() as tmp:
         csv_path = Path(tmp) / "equal-k10000.csv"
-        k = 10_000
-        y = np.random.default_rng(k).normal(size=k)
-        write_dataset_csv(csv_path, TwoLevelData(y, np.ones(k)))
-        for i in range(rounds):
-            for name in list(trees)[:: 1 if i % 2 == 0 else -1]:
-                times[name].append(run_tree(trees[name], csv_path, Path(tmp)))
+        y = np.random.default_rng(10_000).normal(size=10_000).tolist()
+        # the bytes `shrinkfit.cli.write_dataset_csv` writes for these y, V = 1
+        csv_path.write_text("y,V,mu\n" + "".join(f"{v!r},1.0,0.0\n" for v in y))
+        for order in _trees.rounds(trees, rounds):
+            for name, tree in order:
+                times[name].append(json.loads(_trees.run(tree, DRIVER, csv_path, tmp)))
     print(f"equal-variance exact Bayes: median [min, max] of {rounds} interleaved rounds (ms)")
     for j, case in enumerate(CASES):
         for name in trees:
             col = [1e3 * row[j] for row in times[name]]
             print(f"{case:>27} {name:>5} {statistics.median(col):10.3f}"
                   f"  [{min(col):.3f}, {max(col):.3f}]")
-    for name, tree in trees.items():
-        print(f"{name}: {tree}")
+    _trees.print_trees(trees)
     return 0
 
 

@@ -1,4 +1,5 @@
-"""Time one simulation gridpoint layer by layer in this checkout and in another.
+"""Time one simulation gridpoint layer by layer in this checkout and in
+another (usually its parent).
 
     python3 scripts/time_sim_gridpoint.py OTHER_TREE [ROUNDS]
 
@@ -13,9 +14,8 @@ exact + ADM + MLE), each one `run_coverage` call. A gridpoint is split into:
   (calls of the row kernel `density.known_means_rows`), its row
   evaluations (rows over all calls), the kernel's time, and the search's
   time: the rest of the search as the gridpoint calls it
-  (`fitters.mle_known_means` with the sums of squares the gridpoint formed,
-  or `_mle_known_means` in a checkout that has it: `fitters._lockstep`, the
-  search generators, the search ranges);
+  (`fitters.mle_known_means` with the sums of squares the gridpoint formed:
+  `fitters._lockstep`, the search generators, the search ranges);
 - `inference.shrunken_moments` and `specfun.ndtr`, the scoring's two calls;
 - rest: the remainder of `evaluate._simulate_gridpoint`, that is theta and
   y, the stacking of the fits, the scoring arithmetic and the per-(method,
@@ -36,12 +36,10 @@ some 30-45 us an op, to the MLE figures. A round takes about 3 s on a
 from __future__ import annotations
 
 import json
-import os
-import subprocess
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import _trees
+
 SEED = 1
 LAYERS = ("draws", "fit.exact", "fit.adm", "fit.mle", "mle.kernel", "mle.search",
           "shrunken_moments", "ndtr", "rest", "op")
@@ -93,10 +91,10 @@ def draws(*args):
 fit_replications = evaluate._fit_replications
 
 
-def fits(cfg, method, y, *ss):
+def fits(cfg, method, y, ss):
     t = clock()
     try:
-        return fit_replications(cfg, method, y, *ss)
+        return fit_replications(cfg, method, y, ss)
     finally:
         add("fit." + method.value, clock() - t)
 
@@ -125,8 +123,7 @@ for _ in range(3):
 evaluate._rep_rngs = draws
 evaluate._fit_replications = fits
 # the search as the gridpoint calls it, under the name evaluate imports
-mle = "_mle_known_means" if hasattr(evaluate, "_mle_known_means") else "mle_known_means"
-setattr(evaluate, mle, timed("mle", getattr(evaluate, mle)))
+evaluate.mle_known_means = timed("mle", evaluate.mle_known_means)
 evaluate.shrunken_moments = timed("shrunken_moments", evaluate.shrunken_moments)
 evaluate.ndtr = timed("ndtr", evaluate.ndtr)
 evaluate._simulate_gridpoint = timed("gridpoint", evaluate._simulate_gridpoint)
@@ -149,24 +146,12 @@ print(json.dumps({"layers": best, "rounds": [c[0] for c in counts],
 """
 
 
-def run_tree(tree: Path) -> dict:
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    out = subprocess.run([sys.executable, "-c", CHILD_CODE, str(ROOT / "bench"), str(SEED)],
-                         env=env, check=True, capture_output=True, text=True).stdout
-    return json.loads(out)
-
-
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if not 1 <= len(args) <= 2 or not (Path(args[0]) / "src" / "shrinkfit").is_dir():
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
-        return 2
-    rounds = int(args[1]) if len(args) == 2 else 5
-    trees = {"this": ROOT, "other": Path(args[0]).resolve()}
+    trees, rounds = _trees.parse(argv, __doc__, rounds=5)
     best: dict[str, dict] = {}
-    for i in range(rounds):
-        for name in list(trees)[:: 1 if i % 2 == 0 else -1]:
-            got = run_tree(trees[name])
+    for order in _trees.rounds(trees, rounds):
+        for name, tree in order:
+            got = json.loads(_trees.run(tree, CHILD_CODE, _trees.ROOT / "bench", SEED))
             old = best.setdefault(name, got)
             for mine, theirs in zip(old["layers"], got["layers"]):
                 for layer, t in theirs.items():
@@ -183,8 +168,7 @@ def main(argv=None) -> int:
             f"{sum(best[n][key]) / len(best[n][key]):9.1f}" for n in trees))
     print(f"{'evals/row':>16} " + " ".join(
         f"{sum(best[n]['rows']) / sum(best[n]['reps']):9.2f}" for n in trees))
-    for name, tree in trees.items():
-        print(f"{name}: {tree}")
+    _trees.print_trees(trees)
     return 0
 
 

@@ -1,7 +1,7 @@
 """Time `import shrinkfit` and whole `shrinkfit fit` processes, in fresh
-interpreters, in this checkout and optionally in another.
+interpreters, in this checkout and in another (usually its parent).
 
-    python3 scripts/time_startup.py [--other PATH] [--rounds N]
+    python3 scripts/time_startup.py OTHER_TREE [ROUNDS]
 
 The cases are:
 
@@ -18,44 +18,34 @@ interpreter start-up included. A round runs every case once in each checkout,
 alternating which checkout goes first, so that host drift falls on both. The
 table gives the best wall time of ROUNDS rounds (default 7) in seconds, the
 child's peak RSS (``ru_maxrss``) in MB on that best run, and which of scipy,
-orjson and multiprocessing the process had loaded when it ended.
+orjson and multiprocessing the process had loaded when it ended. To time
+this checkout alone, give it as OTHER_TREE (``.`` from its root).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "bench"))
+import _trees
+
+sys.path.insert(0, str(_trees.ROOT / "bench"))
 
 import workloads  # noqa: E402
 
 SIZES = (10, 100, 10_000, 100_000)
-WATCHED = ("scipy", "orjson", "multiprocessing")
 
-# The child runs BODY, then reports its peak RSS and the watched packages it
-# loaded as the last line of stderr.
-CHILD = """
+# Each case's child ends with REPORT: its peak RSS and which of scipy, orjson
+# and multiprocessing it loaded, as the last line of stdout.
+REPORT = """
 import json, resource, sys
-try:
-{body}
-finally:
-    loaded = sorted({{m.split(".")[0] for m in sys.modules}} & {watched!r})
-    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    print(json.dumps({{"rss_mb": rss_mb, "loaded": loaded}}), file=sys.stderr)
+loaded = sorted({m.split(".")[0] for m in sys.modules} & {"scipy", "orjson", "multiprocessing"})
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+print(json.dumps({"rss_mb": rss_mb, "loaded": loaded}))
 """
-
-
-def child_code(body: str) -> str:
-    body = "\n".join("    " + line for line in body.splitlines())
-    return CHILD.format(body=body, watched=set(WATCHED))
 
 
 def cases(work: Path) -> dict[str, str]:
@@ -71,41 +61,27 @@ def cases(work: Path) -> dict[str, str]:
     return out
 
 
-def run_once(tree: Path, code: str) -> tuple[float, dict]:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    t = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    wall = time.perf_counter() - t
-    if proc.returncode != 0:
-        raise SystemExit(f"{tree}: child failed\n{proc.stderr}")
-    return wall, json.loads(proc.stderr.strip().splitlines()[-1])
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--other", type=Path, help="a second checkout to interleave with")
-    parser.add_argument("--rounds", type=int, default=7)
-    args = parser.parse_args(argv)
-    trees = {"this": ROOT} if args.other is None else {"this": ROOT, "other": args.other.resolve()}
+    trees, rounds = _trees.parse(argv, __doc__, rounds=7)
     with tempfile.TemporaryDirectory() as tmp:
-        codes = {name: child_code(body) for name, body in cases(Path(tmp)).items()}
+        codes = {name: body + REPORT for name, body in cases(Path(tmp)).items()}
         best: dict[tuple[str, str], tuple[float, dict]] = {}
-        for rnd in range(args.rounds):
-            order = list(trees) if rnd % 2 == 0 else list(trees)[::-1]
+        for order in _trees.rounds(trees, rounds):
             for case, code in codes.items():
-                for label in order:
-                    wall, info = run_once(trees[label], code)
+                for label, tree in order:
+                    t = time.perf_counter()
+                    out = _trees.run(tree, code)
+                    wall = time.perf_counter() - t
                     if (label, case) not in best or wall < best[label, case][0]:
-                        best[label, case] = (wall, info)
-    print(f"best of {args.rounds} fresh processes")
-    for label, tree in trees.items():
-        print(f"  {label}: {tree}")
+                        best[label, case] = (wall, json.loads(out.splitlines()[-1]))
+    print(f"best of {rounds} fresh processes")
     print(f"{'case':<18}{'checkout':<10}{'wall s':>8}{'rss MB':>9}  loaded")
     for case in codes:
         for label in trees:
             wall, info = best[label, case]
             loaded = ", ".join(info["loaded"]) or "-"
             print(f"{case:<18}{label:<10}{wall:>8.3f}{info['rss_mb']:>9.1f}  {loaded}")
+    _trees.print_trees(trees)
     return 0
 
 

@@ -31,7 +31,7 @@ from .evaluate import (
     write_csv,
 )
 from .fitters import FitMethod, fit
-from .inference import random_effects
+from .inference import DEFAULT_Z, random_effects
 from .model import PriorSpec, ShrinkfitError, TwoLevelData
 
 SEED_ENV = "SHRINKFIT_SEED"
@@ -451,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", action="append", choices=_METHOD_CHOICES, help="repeatable"
     )
     p_fit.add_argument("--c", type=float, default=1.0, help="prior exponent (default 1)")
-    p_fit.add_argument("--z", type=float, default=1.96, help="interval z* (default 1.96)")
+    p_fit.add_argument("--z", type=float, default=DEFAULT_Z, help="interval z* (default %(default)s)")
     p_fit.add_argument("--out", default=None, help="output path (default stdout)")
     p_fit.set_defaults(func=cmd_fit)
 
@@ -470,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--method", action="append", choices=_METHOD_CHOICES, help="repeatable"
     )
-    p_sim.add_argument("--z", type=float, default=1.96)
+    p_sim.add_argument("--z", type=float, default=DEFAULT_Z)
     p_sim.add_argument("--c", type=float, default=1.0)
     p_sim.add_argument("--threads", type=int, default=None, help="default: all cores")
     p_sim.add_argument("--emit-plotdata", action="store_true")

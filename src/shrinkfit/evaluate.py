@@ -33,7 +33,7 @@ from .fitters import (
     mle_shrinkage_equal,
 )
 from .density import beta_and_projection_diag
-from .inference import shrunken_moments
+from .inference import DEFAULT_Z, shrunken_moments
 from .model import PriorSpec, TwoLevelData, check_c, validate
 from .specfun import ndtr
 
@@ -60,7 +60,7 @@ class SimConfig:
     reps: int
     seed: int
     methods: tuple[FitMethod, ...]
-    z_star: float = 1.96
+    z_star: float = DEFAULT_Z
     c: float = 1.0
 
     @property
@@ -92,7 +92,7 @@ def equal_variance_config(
     grid: tuple[float, ...] | None = None,
     methods: tuple[FitMethod, ...] = (FitMethod.EXACT, FitMethod.ADM, FitMethod.MLE),
     V: float = 1.0,
-    z_star: float = 1.96,
+    z_star: float = DEFAULT_Z,
     c: float = 1.0,
 ) -> SimConfig:
     """Equal variances, known means (r = 0), shrinking toward zero."""
@@ -117,7 +117,7 @@ def two_group_config(
     grid: tuple[float, ...] | None = None,
     methods: tuple[FitMethod, ...] = (FitMethod.ADM,),
     beta_true: tuple[float, ...] = (0.0,),
-    z_star: float = 1.96,
+    z_star: float = DEFAULT_Z,
     c: float = 1.0,
 ) -> SimConfig:
     """The two-group design: k = 10, five variances at 0.55 and five at 5.5,
