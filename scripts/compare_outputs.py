@@ -11,7 +11,9 @@ Each checkout runs, through its own ``src/`` in a fresh interpreter:
   with known means (``y,V,mu`` from pool dataset 0 at k = 10, 100 and 1e4,
   mu its Level-2 mean 0.5 + x2), on a nearly collinear r = 3 file (X =
   [1, x, x + 1e-8 e], k = 30, V over one decade: every method exits 2 with
-  RankDeficientX), on an equal-variance r = 1 file (k = 10, an
+  RankDeficientX, raised when the file is read in a checkout whose
+  TwoLevelData runs the fits' pivot test, and by the first fit in one
+  whose rank test is the pivoted QR), on an equal-variance r = 1 file (k = 10, an
   intercept: the equal-variance closed forms with a fitted mean) and on an
   equal-variance r = 0 file (k = 1e4, V = 1, y standard Normal from
   default_rng(10_000), so T is near m + 1), and on

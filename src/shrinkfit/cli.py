@@ -328,9 +328,8 @@ def _simulate_configs(args) -> list[SimConfig]:
     design = args.x
     if args.r is not None and design is None:
         if args.r not in (0, 1):
-            raise CliInputError(
-                "--r beyond 1 needs an explicit design; use the library API"
-            )
+            raise CliInputError(f"--r must be 0 (no covariates) or 1 (an intercept), "
+                                f"got {args.r}; other designs need the library API")
         design = "none" if args.r == 0 else "intercept"
     design = design or "none"
     r = {"none": 0, "intercept": 1}[design]
@@ -360,10 +359,13 @@ def _write_simulation_outputs(results: list[SimResult], outdir: Path) -> None:
     (outdir / "simulation.json").write_bytes((text + "\n").encode())
 
 
+def _two_group(cfg: SimConfig) -> bool:
+    return cfg.r == 1 and len(set(cfg.V)) == 2  # an intercept and two variances
+
+
 def _emit_plotdata(results: list[SimResult], outdir: Path) -> None:
     first = results[0].config
-    two_group = first.r == 1 and len(set(first.V)) == 2
-    if two_group:
+    if _two_group(first):
         rows = [
             [r.b0, r.A, r.group, r.coverage, r.coverage_se, r.risk, r.boundary_rate]
             for res in results
@@ -407,6 +409,11 @@ def _emit_plotdata(results: list[SimResult], outdir: Path) -> None:
 
 def cmd_simulate(args) -> int:
     configs = _simulate_configs(args)
+    if args.emit_plotdata and not all(_two_group(c) or len(set(c.V)) == 1 for c in configs):
+        raise CliInputError(
+            "--emit-plotdata needs equal variances or the two-group design "
+            "(an intercept and two variance values)"
+        )
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     threads = args.threads if args.threads is not None else (os.cpu_count() or 1)

@@ -23,9 +23,10 @@ its error in l by SERIES_TOL.  The derivatives at one A, which every Newton
 step calls, take M = X'D^-1 X, X'D^-1 y, X'D^-2 X, X'D^-3 X, tr D^-1 and
 tr D^-2 from one product of the rows 1/(V + A), its square and its cube
 with the columns [1, X (x) X, X y], then factor M once and solve with it
-twice.  All of them test X'D^-1 X for rank by the same Cholesky pivot test
-(_cholesky), and every r-by-r factorization, solve and inverse goes through
-_cholesky and _solve, which call numpy's LAPACK gufuncs directly.
+twice.  All of them test X'D^-1 X for rank by model._cholesky, the pivot
+test TwoLevelData runs on X'X, and every r-by-r factorization, solve and
+inverse goes through _cholesky and _solve, which call numpy's LAPACK gufuncs
+directly.  The columns [1, X (x) X, X y] are built once, with the data.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg as _lapack
 from numpy.polynomial.polynomial import polyval
 
-from .model import PriorSpec, RankDeficientX, ShrinkfitError, TwoLevelData
+from .model import PriorSpec, ShrinkfitError, TwoLevelData, _cholesky
 
 
 # Elements of one (nodes, k) array in a block pass over quadrature nodes:
@@ -48,11 +49,6 @@ BLOCK_ELEMENTS = 1 << 17
 # terms, enough for a bound of SERIES_TOL on its truncation error in l
 SERIES_TERMS = 64
 SERIES_TOL = 1e-13
-
-# X'D^-1 X counts as singular when a squared Cholesky pivot L_jj^2 is at most
-# this fraction of its diagonal entry M_jj (about 1.1e-14)
-PIVOT_REL = 50 * np.finfo(float).eps
-
 
 class PowerSums(NamedTuple):
     """AdjustedLogDensity.power_sums at a set of alphas around a mode."""
@@ -69,29 +65,12 @@ class NonconcaveAtMax(ShrinkfitError):
     maximizer, so no Beta approximation can be formed."""
 
 
-# The r-by-r algebra of the weighted regression, _cholesky and _solve, calls
-# _lapack, numpy's LAPACK gufuncs, as np.linalg.cholesky, solve and inv call
-# them (so with the same bits) but without the ~4 us of Python those add.
-
-
-def _cholesky(M: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of a stack of X'D^-1 X, (..., r, r), by
-    _lapack.cholesky_lo.  Raises RankDeficientX when some L_jj^2 <=
-    PIVOT_REL * M_jj or the Cholesky fails (LAPACK then leaves L NaN; no
-    RuntimeWarning is raised for it)."""
-    with np.errstate(invalid="ignore"):
-        L = _lapack.cholesky_lo(M)
-    d = L.diagonal(0, -2, -1)
-    if not all((d * d > PIVOT_REL * M.diagonal(0, -2, -1)).ravel().tolist()):
-        raise RankDeficientX("X'D^-1 X is numerically singular: X is nearly collinear")
-    return L
-
-
 def _solve(M: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     """M^-1 B for a stack M of X'D^-1 X, (..., r, r), that passed the pivot
     test of _cholesky, by LU: B an (..., r, m) block (_lapack.solve), an
     (..., r) vector per matrix (_lapack.solve1), or None for M^-1 itself
-    (_lapack.inv)."""
+    (_lapack.inv).  Like _cholesky, it calls numpy's LAPACK gufuncs as
+    np.linalg calls them (so with the same bits) without their ~4 us of Python."""
     if B is None:
         return _lapack.inv(M)
     return (_lapack.solve1 if B.ndim == M.ndim - 1 else _lapack.solve)(M, B)
@@ -146,16 +125,8 @@ class AdjustedLogDensity:
             self._resid0 = data.y - data.mu
             self._e2 = self._resid0 * self._resid0
         else:
-            # the kernels' fixed inputs X' and [1, X (x) X, X y], built row by
-            # row (products over a length-r inner axis are slow at large k)
-            # and held as a (k, 1 + r^2 + r) view
-            r = data.r
-            self._XT = XT = np.ascontiguousarray(data.X.T)
-            cols = np.empty((1 + r * r + r, data.k))
-            cols[0] = 1.0
-            np.multiply(XT[:, None, :], XT[None, :, :], out=cols[1 : r * r + 1].reshape(r, r, -1))
-            np.multiply(XT, data.y, out=cols[r * r + 1 :])
-            self._cols = cols.T
+            # the kernels' fixed inputs X' and [1, X (x) X, X y], built with the data
+            self._XT, self._cols = data._XT, data._cols
 
     @property
     def tail_exponents(self) -> tuple[float, float]:
@@ -170,8 +141,9 @@ class AdjustedLogDensity:
         beta_A, (n, r), and the residuals y - X beta_A, (n, k), into `out` if
         given.  M and X'D^-1 y are one product W @ [X (x) X, X y]; the
         residuals are taken directly (y'D^-1 y - b'beta cancels when |y| is
-        large).  Raises RankDeficientX by _cholesky's pivot test: nearly
-        collinear X can pass TwoLevelData's rank test and still fail here.
+        large).  Raises RankDeficientX by _cholesky's pivot test, which
+        TwoLevelData ran at unit weights: at other weights X'D^-1 X can still
+        fail it.
         """
         r = self.data.r
         G = W @ self._cols[:, 1:]
@@ -183,7 +155,7 @@ class AdjustedLogDensity:
     def residual_ss(self) -> float:
         """Sum of squared residuals after removing the Level-2 mean structure:
         ordinary least squares on X when r >= 1 (the kernel _gls at unit
-        weights, so a nearly collinear X raises RankDeficientX here too),
+        weights, the product whose X'X TwoLevelData tested for rank),
         centering at the known means data.mu otherwise.  For equal variances
         this is the sufficient statistic."""
         if self.data.r == 0:

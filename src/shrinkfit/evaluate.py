@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import sys
 from dataclasses import asdict, astuple, dataclass, fields
 from functools import partial
@@ -557,8 +558,10 @@ def curve_rows(k_values, t_grid, r: int = 0, c: float = 1.0) -> tuple[CurveRow, 
     """Shrinkage B(T) and variance v tables for the exact, ADM, and MLE rules
     (equal variances, T the residual sum of squares over 2V); these
     reproduce the deterministic comparison figures.  c must be finite and
-    positive (NonpositiveC), as for a fit."""
+    positive (NonpositiveC), as for a fit, and r an integer >= 0."""
     check_c(c)
+    if not isinstance(r, numbers.Integral) or r < 0:
+        raise ValueError(f"r must be an integer >= 0, got {r!r}")
     rows = []
     t_grid = [float(T) for T in t_grid]
     if not all(0.0 <= T < math.inf for T in t_grid):

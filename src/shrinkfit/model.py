@@ -6,11 +6,15 @@ instances can be shared freely across threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from numpy.linalg import _umath_linalg as _lapack
+
+# X'D^-1 X counts as singular when a squared Cholesky pivot L_jj^2 is at most
+# this fraction of its diagonal entry M_jj (about 1.1e-14)
+PIVOT_REL = 50 * np.finfo(float).eps
 
 
 class ShrinkfitError(Exception):
@@ -50,6 +54,20 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _cholesky(M: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a stack of X'D^-1 X, (..., r, r), by
+    _lapack.cholesky_lo, numpy's LAPACK gufunc (np.linalg.cholesky's bits
+    without its ~4 us of Python).  The one rank test of X: raises
+    RankDeficientX when some L_jj^2 <= PIVOT_REL * M_jj or the Cholesky
+    fails (LAPACK then leaves L NaN; no RuntimeWarning is raised for it)."""
+    with np.errstate(invalid="ignore"):
+        L = _lapack.cholesky_lo(M)
+    d = L.diagonal(0, -2, -1)
+    if not all((d * d > PIVOT_REL * M.diagonal(0, -2, -1)).ravel().tolist()):
+        raise RankDeficientX("X'D^-1 X is numerically singular: X is nearly collinear")
+    return L
+
+
 @dataclass(frozen=True)
 class TwoLevelData:
     """Unit-level estimates y with known sampling variances V, and the
@@ -59,9 +77,11 @@ class TwoLevelData:
 
     Every check that depends on the data alone runs here, so an instance
     is valid: at least one unit (TooFewUnits); y finite; V finite and
-    positive (NonpositiveVariance); X finite and of full column rank by
-    matrix_rank_pivoted, in numpy (RankDeficientX); mu finite, one entry per
-    unit, and only when r = 0.  Other shape and value errors raise ValueError.
+    positive (NonpositiveVariance); X finite, with X'X passing the pivot
+    test of _cholesky, the one that every weighted regression of the data
+    runs (RankDeficientX); mu finite, one entry per unit, and only when
+    r = 0.  Other shape and value errors raise ValueError.  For r >= 1 the
+    instance keeps the regression kernel's columns, built once here.
     """
 
     y: np.ndarray
@@ -94,8 +114,24 @@ class TwoLevelData:
                 raise ValueError(f"X has {X.shape[0]} rows for {y.size} units")
             if not np.all(np.isfinite(X)):
                 raise ValueError("X contains non-finite values")
-            if matrix_rank_pivoted(X) < X.shape[1]:
-                raise RankDeficientX(f"X must have full column rank {X.shape[1]}")
+            if r := X.shape[1]:
+                # the kernels' fixed inputs X' and [1, X (x) X, X y], built
+                # row by row (products over a length-r inner axis are slow at
+                # large k), held read-only as a (k, 1 + r^2 + r) view, and X
+                # tested for rank on the product residual_ss forms from them
+                XT = np.ascontiguousarray(X.T)
+                cols = np.empty((1 + r * r + r, y.size))
+                cols[0] = 1.0
+                with np.errstate(over="ignore"):  # an inf in X'X fails the test
+                    np.multiply(XT[:, None, :], XT[None, :, :],
+                                out=cols[1 : r * r + 1].reshape(r, r, -1))
+                    np.multiply(XT, y, out=cols[r * r + 1 :])
+                G = np.ones((1, y.size)) @ cols.T[:, 1:]
+                _cholesky(G[:, : r * r].reshape(-1, r, r))
+                XT.setflags(write=False)
+                cols.setflags(write=False)
+                object.__setattr__(self, "_XT", XT)
+                object.__setattr__(self, "_cols", cols.T)
         mu = None
         if X.shape[1] == 0:
             mu = _readonly(np.zeros(y.size) if self.mu is None else np.atleast_1d(self.mu))
@@ -183,37 +219,6 @@ class RandomEffectPosterior:
     def __post_init__(self) -> None:
         for name in ("theta_hat", "s2", "beta_hat", "lo", "hi"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
-
-
-def matrix_rank_pivoted(X: np.ndarray) -> int:
-    """Numerical column rank: the count of pivots |R_jj| of pivoted_r_diag
-    above 1e-10 |R_11|, the largest scaled column norm."""
-    diag = pivoted_r_diag(X) if X.shape[1] else []
-    return sum(d > 1e-10 * diag[0] for d in diag)
-
-
-def pivoted_r_diag(X: np.ndarray) -> list[float]:
-    """|R_jj| of the Householder QR of X with each column scaled to a largest
-    |entry| of 1 (so the verdict does not depend on column scale and nothing
-    overflows), pivoting as LAPACK's dgeqp3 does on the largest remaining
-    column norm, summed afresh at each step; an all-zero column stays zero."""
-    Xt = np.array(X.T, dtype=float, order="C")  # a copy: X's columns as rows, scaled in place
-    scale = np.maximum(Xt.max(axis=1), -Xt.min(axis=1))
-    Xt /= np.where(scale > 0.0, scale, 1.0)[:, None]
-    cols, diag = list(Xt), []
-    for _ in range(min(Xt.shape)):
-        norms = [float(c @ c) for c in cols]
-        u = cols.pop(norms.index(max(norms)))
-        diag.append(norm := math.sqrt(max(norms)))
-        if norm > 0.0 and cols:  # reflect u onto norm * e_1, and the other columns with it
-            h = norm * (norm + abs(u[0]))
-            u[0] += math.copysign(norm, u[0])
-            for c in cols[:-1]:
-                c -= (float(u @ c) / h) * u
-            u *= float(u @ cols[-1]) / h  # u's last use: scaled in place, no temporary
-            cols[-1] -= u
-        cols = [c[1:] for c in cols]
-    return diag
 
 
 def check_c(c: float) -> None:

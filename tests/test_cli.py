@@ -137,10 +137,12 @@ class TestFit:
         assert capsys.readouterr().err == f"{error.__name__}: no fit\n"
 
     def test_nearly_collinear_X_exits_2(self, tmp_path, capsys):
-        from test_fitters import nearly_collinear_data
+        # TwoLevelData rejects this X, so the CSV is written from the arrays
+        from test_fitters import nearly_collinear_arrays
 
+        y, V, X = nearly_collinear_arrays()
         path = tmp_path / "collinear.csv"
-        write_dataset_csv(path, nearly_collinear_data())
+        cli.write_csv(path, ["y", "V", "x1", "x2", "x3"], np.column_stack([y, V, X]).tolist())
         for method in ("adm", "mle", "reml", "exact"):
             assert main(["fit", str(path), "--method", method]) == 2
             assert "RankDeficientX" in capsys.readouterr().err
@@ -587,6 +589,16 @@ class TestSimulate:
         assert code == 2
         assert "contradicts" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("r", ["-1", "2"])
+    def test_r_other_than_0_or_1_exits_2_naming_both(self, tmp_path, capsys, r):
+        out = tmp_path / "sim"
+        argv = ["simulate", "--k", "5", "--r", r, "--variances", "1.0", "--grid", "0.5",
+                "--reps", "2", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"--r must be 0 (no covariates) or 1 (an intercept), got {r};")
+        assert not out.exists()
+
     def test_grid_points_downsamples_preset(self, tmp_path):
         out = tmp_path / "gp"
         code = main(
@@ -696,6 +708,20 @@ class TestSimulate:
         assert {r["method"] for r in rows} == {"exact", "adm", "mle"}
         assert {r["k"] for r in rows} == {"4", "10"}
 
+    @pytest.mark.parametrize("argv", [
+        ["--k", "5", "--variances", "0.5,1,1.5,2,2.5"],
+        ["--k", "4", "--r", "0", "--variances", "1,2,1,2"],  # two groups without the intercept
+        ["--k", "6", "--r", "1", "--variances", "1,2,3,1,2,3"],
+    ])
+    def test_emit_plotdata_rejects_other_variance_designs(self, tmp_path, capsys, argv):
+        # neither the equal-variance figures nor fig7 describe these designs
+        out = tmp_path / "plots"
+        argv = ["simulate", *argv, "--grid", "0.5", "--reps", "5", "--out", str(out)]
+        assert main(argv + ["--emit-plotdata"]) == 2
+        assert capsys.readouterr().err.startswith("--emit-plotdata needs equal variances")
+        assert not out.exists()
+        assert main(argv) == 0
+
     def test_emit_plotdata_two_group(self, tmp_path):
         out = tmp_path / "plots"
         code = main(
@@ -747,6 +773,13 @@ class TestCurves:
         out = tmp_path / "curves.csv"
         assert main(["curves", f"--t-grid={T},2", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "T must be finite and nonnegative\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("r", ["-3", "-1"])
+    def test_negative_r_exits_2(self, tmp_path, capsys, r):
+        out = tmp_path / "curves.csv"
+        assert main(["curves", "--k", "4", "--r", r, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"r must be an integer >= 0, got {r}\n"
         assert not out.exists()
 
     def test_k_too_small_for_c_exits_2(self, capsys):

@@ -12,6 +12,7 @@ from shrinkfit import (
     TwoLevelData,
     density,
     fit,
+    model,
 )
 from shrinkfit.density import beta_and_projection_diag, residual_ss
 
@@ -257,33 +258,43 @@ class TestBlockEvaluation:
                 )
 
     def test_nearly_collinear_X_raises_rank_deficient(self):
-        from test_fitters import nearly_collinear_data
+        # X'D^-1 X of small_A_collinear_data fails the pivot test at small A
+        from test_fitters import small_A_collinear_data
 
-        ell = AdjustedLogDensity(nearly_collinear_data(), PriorSpec())
+        ell = AdjustedLogDensity(small_A_collinear_data(), PriorSpec())
+        ell.on_nodes(np.linspace(-2.0, 2.0, 9))
         with pytest.raises(RankDeficientX):
-            ell.on_nodes(np.linspace(-2.0, 2.0, 9))
+            ell.on_nodes(np.linspace(-30.0, 2.0, 9))
 
     def test_every_entry_point_raises_rank_deficient(self):
-        from test_fitters import nearly_collinear_data
+        from test_fitters import small_A_collinear_data
 
-        data = nearly_collinear_data()
+        data = small_A_collinear_data()
         for restricted in (True, False):
             ell = AdjustedLogDensity(data, PriorSpec(0.0), restricted)
-            for call in (ell, ell.derivatives, lambda a: ell.on_nodes([a, a + 1.0])):
-                with pytest.raises(RankDeficientX):
-                    call(0.5)
+            calls = (ell, ell.derivatives, lambda a: ell.on_nodes([a, a + 1.0]),
+                     lambda a: beta_and_projection_diag(math.exp(a), data),
+                     lambda a: ell.power_sums(a, np.linspace(a - 0.05, a + 0.05, 12)))
+            for call in calls:
+                for alpha in (0.0, 10.0):
+                    call(alpha)
+                for alpha in (-25.0, -40.0):
+                    with pytest.raises(RankDeficientX):
+                        call(alpha)
 
     def test_rank_test_does_not_wait_for_cholesky_to_fail(self):
-        # at s = 3e-8 LAPACK factors X'D^-1 X, with squared pivots about 1e-15
-        # of their diagonal entries; the pivot test still rejects it
-        from test_fitters import nearly_collinear_data
+        # at alpha = -20 LAPACK factors X'D^-1 X of small_A_collinear_data,
+        # with squared pivots about 1e-16 of their diagonal entries; the
+        # pivot test still rejects it
+        from test_fitters import small_A_collinear_data
 
-        data = nearly_collinear_data(s=3e-8, seed=1)
-        for alpha in (-3.0, 0.0, 3.0):
+        for seed in range(5):
+            data = small_A_collinear_data(seed=seed)
+            alpha = -20.0
             W = 1.0 / (data.V + math.exp(alpha))
             M = (data.X * W[:, None]).T @ data.X
             ratio = np.diag(np.linalg.cholesky(M)) ** 2 / np.diag(M)
-            assert 0.0 < ratio.min() <= density.PIVOT_REL
+            assert 0.0 < ratio.min() <= model.PIVOT_REL
             for restricted in (True, False):
                 ell = AdjustedLogDensity(data, PriorSpec(), restricted)
                 with pytest.raises(RankDeficientX):
@@ -295,7 +306,7 @@ class TestBlockEvaluation:
 
 
 class TestLapackHelpers:
-    """density._cholesky and _solve call numpy's LAPACK gufuncs directly;
+    """model._cholesky and density._solve call numpy's LAPACK gufuncs directly;
     they must give np.linalg's bits, and a numpy that changes those gufuncs
     must fail here."""
 
@@ -307,11 +318,11 @@ class TestLapackHelpers:
         M = F @ F.transpose(0, 2, 1)
         B, b = rng.normal(size=(n, r, 2 * r + 3)), rng.normal(size=(n, r))
         pairs = [
-            (density._cholesky(M), np.linalg.cholesky(M)),
+            (model._cholesky(M), np.linalg.cholesky(M)),
             (density._solve(M, B), np.linalg.solve(M, B)),
             (density._solve(M, b), np.linalg.solve(M, b[:, :, None])[:, :, 0]),
             (density._solve(M), np.linalg.inv(M)),
-            (density._cholesky(M[0]), np.linalg.cholesky(M[0])),
+            (model._cholesky(M[0]), np.linalg.cholesky(M[0])),
             (density._solve(M[0], b[0]), np.linalg.solve(M[0], b[0])),
             (density._solve(M[0], B[0].T[:r].T), np.linalg.solve(M[0], B[0][:, :r])),
         ]
@@ -332,8 +343,8 @@ class TestLapackHelpers:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(RankDeficientX):
-                    density._cholesky(M)
-        assert density._cholesky(good[None]).shape == (1, 2, 2)
+                    model._cholesky(M)
+        assert model._cholesky(good[None]).shape == (1, 2, 2)
 
 
 class TestInvariantInformation:

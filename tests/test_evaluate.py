@@ -584,6 +584,13 @@ class TestCurves:
             assert gap_far < gap_mid
             assert gap_far < 1e-4
 
+    @pytest.mark.parametrize("r", [-3, -1, 2.5, 1.0])
+    def test_r_must_be_a_nonnegative_integer(self, r):
+        # m = (k - r - 2)/2 would describe a design that does not exist
+        with pytest.raises(ValueError, match="r must be an integer >= 0"):
+            curve_rows((10,), (1.0,), r=r)
+        assert curve_rows((10,), (1.0,), r=np.int64(2))[0].m == 3.0
+
     def test_mle_never_shrinks_less(self):
         rows = curve_rows((4, 10), tuple(np.linspace(0.0, 25.0, 26)))
         by = {(r.k, r.T, r.method): r.B_hat for r in rows}

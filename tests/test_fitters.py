@@ -34,7 +34,7 @@ from shrinkfit.density import (
     known_means_rows,
     residual_ss,
 )
-from shrinkfit import density, fitters
+from shrinkfit import density, fitters, model
 from shrinkfit.fitters import (
     _fit_adm,
     _fit_exact,
@@ -1157,19 +1157,21 @@ class TestPowerSums:
 
     def test_pivot_test_raises_rank_deficient(self, monkeypatch):
         # _gls at the mode is let through without its pivot test, so that only
-        # the series' own test on the X'D^-1 X it sums can raise
-        data = nearly_collinear_data(k=20_000)
+        # the series' own test on the X'D^-1 X it sums can raise; at
+        # alpha = -20 LAPACK still factors that of small_A_collinear_data
+        data = small_A_collinear_data()
         gls = AdjustedLogDensity._gls
 
         def gls_without_pivot_test(self, W, out=None):
             with monkeypatch.context() as patch:
-                patch.setattr(density, "PIVOT_REL", -1.0)
+                patch.setattr(model, "PIVOT_REL", -1.0)
                 return gls(self, W, out)
 
         monkeypatch.setattr(AdjustedLogDensity, "_gls", gls_without_pivot_test)
         ell = AdjustedLogDensity(data, PriorSpec(1.0))
+        assert ell.power_sums(0.0, np.linspace(-0.05, 0.05, 12)) is not None
         with pytest.raises(RankDeficientX):
-            ell.power_sums(0.0, np.linspace(-0.05, 0.05, 12))
+            ell.power_sums(-20.0, np.linspace(-20.05, -19.95, 12))
 
 
 def adm_loss_ratio(data: TwoLevelData) -> float:
@@ -1342,21 +1344,35 @@ class TestEqualVarianceMoments:
                 assert many[i].tobytes() == single[0].tobytes() == np.float64(scalar).tobytes()
 
 
-def nearly_collinear_data(k: int = 30, s: float = 1e-8, seed: int = 41) -> TwoLevelData:
-    """X = [1, x, x + s e] with V over one decade.  At s = 1e-8 (condition
-    number ~1e8) X is full rank to the pivoted-QR test, but X'D^-1 X is not
-    numerically positive definite."""
+def nearly_collinear_arrays(k: int = 30, s: float = 1e-8, seed: int = 41):
+    """y, V and X = [1, x, x + s e] with V over one decade.  The squared
+    Cholesky pivot of X'X's third column over its diagonal entry is about
+    s^2, so TwoLevelData rejects X at s = 1e-8 (condition number ~1e8) and
+    3e-8 and accepts it at 1e-6."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=k)
     X = np.column_stack([np.ones(k), x, x + s * rng.normal(size=k)])
     V = 10.0 ** rng.uniform(-0.5, 0.5, k)
-    return TwoLevelData(rng.normal(size=k), V, X)
+    return rng.normal(size=k), V, X
+
+
+def small_A_collinear_data(k: int = 30, seed: int = 41) -> TwoLevelData:
+    """X = [1, x] with x = 1 + 1e-9 e on the 6 units of V = 1e-8 and x
+    standard Normal on the rest, of V = 1e8.  X'X passes TwoLevelData's
+    pivot test, and so does X'D^-1 X at A = 1 and e^10; at A = e^-20 and
+    below the 6 nearly constant rows outweigh the rest by 1e16 and it fails."""
+    rng = np.random.default_rng(seed)
+    V = np.full(k, 1e8)
+    V[:6] = 1e-8
+    x = rng.normal(size=k)
+    x[:6] = 1.0 + 1e-9 * rng.normal(size=6)
+    return TwoLevelData(rng.normal(size=k), V, np.column_stack([np.ones(k), x]))
 
 
 @pytest.mark.parametrize("method", list(FitMethod))
 def test_nearly_collinear_X_raises_rank_deficient(method):
     with pytest.raises(RankDeficientX):
-        fit(nearly_collinear_data(), PriorSpec(), method)
+        fit(TwoLevelData(*nearly_collinear_arrays()), PriorSpec(), method)
 
 
 def rank_verdicts(data: TwoLevelData) -> list[str]:
@@ -1374,35 +1390,39 @@ def rank_verdicts(data: TwoLevelData) -> list[str]:
 
 @pytest.mark.parametrize("seed", range(5))
 class TestRankVerdict:
-    # the squared Cholesky pivot of the third column over its diagonal entry
-    # is about s^2: ~1e-12 at s = 1e-6, ~1e-15 at 3e-8, ~1e-16 at 1e-8
+    # TwoLevelData gives the verdict on X when it is built, whatever the
+    # variances; every fit of the data it accepts runs
     def test_separated_columns_fit(self, seed):
-        assert rank_verdicts(nearly_collinear_data(s=1e-6, seed=seed)) == ["fit"] * 4
+        data = TwoLevelData(*nearly_collinear_arrays(s=1e-6, seed=seed))
+        assert rank_verdicts(data) == ["fit"] * 4
 
     def test_collinear_columns_raise(self, seed):
-        verdicts = rank_verdicts(nearly_collinear_data(s=1e-8, seed=seed))
-        assert verdicts == ["RankDeficientX"] * 4
+        with pytest.raises(RankDeficientX):
+            TwoLevelData(*nearly_collinear_arrays(s=1e-8, seed=seed))
 
     def test_collinear_columns_raise_with_equal_variances(self, seed):
-        # the equal-variance closed forms take T from the same kernel, so the
-        # fit itself raises under every method, not only random_effects after it
-        data = nearly_collinear_data(s=1e-8, seed=seed)
-        equal = TwoLevelData(data.y, np.ones(data.k), data.X)
-        for method in FitMethod:
-            with pytest.raises(RankDeficientX):
-                fit(equal, PriorSpec(), method)
+        y, V, X = nearly_collinear_arrays(s=1e-8, seed=seed)
+        with pytest.raises(RankDeficientX):
+            TwoLevelData(y, np.ones_like(V), X)
 
     def test_borderline_columns_get_one_verdict(self, seed):
-        verdicts = rank_verdicts(nearly_collinear_data(s=3e-8, seed=seed))
-        assert len(set(verdicts)) == 1 and verdicts[0] in ("fit", "RankDeficientX")
+        # LAPACK factors X'X here, with squared pivots about 1e-15 of their
+        # diagonal entries: rejected at construction, not left to a fit
+        with pytest.raises(RankDeficientX):
+            TwoLevelData(*nearly_collinear_arrays(s=3e-8, seed=seed))
 
 
 def test_random_effects_rejects_nearly_collinear_X():
-    data = nearly_collinear_data()
-    for A in (0.0, 1.0, 100.0):
+    # X'D^-1 X of small_A_collinear_data fails the pivot test at A = 0,
+    # e^-40 and e^-25, and passes it at A = 1 and e^10
+    data = small_A_collinear_data()
+    for A in (0.0, math.exp(-40.0), math.exp(-25.0), 1.0, math.exp(10.0)):
+        shr = ShrinkagePosterior(A_hat=A, B_hat=data.V / (data.V + A), v=np.zeros(data.k))
+        if A >= 1.0:
+            random_effects(data, shr)
+            continue
         with pytest.raises(RankDeficientX):
             beta_and_projection_diag(A, data)
-        shr = ShrinkagePosterior(A_hat=A, B_hat=data.V / (data.V + A), v=np.zeros(data.k))
         with pytest.raises(RankDeficientX):
             random_effects(data, shr)
 

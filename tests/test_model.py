@@ -9,9 +9,10 @@ from shrinkfit import (
     RankDeficientX,
     TooFewUnits,
     TwoLevelData,
+    fit,
     validate,
 )
-from shrinkfit.model import matrix_rank_pivoted, pivoted_r_diag
+from shrinkfit.density import residual_ss
 
 
 def test_named_errors_share_one_base():
@@ -86,43 +87,49 @@ def test_rank_tolerance_is_scale_aware():
     rng = np.random.default_rng(0)
     base = rng.normal(size=(12, 1))
     # second column differs from the first by far less than the tolerance
-    X = np.column_stack([base, base * (1.0 + 1e-14)])
-    assert matrix_rank_pivoted(X) == 1
+    with pytest.raises(RankDeficientX):
+        TwoLevelData(np.arange(12.0), np.ones(12), np.column_stack([base, base * (1.0 + 1e-14)]))
     X_ok = np.column_stack([base, rng.normal(size=(12, 1))])
-    assert matrix_rank_pivoted(X_ok) == 2
+    assert TwoLevelData(np.arange(12.0), np.ones(12), X_ok).r == 2
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-10, 1.0, 1e9, 1e10, 1e155, 1e300])
 def test_rank_verdict_does_not_depend_on_column_scale(scale):
-    # a full-rank [1, x] stays full rank however x is scaled; entries past
-    # 1.34e154 would overflow a sum of squares (a RuntimeWarning, which the
-    # test configuration turns into an error)
+    # the pivot test compares each squared pivot with its own diagonal
+    # entry, so a full-rank [1, x] is accepted at any scale at which X'X
+    # holds x^2; at 1e-300 x^2 underflows to 0, and at 1e155 and 1e300 it
+    # overflows (which, like any RuntimeWarning, the test configuration
+    # turns into an error), and [1, x] is rejected
     x = np.arange(1.0, 6.0) * scale
-    assert matrix_rank_pivoted(np.column_stack([np.ones(5), x])) == 2
-    assert TwoLevelData(np.arange(5.0), np.ones(5), np.column_stack([np.ones(5), x])).r == 2
-    # and a collinear pair stays collinear at any scale
-    assert matrix_rank_pivoted(np.column_stack([x, 3.0 * x])) == 1
+    X = np.column_stack([np.ones(5), x])
+    if 1e-10 <= scale <= 1e10:
+        assert TwoLevelData(np.arange(5.0), np.ones(5), X).r == 2
+    else:
+        with pytest.raises(RankDeficientX):
+            TwoLevelData(np.arange(5.0), np.ones(5), X)
+    # and a collinear pair is rejected at any scale
+    with pytest.raises(RankDeficientX):
+        TwoLevelData(np.arange(5.0), np.ones(5), np.column_stack([x, 3.0 * x]))
 
 
 def test_rank_verdicts_kept_for_zero_and_nearly_collinear_columns():
-    assert matrix_rank_pivoted(np.column_stack([np.ones(6), np.zeros(6)])) == 1
-    assert matrix_rank_pivoted(np.zeros((6, 2))) == 0
-    with pytest.raises(RankDeficientX):
-        TwoLevelData(np.arange(6.0), np.ones(6), np.column_stack([np.ones(6), np.zeros(6)]))
-    # X = [1, x, x + 1e-8 e] passes this test; the GLS kernel's pivot test
-    # rejects it at fit time
-    from test_fitters import nearly_collinear_data
+    for X in (np.column_stack([np.ones(6), np.zeros(6)]), np.zeros((6, 2))):
+        with pytest.raises(RankDeficientX):
+            TwoLevelData(np.arange(6.0), np.ones(6), X)
+    # X = [1, x, x + 1e-8 e] is rejected when the data is built, not at fit time
+    from test_fitters import nearly_collinear_arrays
 
     for seed in range(5):
-        assert nearly_collinear_data(s=1e-8, seed=seed).r == 3
+        with pytest.raises(RankDeficientX):
+            TwoLevelData(*nearly_collinear_arrays(s=1e-8, seed=seed))
 
 
 def rank_test_designs(n: int = 3000) -> list[np.ndarray]:
-    """Seeded designs for the pivoted-QR equivalence test: k from 3 to 60
-    and r from 1 to 6 (wide ones included), each column scaled by 10^U(-8, 8).
-    Every third design has a last column equal to a multiple of its first
-    plus noise of relative size eps = 10^U(-14, -6), which straddles the
-    1e-10 rank tolerance; every third, one or more all-zero columns."""
+    """Seeded designs for the rank-verdict test: k from 3 to 60 and r from 1
+    to 6 (wide ones included), each column scaled by 10^U(-8, 8).  Every
+    third design has a last column equal to a multiple of its first plus
+    noise of relative size eps = 10^U(-14, -6), which straddles both rank
+    tolerances; every third, one or more all-zero columns."""
     rng = np.random.default_rng(20261020)
     designs = []
     for i in range(n):
@@ -138,31 +145,40 @@ def rank_test_designs(n: int = 3000) -> list[np.ndarray]:
     return designs
 
 
-def test_rank_verdicts_and_pivots_match_scipy_pivoted_qr():
-    # the test the rank check made with scipy.linalg.qr(pivoting=True)
-    # (LAPACK dgeqp3) on the column-scaled X; |R_jj| may differ by rounding,
-    # at most 1e-13 |R_11| (about 4e-16 |R_11| is seen on the random columns)
+def test_rank_verdict_is_never_looser_than_scipy_pivoted_qr():
+    # scipy.linalg.qr(pivoting=True) (LAPACK dgeqp3) on the column-scaled X,
+    # counting a pivot above 1e-10 |R_11|, resolves finer than the Cholesky
+    # pivot test of X'X: every design it rejects must be rejected when the
+    # data is built, and every design that builds must give residual_ss
+    # and, at equal variances (where ADM takes T from residual_ss), an ADM fit
     from scipy import linalg as sla
     from test_fitters import HOSTILE_DESIGNS, hostile_design
 
     designs = rank_test_designs()
     designs += [hostile_design(*d)[0].X for d in HOSTILE_DESIGNS if d[3] >= 1]
-    for s, j in np.ndindex(2, 5):  # X = [1, x, x + s e] at s = 1e-8 (full rank) and 1e-12
+    for s, j in np.ndindex(2, 5):  # X = [1, x, x + s e] at s = 1e-8 and 1e-12
         x, e = np.random.default_rng(j).normal(size=(2, 30))
         designs.append(np.column_stack([np.ones(30), x, x + 10.0 ** (-8 - 4 * s) * e]))
-    verdicts = []
+    rng = np.random.default_rng(20261022)
+    built = []
     for X in designs:
+        k, r = X.shape
         scale = np.abs(X).max(axis=0)
-        scaled = X / np.where(scale > 0.0, scale, 1.0)
-        want = np.abs(np.diag(sla.qr(scaled, mode="economic", pivoting=True)[1]))
-        got = np.array(pivoted_r_diag(X))
-        assert got.shape == want.shape
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * want[0])
-        verdict = int((want > 1e-10 * want[0]).sum())
-        assert matrix_rank_pivoted(X) == verdict
-        verdicts.append(verdict == min(X.shape))
+        R = sla.qr(X / np.where(scale > 0.0, scale, 1.0), mode="economic", pivoting=True)[1]
+        pivots = np.abs(np.diag(R))
+        qr_full_rank = r <= k and bool((pivots > 1e-10 * pivots[0]).all())
+        try:
+            data = TwoLevelData(rng.standard_normal(k), np.ones(k), X)
+        except RankDeficientX:
+            built.append(False)
+            continue
+        assert qr_full_rank
+        assert np.isfinite(residual_ss(data))
+        if k - r > 2:
+            assert fit(data, PriorSpec(), FitMethod.ADM).B_hat.shape == (k,)
+        built.append(True)
     # both verdicts occur: zero columns, and eps or s below the tolerance
-    assert 0 < verdicts.count(False) < len(verdicts)
+    assert 0 < built.count(False) < len(built)
 
 
 def test_known_mu_rules():
